@@ -34,9 +34,9 @@ from .linear_ops import (
 )
 from .spectral import Grid2D, elastic_symbols
 from .dynamics import (
-    EnergyReport, FieldSolver, FieldState, HomState, ModelParams,
-    default_hom_dt, distortion_stress, elastic_energy, elastic_operator,
-    energy_report, homogeneous_rhs, mu_field, shear_kappa,
+    DivergenceError, EnergyReport, FieldSolver, FieldState, HomState,
+    ModelParams, default_hom_dt, distortion_stress, elastic_energy,
+    elastic_operator, energy_report, homogeneous_rhs, mu_field, shear_kappa,
     smooth_random_state, step_field, step_homogeneous,
 )
 from .leslie import (

@@ -1,60 +1,73 @@
 """Batched evaluation of Bingham moments in the eigenvalue frame.
 
 The density exp(b1 m1^2 + b2 m2^2 + b3 m3^2) on the unit sphere is reduced
-to a Gauss-Legendre rule in x = m3 times a uniform rule in the azimuth
-(the integrand has period pi there). Every routine is batched over points;
-a numba version is used when available, with a pure numpy fallback kept
-functionally identical and cross-checked in the test suite.
-
-Set QBINGHAM_NO_NUMBA=1 to force the numpy path.
+to a Gauss-Legendre rule in x = m3 times a uniform rule in the azimuth phi.
+The integrand depends only on x^2 and cos^2 phi, so the rule is folded onto
+x >= 0 and phi in [0, pi/2] with the weights of mirrored nodes merged
+(Mardia & Jupp, Directional Statistics, 2000, section 9.4). Every routine
+is batched over points and written in numpy.
 """
 from __future__ import annotations
-
-import os
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-__all__ = [
-    "reduced_nodes", "nodes_for_spread", "moments_batch", "newton_batch",
-    "HAVE_NUMBA", "EXPONENT_BUDGET",
-]
+__all__ = ["reduced_nodes", "nodes_for_spread", "newton_batch", "EXPONENT_BUDGET"]
 
 # hard cap on the eigenvalue spread of B fed to the exponential
 EXPONENT_BUDGET = 300.0
 
 
 def reduced_nodes(n_x, n_phi):
-    """Quadrature nodes (m1^2, m2^2, m3^2, w) for eigenframe sphere integrals."""
-    x, wx = leggauss(int(n_x))
-    phi = np.pi * np.arange(int(n_phi)) / int(n_phi)
-    wphi = 2.0 * np.pi / int(n_phi)
+    """Folded quadrature nodes (m1^2, m2^2, m3^2, w) for eigenframe sphere
+    integrals of functions of (m1^2, m2^2, m3^2).
+
+    Folds the n_x-point Gauss-Legendre rule in x = m3 times the n_phi-point
+    uniform rule in phi on [0, pi) onto x >= 0 and phi in [0, pi/2]. Mirrored
+    nodes x <-> -x and phi <-> pi - phi carry the merged weight; the
+    self-mirrored nodes x = 0 (odd n_x), phi = 0 and phi = pi/2 (even n_phi)
+    are kept once. The result has ceil(n_x/2) * (n_phi//2 + 1) nodes and
+    integrates exactly what the unfolded n_x * n_phi rule does; the weights
+    sum to 4 pi.
+    """
+    n_x, n_phi = int(n_x), int(n_phi)
+    x, wx = leggauss(n_x)
+    half = n_x // 2
+    x, wx = x[half:], wx[half:] * 2.0      # leggauss is symmetric about 0
+    if n_x % 2:
+        wx[0] *= 0.5                       # x = 0 is its own mirror
+    k = np.arange(n_phi // 2 + 1)
+    phi = np.pi * k / n_phi
+    wphi = np.full(k.size, 4.0 * np.pi / n_phi)
+    wphi[0] *= 0.5                         # phi = 0 is its own mirror
+    if n_phi % 2 == 0:
+        wphi[-1] *= 0.5                    # so is phi = pi/2
     c2 = np.cos(phi) ** 2
     one = np.ones_like(c2)
     m3 = np.outer(x**2, one).ravel()
     m1 = np.outer(1.0 - x**2, c2).ravel()
     m2 = np.outer(1.0 - x**2, 1.0 - c2).ravel()
-    w = np.outer(wx * wphi, one).ravel()
+    w = np.outer(wx, wphi).ravel()
     return m1, m2, m3, w
 
 
 def nodes_for_spread(spread):
-    """Node counts that integrate exp(b.m^2) to ~3e-13 for a given b spread.
+    """Node counts (n_x, n_phi) that integrate exp(b.m^2) to ~3e-13 for a
+    given b spread.
 
-    Calibrated by sweeping prolate/oblate/biaxial worst cases against
-    high-order reference rules; the need grows like sqrt(spread), capped
-    consistently with EXPONENT_BUDGET.
+    The counts are those of the unfolded tensor-product rule; reduced_nodes
+    folds it to about a quarter as many nodes. Calibrated by sweeping
+    prolate/oblate/biaxial worst cases against high-order reference rules;
+    the need grows like sqrt(spread), capped consistently with
+    EXPONENT_BUDGET.
     """
     s = max(2.0, float(spread))
     n = int(min(140.0, 4.9 * np.sqrt(s) + 10.5))
     return n, n
 
 
-# ---------------------------------------------------------------------------
-# numpy backend
-# ---------------------------------------------------------------------------
-
 def _moments_batch_np(b, m1, m2, m3, w):
+    """ln Z, second moments <m_i^2>, pair moments <m_i^2 m_j^2> per point."""
     b = np.ascontiguousarray(b, dtype=float)
     shift = b.max(axis=1)
     ex = np.exp(b[:, 0:1] * m1[None, :] + b[:, 1:2] * m2[None, :]
@@ -125,21 +138,25 @@ def _newton_batch_np(qe, b, m1, m2, m3, w, tol, maxit):
         d1 = (h22 * g1 - h12 * g2) / det
         d2 = (h11 * g2 - h12 * g1) / det
         step = np.stack([d1, d2, -(d1 + d2)], axis=1)
-        obj0 = (b[idx] * qe[idx]).sum(axis=1) - lnz
-        t = np.ones(len(idx))
         bt = b[idx] - step
         # backtracking line search on the concave objective; skipped in the
-        # quadratic endgame where rounding noise dominates the comparison
-        need_ls = res[idx] > 1e-5
-        slack = 1e-12 * (1.0 + np.abs(obj0))
-        for _ls in range(40):
-            objt = (bt * qe[idx]).sum(axis=1) - _lnz_batch_np(bt, m1, m2, m3, w)
-            bad = need_ls & (objt < obj0 - slack)
-            if not bad.any():
-                break
-            t[bad] *= 0.5
-            bt[bad] = b[idx[bad]] - t[bad, None] * step[bad]
-            damped[idx[bad]] = True
+        # quadratic endgame where rounding noise dominates the comparison.
+        # Rows leave the search once they pass the Armijo test.
+        ls = np.where(res[idx] > 1e-5)[0]
+        if ls.size:
+            qls = qe[idx[ls]]
+            obj0 = (b[idx[ls]] * qls).sum(axis=1) - lnz[ls]
+            slack = 1e-12 * (1.0 + np.abs(obj0))
+            t = np.ones(ls.size)
+            for _ls in range(40):
+                objt = (bt[ls] * qls).sum(axis=1) - _lnz_batch_np(bt[ls], m1, m2, m3, w)
+                bad = objt < obj0 - slack
+                if not bad.any():
+                    break
+                ls, qls, obj0, slack, t = ls[bad], qls[bad], obj0[bad], slack[bad], t[bad]
+                t *= 0.5
+                bt[ls] = b[idx[ls]] - t[:, None] * step[ls]
+                damped[idx[ls]] = True
         b[idx] = bt
         spread = b[idx].max(axis=1) - b[idx].min(axis=1)
         if np.any(spread > EXPONENT_BUDGET):
@@ -149,166 +166,15 @@ def _newton_batch_np(qe, b, m1, m2, m3, w, tol, maxit):
     return b, res, iters, damped, lnz_out, s_out, p_out
 
 
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-HAVE_NUMBA = False
-if not os.environ.get("QBINGHAM_NO_NUMBA"):
-    try:
-        import numba
-        from numba import njit, prange
-
-        # avoid the TBB probe warning; workqueue is fine for these kernels
-        numba.config.THREADING_LAYER = "workqueue"
-        _nt = os.environ.get("QBINGHAM_THREADS")
-        if _nt:
-            numba.set_num_threads(max(1, int(_nt)))
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover
-        HAVE_NUMBA = False
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, fastmath=True, parallel=True)
-    def _moments_batch_nb(b, m1, m2, m3, w):  # pragma: no cover - exercised via tests
-        n = b.shape[0]
-        m = m1.size
-        lnz = np.empty(n)
-        s = np.empty((n, 3))
-        p = np.empty((n, 3, 3))
-        for i in prange(n):
-            b1, b2, b3 = b[i, 0], b[i, 1], b[i, 2]
-            shift = max(b1, max(b2, b3))
-            z = 0.0
-            s1 = 0.0; s2 = 0.0; s3 = 0.0
-            p11 = 0.0; p22 = 0.0; p33 = 0.0
-            p12 = 0.0; p13 = 0.0; p23 = 0.0
-            for t in range(m):
-                e = np.exp(b1 * m1[t] + b2 * m2[t] + b3 * m3[t] - shift) * w[t]
-                z += e
-                s1 += e * m1[t]; s2 += e * m2[t]; s3 += e * m3[t]
-                p11 += e * m1[t] * m1[t]; p22 += e * m2[t] * m2[t]; p33 += e * m3[t] * m3[t]
-                p12 += e * m1[t] * m2[t]; p13 += e * m1[t] * m3[t]; p23 += e * m2[t] * m3[t]
-            lnz[i] = np.log(z) + shift
-            s[i, 0] = s1 / z; s[i, 1] = s2 / z; s[i, 2] = s3 / z
-            p[i, 0, 0] = p11 / z; p[i, 1, 1] = p22 / z; p[i, 2, 2] = p33 / z
-            p[i, 0, 1] = p12 / z; p[i, 1, 0] = p12 / z
-            p[i, 0, 2] = p13 / z; p[i, 2, 0] = p13 / z
-            p[i, 1, 2] = p23 / z; p[i, 2, 1] = p23 / z
-        return lnz, s, p
-
-    @njit(cache=True, fastmath=True, inline="always")
-    def _lnz_point_nb(b1, b2, b3, m1, m2, m3, w):  # pragma: no cover
-        shift = max(b1, max(b2, b3))
-        z = 0.0
-        for t in range(m1.size):
-            z += np.exp(b1 * m1[t] + b2 * m2[t] + b3 * m3[t] - shift) * w[t]
-        return np.log(z) + shift
-
-    @njit(cache=True, fastmath=True, parallel=True)
-    def _newton_batch_nb(qe, b0, m1, m2, m3, w, tol, maxit, budget):  # pragma: no cover
-        n = qe.shape[0]
-        m = m1.size
-        b = b0.copy()
-        res = np.empty(n)
-        iters = np.zeros(n, dtype=np.int64)
-        damped = np.zeros(n, dtype=np.bool_)
-        lnz_out = np.zeros(n)
-        s_out = np.zeros((n, 3))
-        p_out = np.zeros((n, 3, 3))
-        for i in prange(n):
-            q1, q2, q3 = qe[i, 0], qe[i, 1], qe[i, 2]
-            t1, t2, t3 = q1 + 1.0 / 3.0, q2 + 1.0 / 3.0, q3 + 1.0 / 3.0
-            b1, b2, b3 = b[i, 0], b[i, 1], b[i, 2]
-            rn = np.inf
-            for it in range(maxit + 1):
-                shift = max(b1, max(b2, b3))
-                z = 0.0
-                s1 = 0.0; s2 = 0.0; s3 = 0.0
-                p11 = 0.0; p22 = 0.0; p33 = 0.0
-                p12 = 0.0; p13 = 0.0; p23 = 0.0
-                for t in range(m):
-                    e = np.exp(b1 * m1[t] + b2 * m2[t] + b3 * m3[t] - shift) * w[t]
-                    z += e
-                    s1 += e * m1[t]; s2 += e * m2[t]; s3 += e * m3[t]
-                    p11 += e * m1[t] * m1[t]; p22 += e * m2[t] * m2[t]; p33 += e * m3[t] * m3[t]
-                    p12 += e * m1[t] * m2[t]; p13 += e * m1[t] * m3[t]; p23 += e * m2[t] * m3[t]
-                s1 /= z; s2 /= z; s3 /= z
-                r1 = s1 - t1; r2 = s2 - t2; r3 = s3 - t3
-                rn = np.sqrt(r1 * r1 + r2 * r2 + r3 * r3)
-                if rn < tol or it == maxit:
-                    shift = max(b1, max(b2, b3))
-                    lnz_out[i] = np.log(z) + shift
-                    s_out[i, 0] = s1; s_out[i, 1] = s2; s_out[i, 2] = s3
-                    p_out[i, 0, 0] = p11 / z; p_out[i, 1, 1] = p22 / z; p_out[i, 2, 2] = p33 / z
-                    p_out[i, 0, 1] = p12 / z; p_out[i, 1, 0] = p12 / z
-                    p_out[i, 0, 2] = p13 / z; p_out[i, 2, 0] = p13 / z
-                    p_out[i, 1, 2] = p23 / z; p_out[i, 2, 1] = p23 / z
-                    break
-                iters[i] += 1
-                c11 = p11 / z - s1 * s1; c22 = p22 / z - s2 * s2; c33 = p33 / z - s3 * s3
-                c12 = p12 / z - s1 * s2; c13 = p13 / z - s1 * s3; c23 = p23 / z - s2 * s3
-                h11 = c11 - 2.0 * c13 + c33
-                h22 = c22 - 2.0 * c23 + c33
-                h12 = c12 - c13 - c23 + c33
-                g1 = r1 - r3
-                g2 = r2 - r3
-                det = h11 * h22 - h12 * h12
-                if det < 1e-300:
-                    det = 1e-300
-                d1 = (h22 * g1 - h12 * g2) / det
-                d2 = (h11 * g2 - h12 * g1) / det
-                d3 = -(d1 + d2)
-                lnz0 = np.log(z) + shift
-                obj0 = b1 * q1 + b2 * q2 + b3 * q3 - lnz0
-                tstep = 1.0
-                n1 = b1 - d1; n2 = b2 - d2; n3 = b3 - d3
-                if rn > 1e-5:
-                    slack = 1e-12 * (1.0 + abs(obj0))
-                    for _ls in range(40):
-                        objt = (n1 * q1 + n2 * q2 + n3 * q3
-                                - _lnz_point_nb(n1, n2, n3, m1, m2, m3, w))
-                        if objt >= obj0 - slack:
-                            break
-                        tstep *= 0.5
-                        damped[i] = True
-                        n1 = b1 - tstep * d1; n2 = b2 - tstep * d2; n3 = b3 - tstep * d3
-                b1, b2, b3 = n1, n2, n3
-                spread = max(b1, max(b2, b3)) - min(b1, min(b2, b3))
-                if spread > budget:
-                    rn = np.inf
-                    break
-            b[i, 0] = b1; b[i, 1] = b2; b[i, 2] = b3
-            res[i] = rn
-        return b, res, iters, damped, lnz_out, s_out, p_out
-
-
-# ---------------------------------------------------------------------------
-# public dispatch
-# ---------------------------------------------------------------------------
-
-def moments_batch(b, nodes):
-    """ln Z, second moments <m_i^2>, pair moments <m_i^2 m_j^2> per point."""
-    m1, m2, m3, w = nodes
-    b = np.ascontiguousarray(b, dtype=float)
-    if HAVE_NUMBA:
-        return _moments_batch_nb(b, m1, m2, m3, w)
-    return _moments_batch_np(b, m1, m2, m3, w)
-
-
 def newton_batch(q_eigs, b_init, nodes, tol=1e-11, maxit=60):
     """Solve <mm - I/3>_f(b) = diag(q_eigs) for diagonal b, batched.
 
-    Returns (b, residual, iterations, used_damping, lnz, second, pair);
-    the moments come from the final Newton evaluation, so they belong to
-    the returned b. Points that exceed the exponent budget come back with
-    residual = inf.
+    nodes is the 4-tuple (m1^2, m2^2, m3^2, w) of reduced_nodes. Returns
+    (b, residual, iterations, used_damping, lnz, second, pair); the moments
+    come from the final Newton evaluation, so they belong to the returned b.
+    Points that exceed the exponent budget come back with residual = inf.
     """
     m1, m2, m3, w = nodes
     qe = np.ascontiguousarray(q_eigs, dtype=float)
     b0 = np.ascontiguousarray(b_init, dtype=float)
-    if HAVE_NUMBA:
-        return _newton_batch_nb(qe, b0, m1, m2, m3, w, float(tol), int(maxit),
-                                EXPONENT_BUDGET)
     return _newton_batch_np(qe, b0, m1, m2, m3, w, float(tol), int(maxit))

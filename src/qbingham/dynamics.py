@@ -36,7 +36,15 @@ __all__ = [
     "homogeneous_rhs", "step_homogeneous", "default_hom_dt",
     "elastic_operator", "elastic_energy", "distortion_stress",
     "mu_field", "energy_report", "smooth_random_state", "step_field",
+    "DivergenceError",
 ]
+
+
+class DivergenceError(RuntimeError):
+    """The projected velocity is not divergence-free to round-off.
+
+    Not a PhysicalityError: halving dt cannot repair a broken projection.
+    """
 
 
 @dataclass(frozen=True)
@@ -421,7 +429,10 @@ class FieldSolver:
             v1 = self._solve_v(rv, a)
 
         div_res = grid.divergence_residual(v1)
-        assert div_res <= 1e-10, f"divergence residual {div_res:.2e} after projection"
+        if not div_res <= 1e-10:
+            raise DivergenceError(
+                f"divergence residual {div_res:.2e} after projection at "
+                f"t={state.t + dt:.5g}")
 
         w, _ = eig_sym3(to_matrix(q1.reshape(-1, 5)))
         margin = float(np.minimum(w[:, 0] + 1.0 / 3.0, 2.0 / 3.0 - w[:, 2]).min())
