@@ -14,13 +14,12 @@ from .tensors import (
     qdot, qnorm, sym_traceless, to_matrix, uniaxial,
 )
 from .sphere import (
-    BinghamMoments, SphereQuadrature, a_integral, a_integrals,
+    BinghamMoments, SphereQuadrature, a_integrals,
     bingham_moments, build_quadrature, log_partition,
 )
 from .closure import (
-    BatchClosureResult, ClosureJacobian, ClosureSolveReport, EigenMemo,
-    PhysicalityError, apply_mq, bingham_map, bingham_map_batch,
-    closure_jacobian, spread_bound,
+    BatchClosureResult, ClosureJacobian, ClosureSolveReport, PhysicalityError,
+    apply_mq, bingham_map, bingham_map_batch, closure_jacobian, spread_bound,
 )
 from .equilibrium import (
     BranchNotPresentError, PhaseConstants, crit_residual, critical_alpha,
@@ -37,7 +36,7 @@ from .dynamics import (
     DivergenceError, EnergyReport, FieldSolver, FieldState, HomState,
     ModelParams, default_hom_dt, distortion_stress, elastic_energy,
     elastic_operator, energy_report, homogeneous_rhs, mu_field, shear_kappa,
-    smooth_random_state, step_field, step_homogeneous,
+    smooth_random_state, step_homogeneous,
 )
 from .leslie import (
     ConvergenceTable, DirectorState, LeslieAlignment, angle_between,

@@ -14,6 +14,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import struct
 import sys
@@ -21,9 +22,14 @@ import time
 
 import numpy as np
 
-__all__ = ["main", "run_experiment", "write_snapshot", "read_snapshot"]
+__all__ = ["main", "run_experiment", "write_snapshot", "read_snapshot",
+           "OutputLockedError"]
 
 SNAPSHOT_MAGIC = b"QBF1"
+
+
+class OutputLockedError(RuntimeError):
+    """The output directory holds the lockfile of another run."""
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +83,7 @@ def _dir_lock(out_dir):
     try:
         fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
-        raise RuntimeError(
+        raise OutputLockedError(
             f"output directory is locked by another run ({lock}); remove the "
             "lockfile if that run is dead") from None
     try:
@@ -327,8 +333,11 @@ def _run_field(cfg, log):
     if cfg.snapshot:
         # snapshot written separately because of its two-file layout
         outputs["__snapshot__"] = state
+    dt_final = state.hist.dt  # run() halves dt on a physicality loss
     outputs["run_summary.json"] = _json_bytes({
         "steps": cfg.steps, "dt": dt, "wall_seconds": wall,
+        "dt_final": dt_final, "halvings": round(math.log2(dt / dt_final)),
+        "t_final": state.t,
         "final_total_energy": series[-1].total,
         "initial_total_energy": series[0].total,
     })
@@ -482,9 +491,12 @@ def main(argv=None):
 
     try:
         return run_experiment(cfg, args.out, quiet=args.quiet)
+    except OutputLockedError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if "locked" in str(exc) else 3
+        return 3
     except (ValueError, ArithmeticError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

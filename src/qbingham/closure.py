@@ -23,7 +23,7 @@ from .tensors import (
 __all__ = [
     "ClosureSolveReport", "ClosureJacobian", "PhysicalityError", "bingham_map",
     "bingham_map_batch", "BatchClosureResult", "closure_jacobian", "apply_mq",
-    "spread_bound", "m4_contract_frame", "mq_apply_frame", "EigenMemo",
+    "spread_bound", "m4_contract_frame", "mq_apply_frame",
 ]
 
 DEFAULT_TOL = 1e-11
@@ -60,34 +60,6 @@ class ClosureJacobian:
 
     def smallest_eigenvalue(self):
         return float(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.T))[0])
-
-
-class EigenMemo:
-    """Optional warm-start cache keyed by quantized eigenvalue pairs.
-
-    Stores converged diagonal solutions on a 1e-6 eigenvalue grid and hands
-    them out as Newton initial guesses. Results are always polished to the
-    requested tolerance, so the cache can only change iteration counts,
-    never the answer beyond it. Plain dict writes keep this safe under the
-    GIL with last-writer-wins semantics.
-    """
-
-    def __init__(self, quantum=1e-6, max_entries=200_000):
-        self.quantum = float(quantum)
-        self.max_entries = int(max_entries)
-        self._store = {}
-
-    def key(self, q_eigs):
-        g = self.quantum
-        return (int(round(q_eigs[0] / g)), int(round(q_eigs[1] / g)))
-
-    def get(self, q_eigs):
-        return self._store.get(self.key(q_eigs))
-
-    def put(self, q_eigs, b_diag):
-        if len(self._store) >= self.max_entries:
-            self._store.clear()
-        self._store[self.key(q_eigs)] = np.array(b_diag, dtype=float)
 
 
 _NODE_CACHE = {}
@@ -183,8 +155,7 @@ def bingham_map_batch(q5, delta=0.0, tol=DEFAULT_TOL, quad=None, b_warm5=None,
     return BatchClosureResult(b, rot, w, lnz, second, pair, res, iters, damped)
 
 
-def bingham_map(Q, delta=0.0, tol=DEFAULT_TOL, quad=None, memo=None,
-                maxit=MAX_ITER):
+def bingham_map(Q, delta=0.0, tol=DEFAULT_TOL, quad=None, maxit=MAX_ITER):
     """Compute the unique B with Q(B) = Q for one physical tensor.
 
     Raises ValueError for non-physical input and RuntimeError on
@@ -198,17 +169,8 @@ def bingham_map(Q, delta=0.0, tol=DEFAULT_TOL, quad=None, memo=None,
             "Q is outside the physical set with the requested margin: "
             f"eigenvalues must lie in [-1/3 + {delta:.3g}, 2/3 - {delta:.3g}]")
 
-    warm5 = None
-    if memo is not None:
-        w, rot = eig_sym3(to_matrix(q5))
-        b_diag = memo.get(w[:2])
-        if b_diag is not None:
-            warm5 = from_matrix(np.einsum("ik,k,jk->ij", rot, b_diag, rot))[None, :]
-
     res = bingham_map_batch(q5[None, :], delta=delta, tol=tol, quad=quad,
-                            b_warm5=warm5, maxit=maxit)
-    if memo is not None:
-        memo.put(res.q_eigs[0, :2], res.b_diag[0])
+                            maxit=maxit)
     b5 = res.B5[0]
     return ClosureSolveReport(
         B=b5,

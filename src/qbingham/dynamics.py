@@ -28,15 +28,15 @@ from .linear_ops import DirectorContext, relaxation_rates
 from .equilibrium import phase_constants
 from .spectral import Grid2D, elastic_symbols
 from .tensors import (
-    eig_sym3, from_basis_coeffs, from_matrix, qdot, to_basis_coeffs, to_matrix,
+    eigenvalue_margin, from_basis_coeffs, from_matrix, qdot, to_basis_coeffs,
+    to_matrix,
 )
 
 __all__ = [
     "ModelParams", "HomState", "FieldState", "EnergyReport", "FieldSolver",
     "homogeneous_rhs", "step_homogeneous", "default_hom_dt",
     "elastic_operator", "elastic_energy", "distortion_stress",
-    "mu_field", "energy_report", "smooth_random_state", "step_field",
-    "DivergenceError",
+    "mu_field", "energy_report", "smooth_random_state", "DivergenceError",
 ]
 
 
@@ -116,13 +116,14 @@ def homogeneous_rhs(q5, kappa, params, b_warm5=None, tol=DEFAULT_TOL):
     q5 = np.asarray(q5, dtype=float)
     res = bingham_map_batch(q5[None, :], delta=0.0, tol=tol,
                             b_warm5=None if b_warm5 is None else b_warm5[None, :])
+    b5 = res.B5[0]
     qmat = to_matrix(q5)
-    mu = to_matrix(res.B5[0] - params.alpha * q5)
+    mu = to_matrix(b5 - params.alpha * q5)
     m_mu = mq_apply_frame(qmat[None], res.rotation, res.pair, mu[None])[0]
     g = np.asarray(kappa, dtype=float).T
     m_g = mq_apply_frame(qmat[None], res.rotation, res.pair, g[None])[0]
     rhs = (-(2.0 / params.de) * (m_mu + m_mu.T) + (m_g + m_g.T))
-    return from_matrix(rhs), res.B5[0]
+    return from_matrix(rhs), b5
 
 
 def default_hom_dt(params, constants=None):
@@ -144,8 +145,7 @@ def step_homogeneous(state: HomState, dt, params, tol=DEFAULT_TOL, _depth=0):
         k3, b5 = homogeneous_rhs(q0 + 0.5 * dt * k2, state.kappa, params, b5, tol)
         k4, b5 = homogeneous_rhs(q0 + dt * k3, state.kappa, params, b5, tol)
         q1 = q0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        w, _ = eig_sym3(to_matrix(q1))
-        margin = min(w[0] + 1.0 / 3.0, 2.0 / 3.0 - w[2])
+        margin = float(eigenvalue_margin(q1))
         failed = margin < params.delta / 2.0
         reason = f"margin {margin:.3e}"
     except (PhysicalityError, RuntimeError) as exc:
@@ -434,8 +434,7 @@ class FieldSolver:
                 f"divergence residual {div_res:.2e} after projection at "
                 f"t={state.t + dt:.5g}")
 
-        w, _ = eig_sym3(to_matrix(q1.reshape(-1, 5)))
-        margin = float(np.minimum(w[:, 0] + 1.0 / 3.0, 2.0 / 3.0 - w[:, 2]).min())
+        margin = float(eigenvalue_margin(q1).min())
         if margin < p.delta / 2.0:
             raise PhysicalityError(
                 f"field left the delta/2 physical margin at t={state.t + dt:.5g} "
@@ -474,23 +473,6 @@ class FieldSolver:
     def energy_report(self, state: FieldState):
         pre = self._mu(state.q5, self._warm_start(state))
         return energy_report(state, self.params, self.closure_tol, _mu_res=pre)
-
-    def pressure(self, state: FieldState):
-        """Recover p from the divergence of the unprojected acceleration:
-        Lap p = div(raw momentum RHS), zero-mean."""
-        grid = self.grid
-        _, fv_raw, _ = self._assemble(state.q5, state.v, state.t, state.b5)
-        fh = grid.fft(fv_raw)
-        div_h = 1j * (grid.kx * fh[..., 0] + grid.ky * fh[..., 1])
-        ksq = np.where(grid.ksq == 0.0, 1.0, grid.ksq)
-        ph = -div_h / ksq
-        ph[0, 0] = 0.0
-        return grid.ifft(ph)
-
-
-def step_field(solver: FieldSolver, state: FieldState, dt):
-    """Functional wrapper around FieldSolver.step."""
-    return solver.step(state, dt)
 
 
 def energy_report(state: FieldState, params, closure_tol=DEFAULT_TOL, _mu_res=None):
@@ -561,8 +543,7 @@ def smooth_random_state(grid, params, seed, q_amplitude=0.5, v_amplitude=0.1,
     amp = q_amplitude
     for _ in range(60):
         q5 = base + amp * pert
-        w, _ = eig_sym3(to_matrix(q5.reshape(-1, 5)))
-        worst = float(np.minimum(w[:, 0] + 1.0 / 3.0, 2.0 / 3.0 - w[:, 2]).min())
+        worst = float(eigenvalue_margin(q5).min())
         if worst >= margin:
             break
         amp *= 0.8

@@ -13,14 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .tensors import (
-    QTensor, Tensor4Sym, Tensor6Sym, eig_sym3, from_matrix, to_matrix,
-)
+from .tensors import QTensor, Tensor4Sym, Tensor6Sym, from_matrix, to_matrix
 from ._kernels import EXPONENT_BUDGET
 
 __all__ = [
     "SphereQuadrature", "BinghamMoments", "build_quadrature",
-    "bingham_moments", "log_partition", "a_integral", "a_integrals",
+    "bingham_moments", "log_partition", "a_integrals",
 ]
 
 
@@ -76,7 +74,7 @@ def _as_qvec(B):
 
 
 def _check_budget(Bmat):
-    w, _ = eig_sym3(Bmat)
+    w = np.linalg.eigvalsh(Bmat)
     spread = float(w[..., 2] - w[..., 0])
     if spread > EXPONENT_BUDGET:
         raise OverflowError(
@@ -121,21 +119,9 @@ def bingham_moments(B, quad):
 _GL200 = leggauss(200)
 
 
-def a_integral(eta, k):
-    """A_k(eta) by 200-point Gauss-Legendre with max-shift stabilization."""
-    if k < 0 or k % 2 != 0 or k > 6:
-        raise ValueError("k must be one of 0, 2, 4, 6")
-    eta = float(eta)
-    if abs(eta) > EXPONENT_BUDGET:
-        raise OverflowError(f"|eta| = {abs(eta):.1f} beyond exponent budget")
-    x, w = _GL200
-    shift = max(eta, 0.0)
-    val = np.sum(w * x**k * np.exp(eta * x**2 - shift))
-    return float(val * np.exp(shift))
-
-
 def a_integrals(eta):
-    """(A_0, A_2, A_4, A_6) in one pass."""
+    """(A_0, A_2, A_4, A_6) in one pass by 200-point Gauss-Legendre with
+    max-shift stabilization."""
     eta = float(eta)
     if abs(eta) > EXPONENT_BUDGET:
         raise OverflowError(f"|eta| = {abs(eta):.1f} beyond exponent budget")

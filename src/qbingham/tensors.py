@@ -6,6 +6,8 @@ A tensor is stored by its five independent components
 
 so symmetry and tracelessness are structural, never a numerical property.
 All functions accept batched arrays with the component axis last.
+Eigendecompositions go to LAPACK: ``eig_sym3`` for the eigenframe,
+``eigenvalue_margin`` for the eigenvalues alone.
 """
 from __future__ import annotations
 
@@ -118,123 +120,17 @@ def from_basis_coeffs(c):
 # eigendecomposition
 # ---------------------------------------------------------------------------
 
-def _jacobi_sym3(a, sweeps=12):
-    """Cyclic Jacobi sweeps for batched symmetric 3x3 matrices."""
-    a = np.array(a, dtype=float)
-    v = np.broadcast_to(_I3, a.shape).copy()
-    for _ in range(sweeps):
-        off = a[..., 0, 1] ** 2 + a[..., 0, 2] ** 2 + a[..., 1, 2] ** 2
-        scale = np.abs(a).max(axis=(-1, -2))
-        if np.all(off <= (1e-30 * (scale**2 + 1e-300))):
-            break
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            apq = a[..., p, q]
-            theta = 0.5 * np.arctan2(2.0 * apq, a[..., q, q] - a[..., p, p])
-            c = np.cos(theta)
-            s = np.sin(theta)
-            g = np.broadcast_to(_I3, a.shape).copy()
-            g[..., p, p] = c
-            g[..., q, q] = c
-            g[..., p, q] = s
-            g[..., q, p] = -s
-            a = np.swapaxes(g, -1, -2) @ a @ g
-            v = v @ g
-    w = np.stack([a[..., 0, 0], a[..., 1, 1], a[..., 2, 2]], axis=-1)
-    order = np.argsort(w, axis=-1)
-    w = np.take_along_axis(w, order, axis=-1)
-    v = np.take_along_axis(v, order[..., None, :], axis=-1)
-    return w, v
+def eig_sym3(mats):
+    """Eigendecomposition of symmetric 3x3 matrices, shape (3, 3) or (..., 3, 3).
 
-
-def eig_sym3(mats, gap_tol=1e-8):
-    """Eigendecomposition of batched symmetric 3x3 matrices.
-
-    Closed-form (trigonometric) eigenvalues with cross-product eigenvectors;
-    points whose relative eigenvalue gap falls below ``gap_tol`` are redone
-    with cyclic Jacobi sweeps. Returns (w, R) with w ascending and R the
-    matrix of eigenvector columns, right-handed.
+    LAPACK ``syevd`` through ``np.linalg.eigh``, backward stable also at
+    repeated eigenvalues. The third eigenvector is multiplied by the sign of
+    det(R), which makes every frame right-handed. Returns (w, R) with w
+    ascending and R the matrix of eigenvector columns.
     """
-    a = np.asarray(mats, dtype=float)
-    scalar_input = a.ndim == 2
-    a = a.reshape((-1, 3, 3))
-    n = a.shape[0]
-
-    tr = np.trace(a, axis1=-2, axis2=-1)
-    qm = tr / 3.0
-    b = a - qm[:, None, None] * _I3
-    p2 = np.einsum("nij,nij->n", b, b)
-    p = np.sqrt(np.maximum(p2, 0.0) / 6.0)
-
-    w = np.empty((n, 3))
-    iso = p <= 1e-150
-    ps = np.where(iso, 1.0, p)
-    bn = b / ps[:, None, None]
-    detb = (
-        bn[:, 0, 0] * (bn[:, 1, 1] * bn[:, 2, 2] - bn[:, 1, 2] * bn[:, 2, 1])
-        - bn[:, 0, 1] * (bn[:, 1, 0] * bn[:, 2, 2] - bn[:, 1, 2] * bn[:, 2, 0])
-        + bn[:, 0, 2] * (bn[:, 1, 0] * bn[:, 2, 1] - bn[:, 1, 1] * bn[:, 2, 0])
-    )
-    r = np.clip(detb / 2.0, -1.0, 1.0)
-    phi = np.arccos(r) / 3.0
-    w[:, 2] = qm + 2.0 * p * np.cos(phi)
-    w[:, 0] = qm + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
-    w[:, 1] = tr - w[:, 0] - w[:, 2]
-    w[iso] = qm[iso, None]
-
-    # eigenvectors for the extreme eigenvalues via best cross product of
-    # columns of (A - lambda I); middle one completes the frame
-    R = np.empty((n, 3, 3))
-
-    def _best_cross(c):
-        v01 = np.cross(c[:, :, 0], c[:, :, 1])
-        v02 = np.cross(c[:, :, 0], c[:, :, 2])
-        v12 = np.cross(c[:, :, 1], c[:, :, 2])
-        cand = np.stack([v01, v02, v12], axis=1)
-        norms = np.linalg.norm(cand, axis=-1)
-        pick = norms.argmax(axis=1)
-        v = cand[np.arange(c.shape[0]), pick]
-        nv = norms[np.arange(c.shape[0]), pick]
-        return v, nv
-
-    v0, n0 = _best_cross(a - w[:, 0, None, None] * _I3)
-    v2, n2 = _best_cross(a - w[:, 2, None, None] * _I3)
-    bad = (n0 <= 1e-100) | (n2 <= 1e-100)
-    n0 = np.where(n0 <= 1e-100, 1.0, n0)
-    n2 = np.where(n2 <= 1e-100, 1.0, n2)
-    v0 = v0 / n0[:, None]
-    v2 = v2 / n2[:, None]
-    # re-orthogonalize the pair, then complete right-handed
-    v2 = v2 - np.einsum("ni,ni->n", v2, v0)[:, None] * v0
-    nv2 = np.linalg.norm(v2, axis=-1)
-    bad |= nv2 <= 1e-100
-    v2 = v2 / np.where(nv2 <= 1e-100, 1.0, nv2)[:, None]
-    v1 = np.cross(v2, v0)
-    R[:, :, 0] = v0
-    R[:, :, 1] = v1
-    R[:, :, 2] = v2
-
-    scale = np.abs(w).max(axis=1) + 1e-300
-    gap = np.minimum(w[:, 1] - w[:, 0], w[:, 2] - w[:, 1]) / scale
-    # the analytic eigenvalues carry O(sqrt(eps)) noise near degeneracies,
-    # so the gap test alone is not reliable; verify the reconstruction and
-    # send every imperfect point through Jacobi
-    recon = (R * w[:, None, :]) @ np.swapaxes(R, -1, -2)
-    rec_err = np.abs(recon - a).reshape(n, -1).max(axis=1)
-    redo = bad | (gap < gap_tol) | iso | (rec_err > 1e-13 * scale)
-    if np.any(redo):
-        wj, vj = _jacobi_sym3(a[redo])
-        w[redo] = wj
-        R[redo] = vj
-        # right-handedness for the Jacobi frames
-        det = np.linalg.det(R[redo])
-        flip = det < 0
-        if np.any(flip):
-            idx = np.where(redo)[0][flip]
-            R[idx, :, 2] *= -1.0
-
-    if scalar_input:
-        return w[0], R[0]
-    return w.reshape(mats.shape[:-2] + (3,)), R.reshape(mats.shape[:-2] + (3, 3))
+    w, R = np.linalg.eigh(np.asarray(mats, dtype=float))
+    R[..., 2] *= np.sign(np.linalg.det(R))[..., None]
+    return w, R
 
 
 def eigenvalue_margin(q):
@@ -242,7 +138,7 @@ def eigenvalue_margin(q):
 
     Returns min(lam_min + 1/3, 2/3 - lam_max); positive inside Q_phy.
     """
-    w, _ = eig_sym3(to_matrix(q))
+    w = np.linalg.eigvalsh(to_matrix(q))
     return np.minimum(w[..., 0] + 1.0 / 3.0, 2.0 / 3.0 - w[..., 2])
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qbingham.closure import (
-    EigenMemo, PhysicalityError, apply_mq, bingham_map, bingham_map_batch,
+    PhysicalityError, apply_mq, bingham_map, bingham_map_batch,
     closure_jacobian, m4_contract_frame, mq_apply_frame, spread_bound,
 )
 from qbingham.sphere import bingham_moments, build_quadrature
@@ -87,15 +87,6 @@ def test_report_fields(rng):
     assert rep.residual <= 1e-11
     assert rep.spread == rep.b_eigenvalues.max() - rep.b_eigenvalues.min()
     assert rep.tensor.q.shape == (5,)
-
-
-def test_memo_is_transparent(rng):
-    memo = EigenMemo()
-    q5 = random_physical(rng, 1, 0.1)[0]
-    r1 = bingham_map(q5, delta=0.05, memo=memo)
-    r2 = bingham_map(q5, delta=0.05, memo=memo)  # warm-started from the memo
-    assert qnorm(r1.B - r2.B) < 1e-10
-    assert r2.iterations <= r1.iterations
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from qbingham.tensors import (
     QBASIS, QTensor, Tensor4Sym, Tensor6Sym, biaxiality, contract42,
-    eig_sym3, from_basis_coeffs, from_components, from_matrix, is_physical,
-    qdot, qnorm, sym_traceless, to_basis_coeffs, to_matrix, uniaxial,
+    eig_sym3, eigenvalue_margin, from_basis_coeffs, from_components,
+    from_matrix, is_physical, qdot, qnorm, sym_traceless, to_basis_coeffs,
+    to_matrix, uniaxial,
 )
-from conftest import random_qvec
+from conftest import random_physical, random_qvec
 
 
 def test_from_components_invariants(rng):
@@ -103,7 +104,7 @@ def test_eig_reconstruction_bulk(rng):
 
 
 def test_eig_near_degenerate(rng):
-    # pairs of nearly equal eigenvalues exercise the Jacobi fallback
+    # pairs of nearly equal eigenvalues, down to an exact double root
     for gap in [0.0, 1e-14, 1e-10, 1e-9]:
         w0 = np.array([-0.2, -0.2 + gap, 0.4 - gap])
         rot = np.linalg.qr(rng.normal(size=(3, 3)))[0]
@@ -112,6 +113,38 @@ def test_eig_near_degenerate(rng):
         w, r = eig_sym3(m)
         rec = r @ np.diag(w) @ r.T
         assert np.abs(rec - m).max() < 1e-12 * (np.abs(m).max() + 1.0)
+
+
+def test_eig_shapes(rng):
+    for shape in [(), (7,), (4, 4)]:
+        m = sym_traceless(rng.normal(size=shape + (3, 3)))
+        w, r = eig_sym3(m)
+        assert w.shape == shape + (3,)
+        assert r.shape == shape + (3, 3)
+        rec = np.einsum("...ik,...k,...jk->...ij", r, w, r)
+        assert np.abs(rec - m).max() < 1e-12
+
+
+@pytest.mark.parametrize("m", [
+    to_matrix(uniaxial(0.6, [0.0, 0.0, 1.0])),
+    to_matrix(uniaxial(-0.3, [1.0, 0.0, 0.0])),
+    to_matrix(uniaxial(0.45, np.array([1.0, 2.0, -1.0]) / np.sqrt(6.0))),
+    0.25 * np.eye(3),
+    np.eye(3),
+    np.zeros((3, 3)),
+], ids=["uniaxial-z", "uniaxial-x", "uniaxial-oblique", "isotropic-quarter",
+        "identity", "zero"])
+def test_eig_degenerate_frame_right_handed(m):
+    w, r = eig_sym3(m)
+    assert abs(np.linalg.det(r) - 1.0) < 1e-12
+    assert np.abs(r @ np.diag(w) @ r.T - m).max() <= 1e-12
+
+
+def test_eigenvalue_margin_matches_eig_sym3(rng):
+    q = random_physical(rng, 10_000, 0.0)
+    w, _ = eig_sym3(to_matrix(q))
+    ref = np.minimum(w[:, 0] + 1.0 / 3.0, 2.0 / 3.0 - w[:, 2])
+    assert np.abs(eigenvalue_margin(q) - ref).max() <= 1e-14
 
 
 # ---------------------------------------------------------------------------
