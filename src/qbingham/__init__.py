@@ -9,17 +9,16 @@ and 2D-periodic field integration with the energy ledger), leslie
 """
 
 from .tensors import (
-    QTensor, EigenFrame, Tensor4Sym, Tensor6Sym, biaxiality, contract42,
-    eig_sym3, eigen_frame, from_components, from_matrix, is_physical,
-    qdot, qnorm, sym_traceless, to_matrix, uniaxial,
+    biaxiality, eig_sym3, from_matrix, is_physical, qdot, qnorm,
+    sym_traceless, to_matrix, uniaxial,
 )
 from .sphere import (
     BinghamMoments, SphereQuadrature, a_integrals,
     bingham_moments, build_quadrature, log_partition,
 )
 from .closure import (
-    BatchClosureResult, ClosureJacobian, ClosureSolveReport, PhysicalityError,
-    apply_mq, bingham_map, bingham_map_batch, closure_jacobian, spread_bound,
+    BatchClosureResult, PhysicalityError, apply_mq, bingham_map_batch,
+    closure_jacobian, spread_bound,
 )
 from .equilibrium import (
     BranchNotPresentError, PhaseConstants, crit_residual, critical_alpha,
@@ -27,7 +26,7 @@ from .equilibrium import (
     uniaxial_field,
 )
 from .linear_ops import (
-    DirectorContext, apply_hn, apply_j, apply_qn, apply_qn_inverse, apply_u,
+    DirectorContext, apply_hn, apply_j, apply_qn, apply_qn_inverse,
     coercivity_constant, equilibrium_m4, in_space_basis, out_space_basis,
     project_in, project_out, relaxation_rates,
 )

@@ -208,6 +208,7 @@ def _run_closure_validate(cfg, log):
     from .sphere import build_quadrature, bingham_moments
     from .tensors import from_matrix, to_matrix, qnorm
 
+    t_start = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
     margin = cfg.params.delta
     eigs2 = _sample_physical(rng, cfg.samples, margin)
@@ -216,13 +217,13 @@ def _run_closure_validate(cfg, log):
     qmats = np.einsum("nik,nk,njk->nij", rots, eigs, rots)
     q5 = from_matrix(qmats)
 
-    quad = build_quadrature(cfg.n_polar, cfg.n_azimuthal)
     t0 = time.perf_counter()
-    res = bingham_map_batch(q5, delta=margin, tol=1e-11, quad=quad)
+    res = bingham_map_batch(q5, delta=margin, tol=1e-11)
     solve_s = time.perf_counter() - t0
     lam = spread_bound(margin)
 
     # independent forward check through the full-sphere quadrature
+    quad = build_quadrature(cfg.n_polar, cfg.n_azimuthal)
     check_idx = rng.choice(cfg.samples, size=min(cfg.samples, 64), replace=False)
     fwd_err = 0.0
     for i in check_idx:
@@ -245,6 +246,7 @@ def _run_closure_validate(cfg, log):
         "independent_forward_max_err": fwd_err,
         "independent_forward_checked": int(len(check_idx)),
         "total_solve_seconds": solve_s,
+        "wall_seconds": time.perf_counter() - t_start,
         "mean_solve_ms": 1e3 * solve_s / cfg.samples,
     }
     log(f"closure-validate: max residual {summary['max_residual']:.3e}, "

@@ -6,24 +6,28 @@ eigenframe of Q, so the 5-dimensional inversion reduces to a damped Newton
 ascent in the two independent eigenvalues of B; the lab-frame tensor is
 recovered by rotation. The ascent objective B:Q - ln Z(B) is strictly
 concave, which makes the damped iteration globally convergent.
+
+The eigenframe rule's node count follows from the eigenvalue spread of B
+alone (``_kernels.nodes_for_spread``). The full-sphere rule of ``sphere``
+is never passed to the solver; it serves only the dense reference
+operators below and independent forward checks.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad as _quad1d
 
 from . import _kernels
-from .sphere import SphereQuadrature, BinghamMoments, build_quadrature
-from .tensors import (
-    QTensor, QBASIS, eig_sym3, from_matrix, is_physical, to_matrix, qnorm,
-)
+from .sphere import BinghamMoments, _density
+from .tensors import QBASIS, eig_sym3, from_matrix, to_matrix
 
 __all__ = [
-    "ClosureSolveReport", "ClosureJacobian", "PhysicalityError", "bingham_map",
-    "bingham_map_batch", "BatchClosureResult", "closure_jacobian", "apply_mq",
-    "spread_bound", "m4_contract_frame", "mq_apply_frame",
+    "PhysicalityError", "bingham_map_batch", "BatchClosureResult",
+    "closure_jacobian", "apply_mq", "spread_bound", "m4_contract_frame",
+    "mq_apply_frame",
 ]
 
 DEFAULT_TOL = 1e-11
@@ -35,53 +39,9 @@ class PhysicalityError(ValueError):
     """Q left the admissible eigenvalue range for the requested margin."""
 
 
-@dataclass(frozen=True)
-class ClosureSolveReport:
-    """Result of one moment-map inversion."""
-
-    B: np.ndarray            # qvec of the Lagrange tensor
-    residual: float          # |Q(B) - Q_target|_F
-    iterations: int
-    used_damping: bool
-    b_eigenvalues: np.ndarray  # (3,) in the frame of Q (ascending Q order)
-    q_eigenvalues: np.ndarray  # (3,) ascending
-    spread: float              # b_max - b_min
-
-    @property
-    def tensor(self):
-        return QTensor(self.B)
-
-
-@dataclass(frozen=True)
-class ClosureJacobian:
-    """grad_B Q(B) as a 5x5 matrix in the orthonormal basis of Q."""
-
-    matrix: np.ndarray  # (5, 5)
-
-    def smallest_eigenvalue(self):
-        return float(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.T))[0])
-
-
-_NODE_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def _nodes(n_x, n_phi):
-    key = (int(n_x), int(n_phi))
-    got = _NODE_CACHE.get(key)
-    if got is None:
-        got = _kernels.reduced_nodes(*key)
-        _NODE_CACHE[key] = got
-    return got
-
-
-def _nodes_for(quad, spread_estimate):
-    """Reduced-frame node counts: at least the rule resolution, more if the
-    exponent range demands it."""
-    n_x, n_phi = _kernels.nodes_for_spread(spread_estimate)
-    if quad is not None:
-        n_x = max(n_x, quad.n_polar)
-        n_phi = max(n_phi, quad.n_azimuthal // 2)
-    return _nodes(n_x, n_phi)
+    return _kernels.reduced_nodes(n_x, n_phi)
 
 
 @dataclass(frozen=True)
@@ -109,13 +69,17 @@ class BatchClosureResult:
         return self.b_diag.max(axis=1) - self.b_diag.min(axis=1)
 
 
-def bingham_map_batch(q5, delta=0.0, tol=DEFAULT_TOL, quad=None, b_warm5=None,
+def bingham_map_batch(q5, delta=0.0, tol=DEFAULT_TOL, b_warm5=None,
                       maxit=MAX_ITER, check_physical=True):
     """Invert the moment map for a batch of qvecs (N, 5).
 
     b_warm5 may carry lab-frame warm starts (N, 5) from a previous solve;
-    they are rotated into the current eigenframe of each Q.
+    they are rotated into the current eigenframe of each Q. Raises
+    ValueError for tol below 1e-13, PhysicalityError for Q outside the
+    margin delta, and RuntimeError on non-convergence.
     """
+    if tol < 1e-13:
+        raise ValueError("tol below 1e-13 is not resolvable by the quadrature")
     q5 = np.asarray(q5, dtype=float).reshape(-1, 5)
     w, rot = eig_sym3(to_matrix(q5))
     margin = np.minimum(w[:, 0] + 1.0 / 3.0, 2.0 / 3.0 - w[:, 2])
@@ -138,7 +102,7 @@ def bingham_map_batch(q5, delta=0.0, tol=DEFAULT_TOL, quad=None, b_warm5=None,
     # once with upgraded nodes if the converged solution leaves the range
     est = max(8.0, 1.3 * float((b0.max(1) - b0.min(1)).max()) + 6.0)
     for _attempt in range(3):
-        nodes = _nodes_for(quad, est)
+        nodes = _nodes(*_kernels.nodes_for_spread(est))
         b, res, iters, damped, lnz, second, pair = _kernels.newton_batch(
             w, b0, nodes, tol=tol, maxit=maxit)
         spread = float((b.max(1) - b.min(1)).max()) if b.size else 0.0
@@ -155,61 +119,33 @@ def bingham_map_batch(q5, delta=0.0, tol=DEFAULT_TOL, quad=None, b_warm5=None,
     return BatchClosureResult(b, rot, w, lnz, second, pair, res, iters, damped)
 
 
-def bingham_map(Q, delta=0.0, tol=DEFAULT_TOL, quad=None, maxit=MAX_ITER):
-    """Compute the unique B with Q(B) = Q for one physical tensor.
-
-    Raises ValueError for non-physical input and RuntimeError on
-    non-convergence (with the last residual in the message).
-    """
-    q5 = Q.q if isinstance(Q, QTensor) else np.asarray(Q, dtype=float).reshape(5)
-    if tol < 1e-13:
-        raise ValueError("tol below 1e-13 is not resolvable by the quadrature")
-    if not is_physical(q5, delta):
-        raise PhysicalityError(
-            "Q is outside the physical set with the requested margin: "
-            f"eigenvalues must lie in [-1/3 + {delta:.3g}, 2/3 - {delta:.3g}]")
-
-    res = bingham_map_batch(q5[None, :], delta=delta, tol=tol, quad=quad,
-                            maxit=maxit)
-    b5 = res.B5[0]
-    return ClosureSolveReport(
-        B=b5,
-        residual=float(res.residual[0]),
-        iterations=int(res.iterations[0]),
-        used_damping=bool(res.used_damping[0]),
-        b_eigenvalues=res.b_diag[0].copy(),
-        q_eigenvalues=res.q_eigs[0].copy(),
-        spread=float(res.spread[0]),
-    )
-
-
 # ---------------------------------------------------------------------------
 # closure operator and Jacobian
 # ---------------------------------------------------------------------------
 
 def apply_mq(moments: BinghamMoments, A):
-    """M_Q(A) = (1/3) A + Q . A - A : M4 for an arbitrary 3x3 matrix A."""
+    """M_Q(A) = (1/3) A + Q . A - A : M4 for an arbitrary 3x3 matrix A.
+
+    The dense reference for mq_apply_frame.
+    """
     A = np.asarray(A, dtype=float)
     Qm = to_matrix(moments.q_of_b)
-    return A / 3.0 + Qm @ A - moments.M4.contract2(0.5 * (A + np.swapaxes(A, -1, -2)))
+    sym = 0.5 * (A + np.swapaxes(A, -1, -2))
+    return A / 3.0 + Qm @ A - np.einsum("ijkl,...kl->...ij", moments.M4, sym)
 
 
-def closure_jacobian(B, quad: SphereQuadrature):
-    """grad_B Q(B) in the orthonormal basis of Q, entry (a,b) = <dQ E_b, E_a>.
+def closure_jacobian(B, quad):
+    """grad_B Q(B) as a (5, 5) array in the orthonormal basis QBASIS,
+    entry (a, b) = <dQ E_b, E_a>.
 
     Uses the covariance form: <dQ(B) E, E'> = <(mm:E)(mm:E')>_f - (Q:E)(Q:E').
     """
-    q5 = B.q if isinstance(B, QTensor) else np.asarray(B, dtype=float).reshape(5)
-    Bmat = to_matrix(q5)
+    f, _ = _density(B, quad)
     m = quad.nodes
-    qf = np.einsum("ni,ij,nj->n", m, Bmat, m)
-    shift = qf.max()
-    ew = quad.weights * np.exp(qf - shift)
-    f = ew / ew.sum()
     proj = np.einsum("ni,aij,nj->na", m, QBASIS, m)   # mm : E_a per node
     cov = np.einsum("n,na,nb->ab", f, proj, proj)
     mean = np.einsum("n,na->a", f, proj)
-    return ClosureJacobian(cov - np.outer(mean, mean))
+    return cov - np.outer(mean, mean)
 
 
 # ---------------------------------------------------------------------------

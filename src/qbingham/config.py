@@ -3,6 +3,10 @@
 Configs are declarative JSON. Unknown keys anywhere are rejected (a typo
 like "l2" for "L2" must fail loudly, not silently default) and every
 violation is reported at once with its key path.
+
+The "quadrature" object sets only the full-sphere reference rule of
+closure-validate's forward checks; the closure solver sizes its own
+eigenframe rule from the eigenvalue spread of B.
 """
 from __future__ import annotations
 

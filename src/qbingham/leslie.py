@@ -11,7 +11,7 @@ theta_L = arccos(1/zeta)/2; for zeta <= 1 the director tumbles.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -155,11 +155,9 @@ def small_de_experiment(params, de_list, kappa, t_final, n0=None,
     n0 = np.asarray(n0, dtype=float) / np.linalg.norm(n0)
 
     rows = []
-    errs = {}
-    from dataclasses import replace as _replace
 
     for de in de_list:
-        p = _replace(params, de=float(de))
+        p = replace(params, de=float(de))
         try:
             dt = default_hom_dt(p, constants)
             n_steps = int(np.ceil(t_final / dt)) if steps_per_de is None else steps_per_de
@@ -177,7 +175,6 @@ def small_de_experiment(params, de_list, kappa, t_final, n0=None,
                 prev = ndir
                 sup_err = max(sup_err, angle_between(ndir, dstate.n))
                 sup_biax = max(sup_biax, float(biaxiality(hom.q5)))
-            errs[de] = sup_err
             slope = None
             done = [r for r in rows if r.error is None]
             if done:

@@ -3,8 +3,9 @@
 The moment-map linearization at the equilibrium acts on Q by three scalar
 coefficients xi_i; its inverse uses psi_i. The bulk-force linearization
 H_n = (inverse) - alpha annihilates in-plane director rotations (the slow
-manifold) and is coercive on the 3-dimensional complement. J and U are the
-linearizations of the closure friction operator and of the fourth moment.
+manifold) and is coercive on the 3-dimensional complement. J is the
+linearization of the closure friction operator; fourth moments are dense
+(3, 3, 3, 3) arrays.
 """
 from __future__ import annotations
 
@@ -14,11 +15,11 @@ import numpy as np
 
 from .equilibrium import PhaseConstants, phase_constants
 from .sphere import BinghamMoments
-from .tensors import Tensor4Sym, Tensor6Sym, from_matrix, to_matrix
+from .tensors import to_matrix
 
 __all__ = [
     "DirectorContext", "equilibrium_m4", "apply_qn", "apply_qn_inverse",
-    "apply_hn", "project_in", "project_out", "apply_j", "apply_u",
+    "apply_hn", "project_in", "project_out", "apply_j",
     "out_space_basis", "in_space_basis", "coercivity_constant",
     "relaxation_rates",
 ]
@@ -37,8 +38,7 @@ def equilibrium_m4(constants: PhaseConstants, n):
           + np.einsum("jl,ik->ijkl", nn, _I3) + np.einsum("kl,ij->ijkl", nn, _I3))
     dd = (np.einsum("ij,kl->ijkl", _I3, _I3) + np.einsum("ik,jl->ijkl", _I3, _I3)
           + np.einsum("il,jk->ijkl", _I3, _I3))
-    dense = s4 * n4 + (s2 - s4) / 7.0 * nd + (s4 / 35.0 - 2.0 * s2 / 21.0 + 1.0 / 15.0) * dd
-    return Tensor4Sym.from_dense(dense, check=False)
+    return s4 * n4 + (s2 - s4) / 7.0 * nd + (s4 / 35.0 - 2.0 * s2 / 21.0 + 1.0 / 15.0) * dd
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ class DirectorContext:
 
     n: np.ndarray
     constants: PhaseConstants
-    M4: Tensor4Sym
+    M4: np.ndarray  # (3, 3, 3, 3)
 
     @classmethod
     def build(cls, n, constants=None, alpha=None, L1=1.0, L2=0.0):
@@ -140,15 +140,7 @@ def apply_j(obj, a):
     a = np.asarray(a, dtype=float)
     at = np.swapaxes(a, -1, -2)
     sym = 0.5 * (a + at)
-    return sym / 3.0 + 0.5 * (at @ q0 + q0 @ a) - m4.contract2(sym)
-
-
-def apply_u(moments: BinghamMoments, b):
-    """Fourth-moment linearization U(B) = M6 : B - (Q:B) M4."""
-    bmat = _as_mat(b)
-    qb = float(np.einsum("ij,ij->", to_matrix(moments.q_of_b), bmat))
-    m6b = moments.M6.contract2(bmat)
-    return Tensor4Sym(m6b.components - qb * moments.M4.components)
+    return sym / 3.0 + 0.5 * (at @ q0 + q0 @ a) - np.einsum("ijkl,...kl->...ij", m4, sym)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Quadrature on the unit sphere and moments of Bingham densities.
 
 The density is f_B(m) = exp(B : mm) / Z on S^2. This module evaluates the
-partition function, the traceless second moment, and the full fourth and
-sixth moment tensors with a tensor-product rule: Gauss-Legendre in
-cos(theta) times a uniform (trapezoid) rule in the azimuth, which is
-spectrally accurate for these smooth periodic integrands.
+partition function, the traceless second moment and the dense fourth
+moment M4 with a tensor-product rule: Gauss-Legendre in cos(theta) times a
+uniform (trapezoid) rule in the azimuth, which is spectrally accurate for
+these smooth periodic integrands. It is the full-sphere reference that the
+eigenframe solver in ``closure`` is checked against; it computes no sixth
+moment, since no operator of the model needs one.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .tensors import QTensor, Tensor4Sym, Tensor6Sym, from_matrix, to_matrix
+from .tensors import from_matrix, to_matrix
 from ._kernels import EXPONENT_BUDGET
 
 __all__ = [
@@ -51,22 +53,14 @@ def build_quadrature(n_polar=64, n_azimuthal=128):
 
 @dataclass(frozen=True)
 class BinghamMoments:
-    """Partition function and moment tensors of one Bingham density."""
+    """Partition function and moments of one Bingham density."""
 
     Z: float
     q_of_b: np.ndarray      # qvec of int (mm - I/3) f dm
-    M4: Tensor4Sym
-    M6: Tensor6Sym
-    B: np.ndarray           # the qvec of B that generated the density
-
-    @property
-    def log_Z(self):
-        return float(np.log(self.Z))
+    M4: np.ndarray          # (3, 3, 3, 3) int mmmm f dm
 
 
 def _as_qvec(B):
-    if isinstance(B, QTensor):
-        return B.q
     B = np.asarray(B, dtype=float)
     if B.shape == (3, 3):
         return from_matrix(B)
@@ -83,33 +77,33 @@ def _check_budget(Bmat):
     return spread
 
 
-def log_partition(B, quad):
-    """ln Z(B) = ln int exp(B:mm) dm, overflow-stabilized."""
+def _density(B, quad):
+    """Normalized density f_B at the nodes of quad, and ln Z(B).
+
+    The exponent is shifted by its maximum before exp, so the weights never
+    overflow inside the exponent budget.
+    """
     Bmat = to_matrix(_as_qvec(B))
     _check_budget(Bmat)
     qf = np.einsum("ni,ij,nj->n", quad.nodes, Bmat, quad.nodes)
     shift = qf.max()
-    return float(np.log(np.sum(quad.weights * np.exp(qf - shift))) + shift)
+    ew = quad.weights * np.exp(qf - shift)
+    z0 = ew.sum()
+    return ew / z0, float(np.log(z0) + shift)
+
+
+def log_partition(B, quad):
+    """ln Z(B) = ln int exp(B:mm) dm, overflow-stabilized."""
+    return _density(B, quad)[1]
 
 
 def bingham_moments(B, quad):
-    """Z, traceless second moment, and M4, M6 of the Bingham density of B."""
-    q5 = _as_qvec(B)
-    Bmat = to_matrix(q5)
-    _check_budget(Bmat)
+    """Z, traceless second moment and dense M4 of the Bingham density of B."""
+    f, log_z = _density(B, quad)
     m = quad.nodes
-    qf = np.einsum("ni,ij,nj->n", m, Bmat, m)
-    shift = qf.max()
-    ew = quad.weights * np.exp(qf - shift)
-    z0 = ew.sum()
-    f = ew / z0
     second = np.einsum("n,ni,nj->ij", f, m, m)
-    q_of_b = from_matrix(second - np.eye(3) / 3.0)
     m4 = np.einsum("n,ni,nj,nk,nl->ijkl", f, m, m, m, m, optimize=True)
-    m6 = np.einsum("n,ni,nj,nk,nl,np,nq->ijklpq", f, m, m, m, m, m, m, optimize=True)
-    Z = float(z0 * np.exp(shift))
-    return BinghamMoments(Z, q_of_b, Tensor4Sym.from_dense(m4, check=False),
-                          Tensor6Sym.from_dense(m6, check=False), q5.copy())
+    return BinghamMoments(float(np.exp(log_z)), from_matrix(second - np.eye(3) / 3.0), m4)
 
 
 # ---------------------------------------------------------------------------

@@ -5,21 +5,19 @@ A tensor is stored by its five independent components
     q = [q11, q22, q12, q13, q23],        q33 = -q11 - q22,
 
 so symmetry and tracelessness are structural, never a numerical property.
-All functions accept batched arrays with the component axis last.
+All functions accept batched arrays with the component axis last. There
+are no tensor classes: a qvec is a plain ndarray, and fourth moments
+elsewhere in the package are dense (3, 3, 3, 3) ndarrays, not packed.
 Eigendecompositions go to LAPACK: ``eig_sym3`` for the eigenframe,
 ``eigenvalue_margin`` for the eigenvalues alone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "QTensor", "EigenFrame", "Tensor4Sym", "Tensor6Sym",
-    "from_components", "to_matrix", "from_matrix", "sym_traceless",
-    "qdot", "qnorm", "eig_sym3", "eigen_frame", "is_physical",
-    "eigenvalue_margin", "biaxiality", "contract42", "QBASIS",
+    "to_matrix", "from_matrix", "sym_traceless", "qdot", "qnorm",
+    "eig_sym3", "is_physical", "eigenvalue_margin", "biaxiality", "QBASIS",
     "to_basis_coeffs", "from_basis_coeffs",
 ]
 
@@ -28,16 +26,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 _I3 = np.eye(3)
-
-
-def from_components(c):
-    """Build a qvec from five scalars, rejecting non-finite input."""
-    q = np.asarray(c, dtype=float)
-    if q.shape[-1] != 5:
-        raise ValueError(f"expected 5 components, got shape {q.shape}")
-    if not np.all(np.isfinite(q)):
-        raise ValueError("non-finite tensor components")
-    return q
 
 
 def to_matrix(q):
@@ -161,162 +149,3 @@ def biaxiality(q):
         val = 1.0 - 6.0 * t3**2 / t2**3
     val = np.where(t2 > 0.0, val, 0.0)
     return np.clip(val, 0.0, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# symmetric 4th and 6th order tensors
-# ---------------------------------------------------------------------------
-
-def _sym_index_maps(order):
-    """Index map full-tensor multi-index -> unique sorted-component slot."""
-    from itertools import combinations_with_replacement, product
-
-    uniq = list(combinations_with_replacement(range(3), order))
-    slot = {u: k for k, u in enumerate(uniq)}
-    full = np.empty((3,) * order, dtype=np.int64)
-    for idx in product(range(3), repeat=order):
-        full[idx] = slot[tuple(sorted(idx))]
-    return uniq, full
-
-
-_UNIQ4, _MAP4 = _sym_index_maps(4)
-_UNIQ6, _MAP6 = _sym_index_maps(6)
-
-
-@dataclass(frozen=True)
-class Tensor4Sym:
-    """Fully symmetric 4th-order tensor stored by its 15 unique components."""
-
-    components: np.ndarray  # (15,)
-
-    @classmethod
-    def from_dense(cls, t, check=True, tol=1e-10):
-        t = np.asarray(t, dtype=float)
-        if check:
-            s = np.abs(t).max() + 1e-300
-            for ax in ((1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)):
-                if np.abs(t - np.transpose(t, ax)).max() > tol * s:
-                    raise ValueError("tensor is not fully index-symmetric")
-        comp = np.empty(len(_UNIQ4))
-        for k, u in enumerate(_UNIQ4):
-            comp[k] = t[u]
-        return cls(comp)
-
-    @property
-    def dense(self):
-        return self.components[_MAP4]
-
-    def contract2(self, a):
-        """(T : A)_ij = T_ijkl A_kl for a 3x3 matrix A."""
-        return np.einsum("ijkl,...kl->...ij", self.dense, np.asarray(a, dtype=float))
-
-    def partial_trace(self):
-        """T_ijkk as a 3x3 matrix."""
-        return np.einsum("ijkk->ij", self.dense)
-
-
-@dataclass(frozen=True)
-class Tensor6Sym:
-    """Fully symmetric 6th-order tensor stored by its 28 unique components."""
-
-    components: np.ndarray  # (28,)
-
-    @classmethod
-    def from_dense(cls, t, check=True, tol=1e-10):
-        t = np.asarray(t, dtype=float)
-        if check:
-            s = np.abs(t).max() + 1e-300
-            for ax in ((1, 0, 2, 3, 4, 5), (0, 2, 1, 3, 4, 5),
-                       (0, 1, 3, 2, 4, 5), (0, 1, 2, 4, 3, 5), (0, 1, 2, 3, 5, 4)):
-                if np.abs(t - np.transpose(t, ax)).max() > tol * s:
-                    raise ValueError("tensor is not fully index-symmetric")
-        comp = np.empty(len(_UNIQ6))
-        for k, u in enumerate(_UNIQ6):
-            comp[k] = t[u]
-        return cls(comp)
-
-    @property
-    def dense(self):
-        return self.components[_MAP6]
-
-    def contract2(self, b):
-        """(T : B)_ijkl = T_ijklmn B_mn, returned as a Tensor4Sym."""
-        d = np.einsum("ijklmn,mn->ijkl", self.dense, np.asarray(b, dtype=float))
-        return Tensor4Sym.from_dense(d, check=False)
-
-    def partial_trace(self):
-        """T_ijklmm as a Tensor4Sym."""
-        return Tensor4Sym.from_dense(np.einsum("ijklmm->ijkl", self.dense), check=False)
-
-
-def contract42(m4, a):
-    """M_ijkl A_kl for a Tensor4Sym or dense (3,3,3,3) array."""
-    if isinstance(m4, Tensor4Sym):
-        return m4.contract2(a)
-    return np.einsum("ijkl,...kl->...ij", np.asarray(m4, dtype=float), np.asarray(a, dtype=float))
-
-
-# ---------------------------------------------------------------------------
-# value classes
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EigenFrame:
-    """Sorted eigenvalues and a right-handed orthonormal eigenvector frame."""
-
-    eigenvalues: np.ndarray  # (3,) ascending
-    rotation: np.ndarray     # (3, 3), columns are eigenvectors
-
-    def reconstruct(self):
-        return self.rotation @ np.diag(self.eigenvalues) @ self.rotation.T
-
-
-@dataclass(frozen=True)
-class QTensor:
-    """A symmetric traceless 3x3 tensor (element of Q)."""
-
-    q: np.ndarray  # (5,)
-
-    @classmethod
-    def from_components(cls, c):
-        return cls(from_components(np.asarray(c, dtype=float).reshape(5)))
-
-    @classmethod
-    def from_matrix_sym(cls, m, tol=1e-10):
-        m = np.asarray(m, dtype=float)
-        s = np.abs(m).max() + 1e-300
-        if np.abs(m - m.T).max() > tol * s or abs(np.trace(m)) > tol * s:
-            raise ValueError("matrix is not symmetric traceless")
-        return cls(from_matrix(m))
-
-    @classmethod
-    def uniaxial(cls, s, n):
-        n = np.asarray(n, dtype=float)
-        n = n / np.linalg.norm(n)
-        return cls(uniaxial(s, n))
-
-    @property
-    def matrix(self):
-        return to_matrix(self.q)
-
-    @property
-    def norm(self):
-        return float(qnorm(self.q))
-
-    def eigen_frame(self):
-        w, r = eig_sym3(self.matrix)
-        return EigenFrame(w, r)
-
-    def is_physical(self, delta=0.0):
-        return bool(is_physical(self.q, delta))
-
-    def biaxiality(self):
-        return float(biaxiality(self.q))
-
-
-def eigen_frame(q):
-    """EigenFrame of a qvec or QTensor."""
-    if isinstance(q, QTensor):
-        return q.eigen_frame()
-    w, r = eig_sym3(to_matrix(q))
-    return EigenFrame(w, r)

@@ -1,0 +1,49 @@
+"""Every exported name resolves, including the functions the benchmark's
+tracer patches by name, so a deletion that breaks them fails here."""
+import ast
+import importlib
+import pathlib
+import pkgutil
+import sys
+
+import pytest
+
+import qbingham
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(qbingham.__path__))
+QBENCH = pathlib.Path(__file__).resolve().parents[1] / "qbench"
+
+
+def _resolve(obj, qualname):
+    for part in qualname.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_resolves(name):
+    mod = importlib.import_module(f"qbingham.{name}")
+    missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
+    assert not missing
+
+
+def test_package_names_resolve():
+    tree = ast.parse(pathlib.Path(qbingham.__file__).read_text())
+    names = [(node.module, a.name) for node in tree.body
+             if isinstance(node, ast.ImportFrom) and node.level == 1
+             for a in node.names]
+    assert names
+    for module, name in names:
+        mod = importlib.import_module(f"qbingham.{module}")
+        assert hasattr(mod, name), (module, name)
+        assert getattr(qbingham, name) is getattr(mod, name)
+
+
+def test_tracing_targets_resolve(monkeypatch):
+    monkeypatch.syspath_prepend(str(QBENCH))
+    monkeypatch.delitem(sys.modules, "tracing", raising=False)
+    tracing = importlib.import_module("tracing")
+    assert tracing.TARGETS
+    for module, qualname, _observe in tracing.TARGETS:
+        mod = importlib.import_module(f"qbingham.{module}")
+        assert callable(_resolve(mod, qualname)), (module, qualname)

@@ -62,3 +62,13 @@ def test_run_summary_reports_halvings(tmp_path, monkeypatch):
     assert summary["dt_final"] == dt / 2
     assert summary["t_final"] == pytest.approx(1.5 * dt, rel=1e-14)
     assert calls == [dt, dt / 2, dt / 2, dt / 2]
+
+
+def test_closure_validate_reports_wall_time(tmp_path):
+    cfg = tmp_path / "closure.json"
+    cfg.write_text(json.dumps({"experiment": "closure-validate", "samples": 16}))
+    out = tmp_path / "out"
+    assert cli.main(["closure-validate", "--config", str(cfg), "--out", str(out),
+                     "--quiet"]) == 0
+    summary = json.loads((out / "closure_summary.json").read_text())
+    assert summary["wall_seconds"] >= summary["total_solve_seconds"]
