@@ -9,7 +9,7 @@ and 2D-periodic field integration with the energy ledger), leslie
 """
 
 from .tensors import (
-    biaxiality, eig_sym3, from_matrix, is_physical, qdot, qnorm,
+    biaxiality, eig_sym3, from_matrix, qdot, qnorm,
     sym_traceless, to_matrix, uniaxial,
 )
 from .sphere import (

@@ -295,7 +295,7 @@ def _run_homogeneous(cfg, log):
 
 
 def _field_common(cfg, log, audit):
-    from .dynamics import FieldSolver, energy_report, smooth_random_state
+    from .dynamics import FieldSolver, smooth_random_state
     from .spectral import Grid2D
 
     p = cfg.params
@@ -476,6 +476,8 @@ def main(argv=None):
         if args.config:
             with open(args.config) as f:
                 doc = json.load(f)
+            if not isinstance(doc, dict):
+                raise ConfigError(["top level must be a JSON object"])
             doc.setdefault("experiment", args.command)
             if doc["experiment"] != args.command:
                 raise ConfigError([

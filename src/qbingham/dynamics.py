@@ -6,8 +6,11 @@ Two settings share the same right-hand sides:
   integrated with RK4;
 * 2D periodic (Q, v) fields with full 3D tensor components, integrated
   pseudo-spectrally with a stabilized two-step IMEX scheme (SBDF2 with a
-  constant-coefficient implicit shield), Leray projection for the
-  pressure, and 2/3 dealiasing on the nonlinear terms.
+  constant-coefficient implicit shield). Each field is transformed once
+  per right-hand side (Grid2D.grad); the explicit terms are raw grid
+  products, and the 2/3 dealiasing, the Leray projection for the pressure
+  and the viscous term act per mode in the implicit solves of
+  FieldSolver.step.
 
 Index conventions, fixed once for the whole package: the velocity-gradient
 matrix is kappa_ij = dv_i/dx_j (it advects material vectors), the closure
@@ -166,22 +169,27 @@ def step_homogeneous(state: HomState, dt, params, tol=DEFAULT_TOL, _depth=0):
 # spectral field operators
 # ---------------------------------------------------------------------------
 
-def elastic_operator(q5_field, grid, L1, L2):
-    """L(Q) = -(L1 Lap Q + L2 (Q_ik,jk + Q_jk,ik)), deviatoric, per point.
-
-    Evaluated mode-by-mode through the symmetric symbol in the Q basis,
-    the same matrices the implicit time-step solves use.
-    """
-    lam, vec = elastic_symbols(grid, L1, L2)
+def _modal_apply(grid, vec, diag, q5_field):
+    """Apply the per-mode symmetric matrix vec diag(d) vec^T to a qvec field
+    in the Q basis: one forward and one inverse transform."""
     ch = grid.fft(to_basis_coeffs(q5_field))
-    ch = np.einsum("xyab,xyb->xya", vec, lam * np.einsum("xyba,xyb->xya", vec, ch))
+    ch = np.einsum("xyab,xyb->xya", vec, diag * np.einsum("xyba,xyb->xya", vec, ch))
     return from_basis_coeffs(grid.ifft(ch))
 
 
+def elastic_operator(q5_field, grid, lam, vec):
+    """L(Q) = -(L1 Lap Q + L2 (Q_ik,jk + Q_jk,ik)), deviatoric, per point.
+
+    Evaluated mode-by-mode through the symmetric symbol in the Q basis,
+    (lam, vec) = elastic_symbols(grid, L1, L2), the same matrices the
+    implicit time-step solves use.
+    """
+    return _modal_apply(grid, vec, lam, q5_field)
+
+
 def _grad_q(q5_field, grid):
-    """dQ stack (n, n, 2, 3, 3): derivative axis (x, y) of the full matrix."""
-    qmat = to_matrix(q5_field)
-    return np.stack([grid.deriv_x(qmat), grid.deriv_y(qmat)], axis=-3)
+    """dQ stack (n, n, 2, 3, 3): dq[..., a, k, l] = d_a Q_kl, a in (x, y)."""
+    return to_matrix(grid.grad(q5_field))
 
 
 def elastic_energy(q5_field, grid, L1, L2, epsilon):
@@ -195,48 +203,46 @@ def elastic_energy(q5_field, grid, L1, L2, epsilon):
     return grid.mean_integral(dens)
 
 
-def distortion_stress(q5_a, q5_b, grid, L1, L2):
-    """sigma^d(Q, Qt) with layout sigma[..., j, i]; force_i = d_j sigma[j, i].
+def distortion_stress(dq, L1, L2):
+    """sigma^d(Q) from the gradient stack dq[..., a, k, l] = d_a Q_kl of
+    shape (n, n, 2, 3, 3), with layout sigma[..., j, i]; force_i = d_j sigma[j, i].
 
-    sigma_ji = -(L1 Q_kl,j Qt_kl,i + L2 Q_km,m Qt_kj,i + L2 Q_kj,l Qt_kl,i).
+    sigma_ji = -(L1 Q_kl,j Q_kl,i + L2 Q_km,m Q_kj,i + L2 Q_kj,l Q_kl,i).
     """
-    dq = _grad_q(q5_a, grid)
-    dqt = _grad_q(q5_b, grid)
-    n = grid.n
-    sig = np.zeros((n, n, 3, 3))
-    t1 = np.einsum("...akl,...bkl->...ab", dq, dqt)
-    sig[..., :2, :2] -= L1 * t1
+    sig = np.zeros(dq.shape[:2] + (3, 3))
+    sig[..., :2, :2] -= L1 * np.einsum("...akl,...bkl->...ab", dq, dq)
     divq = dq[..., 0, :, 0] + dq[..., 1, :, 1]
-    sig[..., :, :2] -= L2 * np.einsum("...k,...bkj->...jb", divq, dqt)
-    sig[..., :, :2] -= L2 * np.einsum("...akj,...bka->...jb", dq, dqt[..., :, :, :2])
+    sig[..., :, :2] -= L2 * np.einsum("...k,...bkj->...jb", divq, dq)
+    sig[..., :, :2] -= L2 * np.einsum("...akj,...bka->...jb", dq, dq[..., :, :, :2])
     return sig
 
 
 def _div_stress(sig, grid):
-    """force_i = d_j sigma[..., j, i] (planar derivatives only)."""
-    return grid.deriv_x(sig[..., 0, :]) + grid.deriv_y(sig[..., 1, :])
+    """force_i = d_j sigma[..., j, i] (planar j): one forward, one inverse transform."""
+    sh = grid.fft(sig[..., :2, :])
+    return grid.ifft(1j * (grid.kx[..., None] * sh[..., 0, :]
+                           + grid.ky[..., None] * sh[..., 1, :]))
 
 
 def _kappa_field(v, grid):
     """kappa_ij = dv_i/dx_j as an (n, n, 3, 3) field."""
-    dvx = grid.deriv_x(v)
-    dvy = grid.deriv_y(v)
     kap = np.zeros(v.shape[:-1] + (3, 3))
-    kap[..., :, 0] = dvx
-    kap[..., :, 1] = dvy
+    kap[..., :2] = np.swapaxes(grid.grad(v), -1, -2)
     return kap
 
 
-def mu_field(q5_field, grid, params, b5=None, tol=DEFAULT_TOL):
-    """Molecular field mu = (B - alpha Q) + eps L(Q) and the closure batch."""
+def mu_field(q5_field, grid, params, lam, vec, b5=None):
+    """Molecular field mu = (B - alpha Q) + eps L(Q) and the closure batch.
+
+    (lam, vec) are the elastic symbols of the grid, as FieldSolver holds them.
+    """
     n = grid.n
     res = bingham_map_batch(
-        q5_field.reshape(-1, 5), delta=params.delta / 2.0, tol=tol,
+        q5_field.reshape(-1, 5), delta=params.delta / 2.0,
         b_warm5=None if b5 is None else b5.reshape(-1, 5))
-    b5_field = res.B5.reshape(n, n, 5)
-    mu5 = b5_field - params.alpha * q5_field
+    mu5 = res.B5.reshape(n, n, 5) - params.alpha * q5_field
     if params.epsilon != 0.0:
-        mu5 = mu5 + params.epsilon * elastic_operator(q5_field, grid, params.L1, params.L2)
+        mu5 = mu5 + params.epsilon * elastic_operator(q5_field, grid, lam, vec)
     return mu5, res
 
 
@@ -295,28 +301,29 @@ class FieldSolver:
     else, including the full closure nonlinearity, is explicit; the shield
     enters only through a second-difference bracket so the scheme stays
     second order regardless of the shield values.
+
+    `rhs` returns the raw explicit terms. The 2/3 dealiasing of the Q
+    update and the dealiasing and Leray projection of the velocity update
+    act per mode, so `step` applies them once, in the implicit solves,
+    together with the viscous term (gamma/Re) Lap v.
     """
 
-    def __init__(self, grid, params, closure_tol=DEFAULT_TOL, forcing=None,
-                 bulk_shield=None):
+    def __init__(self, grid, params, forcing=None):
         self.grid = grid
         self.params = params
-        self.closure_tol = float(closure_tol)
         self.forcing = forcing
         self.lam, self.vec = elastic_symbols(grid, params.L1, params.L2)
         self._mu_cache = None
-        if bulk_shield is None:
-            constants = phase_constants(params.alpha, params.L1, params.L2)
-            ctx = DirectorContext.build(np.array([0.0, 0.0, 1.0]), constants)
-            bulk_shield = float(relaxation_rates(ctx)[-1]) / 4.0
-        self.bulk_shield = float(bulk_shield)
+        constants = phase_constants(params.alpha, params.L1, params.L2)
+        ctx = DirectorContext.build(np.array([0.0, 0.0, 1.0]), constants)
+        self.bulk_shield = float(relaxation_rates(ctx)[-1]) / 4.0
 
     def _mu(self, q5, b5):
         """mu_field with a same-state cache (one closure per time level)."""
         c = self._mu_cache
         if c is not None and c[0] is q5:
             return c[1], c[2]
-        mu5, res = mu_field(q5, self.grid, self.params, b5, self.closure_tol)
+        mu5, res = mu_field(q5, self.grid, self.params, self.lam, self.vec, b5)
         self._mu_cache = (q5, mu5, res)
         return mu5, res
 
@@ -329,9 +336,12 @@ class FieldSolver:
             return 2.0 * state.b5 - state.hist.b5
         return state.b5
 
-    # -- right-hand sides -------------------------------------------------
-    def _assemble(self, q5, v, t, b5=None):
-        """Raw RHS before dealiasing and pressure projection."""
+    def rhs(self, q5, v, t, b5=None):
+        """Explicit RHS (fq5, fv, closure batch), including the forcing.
+
+        Raw grid products: neither dealiased nor pressure-projected, and
+        without the viscous term, all of which `step` applies implicitly.
+        """
         grid, p = self.grid, self.params
         mu5, res = self._mu(q5, b5)
         n = grid.n
@@ -345,69 +355,38 @@ class FieldSolver:
         g = np.swapaxes(kap, -1, -2)
         m_g = mq_apply_frame(qmat, rot, pair, g)
 
+        dq = _grad_q(q5, grid)
         fq_mat = (-(2.0 / p.de) * (m_mu + np.swapaxes(m_mu, -1, -2))
-                  + m_g + np.swapaxes(m_g, -1, -2))
+                  + m_g + np.swapaxes(m_g, -1, -2)
+                  - v[..., 0, None, None] * dq[..., 0, :, :]
+                  - v[..., 1, None, None] * dq[..., 1, :, :])
         fq5 = from_matrix(fq_mat)
-        fq5 -= v[..., 0:1] * grid.deriv_x(q5) + v[..., 1:2] * grid.deriv_y(q5)
 
         dmat = 0.5 * (kap + np.swapaxes(kap, -1, -2))
         sig = ((1.0 - p.gamma) / (2.0 * p.re)) * m4_contract_frame(rot, pair, dmat)
         sig = sig + ((1.0 - p.gamma) / (p.de * p.re)) * (
-            2.0 * m_mu + p.epsilon * distortion_stress(q5, q5, grid, p.L1, p.L2))
+            2.0 * m_mu + p.epsilon * distortion_stress(dq, p.L1, p.L2))
         fv = _div_stress(sig, grid)
-        fv -= v[..., 0:1] * grid.deriv_x(v) + v[..., 1:2] * grid.deriv_y(v)
-        fv += (p.gamma / p.re) * grid.laplacian(v)
+        fv -= v[..., 0:1] * kap[..., 0] + v[..., 1:2] * kap[..., 1]
         if self.forcing is not None:
             f_q, f_v = self.forcing(t)
             fq5 = fq5 + f_q
             fv = fv + f_v
         return fq5, fv, res
 
-    def rhs(self, q5, v, t, b5=None):
-        """Explicit RHS (fq5, fv), dealiased, with fv pressure-projected."""
-        grid = self.grid
-        fq5, fv, res = self._assemble(q5, v, t, b5)
-        fq5 = grid.dealias(fq5)
-        fv = grid.ifft(grid.leray_hat(grid.dealias_hat(grid.fft(fv))))
-        return fq5, fv, res
-
-    # -- implicit solves ---------------------------------------------------
-    def _q_shield_symbols(self, cbar, a, b):
-        """(a + b * shield_symbol)^-1 diagonalized: returns (lam_inv, vec)."""
-        p = self.params
-        s = (4.0 / p.de) * (self.bulk_shield + p.epsilon * cbar * self.lam)
-        return 1.0 / (a + b * s), self.vec
-
-    def _solve_q(self, rhs5, cbar, a):
-        """(a + A_Q) q = rhs with A_Q = (4/De)(c_b + eps c_bar L)."""
-        inv, vec = self._q_shield_symbols(cbar, a, 1.0)
-        ch = self.grid.fft(to_basis_coeffs(rhs5))
-        ch = np.einsum("xyab,xyb->xya", vec, inv * np.einsum("xyba,xyb->xya", vec, ch))
-        ch = self.grid.dealias_hat(ch)
-        return from_basis_coeffs(self.grid.ifft(ch))
-
-    def _apply_q_shield(self, q5, cbar):
-        """A_Q q pointwise (spectral), used in the stabilizing bracket."""
-        p = self.params
-        s = (4.0 / p.de) * (self.bulk_shield + p.epsilon * cbar * self.lam)
-        ch = self.grid.fft(to_basis_coeffs(q5))
-        ch = np.einsum("xyab,xyb->xya", self.vec, s * np.einsum("xyba,xyb->xya", self.vec, ch))
-        return from_basis_coeffs(self.grid.ifft(ch))
-
-    def _solve_v(self, rhs, a):
-        """(a - (gamma/Re) Lap) v = rhs, then Leray projection."""
-        vh = self.grid.fft(rhs)
-        vh /= (a + (self.params.gamma / self.params.re) * self.grid.ksq)[..., None]
-        vh = self.grid.leray_hat(self.grid.dealias_hat(vh))
-        return self.grid.ifft(vh)
-
-    # -- stepping ----------------------------------------------------------
     def step(self, state: FieldState, dt):
-        """Advance one step (bootstrap Euler if no history, else SBDF2)."""
+        """Advance one step (bootstrap Euler if no history, else SBDF2).
+
+        Q solve: (a + A_Q) q1 = r_Q with A_Q = (4/De)(c_b + eps c_bar L),
+        diagonal in the elastic eigenbasis, then the 2/3 mask. Velocity
+        solve: (a - (gamma/Re) Lap) v1 = r_v, then the mask and the Leray
+        projection.
+        """
         grid, p = self.grid, self.params
         cbar = (2.0 / 15.0) * (1.0 + 3.0 * float(np.sqrt(qdot(state.q5, state.q5)).max()))
         fq, fv, res = self.rhs(state.q5, state.v, state.t, self._warm_start(state))
         b5_new = res.B5.reshape(grid.n, grid.n, 5)
+        s = (4.0 / p.de) * (self.bulk_shield + p.epsilon * cbar * self.lam)
 
         hist = state.hist
         if hist is not None and abs(hist.dt - dt) > 1e-14 * max(dt, hist.dt):
@@ -415,18 +394,17 @@ class FieldSolver:
         if hist is None:
             # stabilized semi-implicit Euler: (1/dt + A) x1 = x0 (1/dt + A) + f0
             a = 1.0 / dt
-            sq = self._apply_q_shield(state.q5, cbar)
-            q1 = self._solve_q(a * state.q5 + fq + sq, cbar, a)
-            # viscous part of fv telescopes to backward Euler
-            v1 = self._solve_v(a * state.v + fv - (p.gamma / p.re) * grid.laplacian(state.v), a)
+            rq = a * state.q5 + fq + _modal_apply(grid, self.vec, s, state.q5)
+            rv = a * state.v + fv
         else:
             a = 1.5 / dt
             rq = ((4.0 * state.q5 - hist.q5) / (2.0 * dt) + 2.0 * fq - hist.fq
-                  + self._apply_q_shield(2.0 * state.q5 - hist.q5, cbar))
-            q1 = self._solve_q(rq, cbar, a)
-            rv = ((4.0 * state.v - hist.v) / (2.0 * dt) + 2.0 * fv - hist.fv
-                  - (p.gamma / p.re) * grid.laplacian(2.0 * state.v - hist.v))
-            v1 = self._solve_v(rv, a)
+                  + _modal_apply(grid, self.vec, s, 2.0 * state.q5 - hist.q5))
+            rv = (4.0 * state.v - hist.v) / (2.0 * dt) + 2.0 * fv - hist.fv
+        q1 = _modal_apply(grid, self.vec, grid.dealias_mask[..., None] / (a + s), rq)
+        vh = grid.fft(rv)
+        vh /= (a + (p.gamma / p.re) * grid.ksq)[..., None]
+        v1 = grid.ifft(grid.leray_hat(grid.dealias_hat(vh)))
 
         div_res = grid.divergence_residual(v1)
         if not div_res <= 1e-10:
@@ -471,19 +449,16 @@ class FieldSolver:
         return min(adv, 0.1 * self.params.de)
 
     def energy_report(self, state: FieldState):
-        pre = self._mu(state.q5, self._warm_start(state))
-        return energy_report(state, self.params, self.closure_tol, _mu_res=pre)
+        mu5, res = self._mu(state.q5, self._warm_start(state))
+        return energy_report(state, self.params, mu5, res)
 
 
-def energy_report(state: FieldState, params, closure_tol=DEFAULT_TOL, _mu_res=None):
+def energy_report(state: FieldState, params, mu5, res):
     """Energy ledger: E = 1/2 int |v|^2 + (1-gamma)/(Re De) (F_b + F_e) and
-    the three dissipation components of the balance law."""
+    the three dissipation components of the balance law, from the molecular
+    field and closure batch (mu_field) of the state."""
     grid, p = state.grid, params
     n = grid.n
-    if _mu_res is None:
-        mu5, res = mu_field(state.q5, grid, p, state.b5, closure_tol)
-    else:
-        mu5, res = _mu_res
     rot = res.rotation.reshape(n, n, 3, 3)
     pair = res.pair.reshape(n, n, 3, 3)
     lnz = res.log_z.reshape(n, n)
@@ -551,8 +526,8 @@ def smooth_random_state(grid, params, seed, q_amplitude=0.5, v_amplitude=0.1,
         raise RuntimeError("could not fit initial data inside the margin")
 
     psi_w = _band_limited(rng, grid, n_modes, 2)
-    v = np.stack([grid.deriv_y(psi_w[..., 0]), -grid.deriv_x(psi_w[..., 0]),
-                  psi_w[..., 1]], axis=-1)
+    dpsi = grid.grad(psi_w[..., 0])
+    v = np.stack([dpsi[..., 1], -dpsi[..., 0], psi_w[..., 1]], axis=-1)
     v = grid.leray(v)
     vmax = np.abs(v).max()
     if vmax > 0:

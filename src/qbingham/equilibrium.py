@@ -308,8 +308,8 @@ def oseen_frank_energy(n_field, k, grid):
     if np.abs(norms - 1.0).max() > 1e-10:
         raise ValueError("director field must be unit length pointwise")
     k1, k2, k3, k4 = k
-    dx = grid.deriv_x(n_field)   # (N, N, 3) components d n_i / dx
-    dy = grid.deriv_y(n_field)
+    dn = grid.grad(n_field)
+    dx, dy = dn[:, :, 0], dn[:, :, 1]   # (N, N, 3) components d n_i / dx, / dy
 
     div_n = dx[..., 0] + dy[..., 1]
     curl = np.stack([dy[..., 2], -dx[..., 2], dx[..., 1] - dy[..., 0]], axis=-1)

@@ -102,12 +102,7 @@ def apply_qn_inverse(ctx: DirectorContext, q):
 def apply_hn(ctx: DirectorContext, q):
     """Linearized bulk force: apply_qn_inverse(Q) - alpha Q."""
     c = ctx.constants
-    qm = _as_mat(q)
-    nn = np.outer(ctx.n, ctx.n)
-    nnq = np.einsum("ij,...ij->...", nn, qm)
-    mix = np.einsum("ik,...kj->...ij", nn, qm) + np.einsum("...ik,kj->...ij", qm, nn)
-    return (c.psi1 * (nn - _I3 / 3.0) * nnq[..., None, None]
-            + c.psi2 * (-qm + mix - (2.0 / 3.0) * _I3 * nnq[..., None, None]))
+    return _coeff_apply(ctx.n, c.psi1, c.psi2, -c.psi2, _as_mat(q))
 
 
 def project_in(n, q):

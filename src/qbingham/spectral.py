@@ -1,8 +1,11 @@
-"""Periodic 2D spectral grid: derivatives, dealiasing, Leray projection.
+"""Periodic 2D spectral grid: gradients, the dealiasing mask, Leray projection.
 
 Fields live on an N x N torus of side `length` and may carry trailing
 component axes; transforms always act on the two leading axes. Everything
 is real-to-complex (rfft2) with the half spectrum along the second axis.
+Products are formed on the grid without dealiasing; the 2/3 mask and the
+Leray projection are applied per mode by the field solver's implicit
+solves (`dealias_hat`, `leray_hat`).
 """
 from __future__ import annotations
 
@@ -27,6 +30,7 @@ class Grid2D:
         self.kx = k1[:, None] + 0.0 * k2[None, :]
         self.ky = 0.0 * k1[:, None] + k2[None, :]
         self.ksq = self.kx**2 + self.ky**2
+        self._ik = 1j * np.stack([self.kx, self.ky], axis=2)  # (n, nh, 2)
         kmax = np.abs(k1).max()
         cut = (2.0 / 3.0) * kmax
         self.dealias_mask = (np.abs(self.kx) <= cut) & (np.abs(self.ky) <= cut)
@@ -38,23 +42,15 @@ class Grid2D:
     def ifft(self, fh):
         return np.fft.irfft2(fh, s=(self.n, self.n), axes=(0, 1))
 
-    def _mul_symbol(self, f, sym):
-        fh = self.fft(f)
-        fh *= sym.reshape(sym.shape + (1,) * (fh.ndim - 2))
-        return self.ifft(fh)
-
     # -- calculus ---------------------------------------------------------
-    def deriv_x(self, f):
-        return self._mul_symbol(f, 1j * self.kx)
+    def grad(self, f):
+        """(d/dx, d/dy) of f stacked on axis 2: shape (n, n, 2) + f.shape[2:].
 
-    def deriv_y(self, f):
-        return self._mul_symbol(f, 1j * self.ky)
-
-    def laplacian(self, f):
-        return self._mul_symbol(f, -self.ksq)
-
-    def dealias(self, f):
-        return self._mul_symbol(f, self.dealias_mask.astype(float))
+        One forward and one inverse transform for all components.
+        """
+        fh = self.fft(f)[:, :, None]
+        ik = self._ik.reshape(self._ik.shape + (1,) * (fh.ndim - 3))
+        return self.ifft(ik * fh)
 
     def dealias_hat(self, fh):
         return fh * self.dealias_mask.reshape(

@@ -101,8 +101,9 @@ def bingham_moments(B, quad):
     """Z, traceless second moment and dense M4 of the Bingham density of B."""
     f, log_z = _density(B, quad)
     m = quad.nodes
+    mm = (m[:, :, None] * m[:, None, :]).reshape(-1, 9)   # (N, 9) outer products
     second = np.einsum("n,ni,nj->ij", f, m, m)
-    m4 = np.einsum("n,ni,nj,nk,nl->ijkl", f, m, m, m, m, optimize=True)
+    m4 = ((f[:, None] * mm).T @ mm).reshape(3, 3, 3, 3)    # one GEMM
     return BinghamMoments(float(np.exp(log_z)), from_matrix(second - np.eye(3) / 3.0), m4)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 __all__ = [
     "to_matrix", "from_matrix", "sym_traceless", "qdot", "qnorm",
-    "eig_sym3", "is_physical", "eigenvalue_margin", "biaxiality", "QBASIS",
+    "eig_sym3", "eigenvalue_margin", "biaxiality", "QBASIS",
     "to_basis_coeffs", "from_basis_coeffs",
 ]
 
@@ -128,13 +128,6 @@ def eigenvalue_margin(q):
     """
     w = np.linalg.eigvalsh(to_matrix(q))
     return np.minimum(w[..., 0] + 1.0 / 3.0, 2.0 / 3.0 - w[..., 2])
-
-
-def is_physical(q, delta=0.0):
-    """Whether all eigenvalues of Q lie in [-1/3 + delta, 2/3 - delta]."""
-    if not 0.0 <= delta < 1.0 / 3.0:
-        raise ValueError("margin delta must lie in [0, 1/3)")
-    return eigenvalue_margin(q) >= delta
 
 
 def biaxiality(q):

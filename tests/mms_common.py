@@ -3,7 +3,8 @@ acceptance suite.
 
 The manufactured state rides on the uniform nematic equilibrium:
 Q(t, x) = Q* + a(t) P(x), v(t, x) = b(t) U(x) with band-limited P and
-divergence-free U. Forcing is defined as F = dX/dt - RHS(X) evaluated with
+divergence-free U. Forcing is defined as F = dX/dt - RHS(X), RHS the whole
+continuous right-hand side (explicit terms plus viscosity), evaluated with
 the same spectral-closure discretization (optionally on a finer grid,
 spectrally restricted, to expose the spatial error of coarse runs).
 """
@@ -67,7 +68,7 @@ class Manufactured:
         def force(t):
             q5, v = self.exact(grid, t)
             dq, dv = self.d_dt(grid, t)
-            fq, fv, _ = helper_solver._assemble(q5, v, t)
+            fq, fv = _continuous_rhs(helper_solver, q5, v, t)
             return dq - fq, dv - fv
 
         return force
@@ -79,11 +80,20 @@ class Manufactured:
         def force(t):
             q5, v = self.exact(fine_grid, t)
             dq, dv = self.d_dt(fine_grid, t)
-            fq, fv, _ = fine_solver._assemble(q5, v, t)
+            fq, fv = _continuous_rhs(fine_solver, q5, v, t)
             return (_spectral_restrict(fine_grid, grid, dq - fq),
                     _spectral_restrict(fine_grid, grid, dv - fv))
 
         return force
+
+
+def _continuous_rhs(solver, q5, v, t):
+    """The whole RHS of the continuous system: the solver's explicit terms
+    plus the viscous term (gamma/Re) Lap v that its implicit solve holds."""
+    fq, fv, _ = solver.rhs(q5, v, t)
+    grid, p = solver.grid, solver.params
+    lap_v = grid.ifft(-grid.ksq[..., None] * grid.fft(v))
+    return fq, fv + (p.gamma / p.re) * lap_v
 
 
 def _spectral_restrict(fine, coarse, field):

@@ -20,11 +20,13 @@ def test_locked_output_exits_2(tmp_path):
 
 
 def test_malformed_config_exits_2(tmp_path):
+    # invalid JSON, and valid JSON whose top level is not an object
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code = cli.main(["phase-table", "--config", str(bad),
-                     "--out", str(tmp_path / "out"), "--quiet"])
-    assert code == 2
+    for doc in ("{not json", "[1, 2]", '"x"'):
+        bad.write_text(doc)
+        code = cli.main(["phase-table", "--config", str(bad),
+                         "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 2, doc
 
 
 @pytest.mark.parametrize("exc", [

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from qbingham.tensors import (
     QBASIS, biaxiality, eig_sym3, eigenvalue_margin, from_basis_coeffs,
-    from_matrix, is_physical, qdot, qnorm, sym_traceless, to_basis_coeffs,
+    from_matrix, qdot, qnorm, sym_traceless, to_basis_coeffs,
     to_matrix, uniaxial,
 )
 from conftest import random_physical, random_qvec
@@ -131,33 +130,12 @@ def test_eigenvalue_margin_matches_eig_sym3(rng):
 
 
 # ---------------------------------------------------------------------------
-# physicality and biaxiality
+# physical margin and biaxiality
 # ---------------------------------------------------------------------------
 
-def test_is_physical_zero_tensor():
-    assert is_physical(np.zeros(5), 0.1)
-
-
-def test_is_physical_boundary():
+def test_eigenvalue_margin_at_physical_boundary():
     q = uniaxial(1.0, [0.0, 0.0, 1.0])  # top eigenvalue exactly 2/3
-    assert is_physical(q, 0.0)
-    assert not is_physical(q, 1e-12)
-    assert not is_physical(q, 0.05)
-
-
-def test_is_physical_rejects_bad_margin():
-    with pytest.raises(ValueError):
-        is_physical(np.zeros(5), 0.4)
-
-
-@settings(max_examples=200, deadline=None)
-@given(c=st.lists(st.floats(-0.4, 0.4), min_size=5, max_size=5),
-       d1=st.floats(0.0, 0.33, exclude_max=True), d2=st.floats(0.0, 0.33, exclude_max=True))
-def test_is_physical_monotone_in_margin(c, d1, d2):
-    lo, hi = sorted([d1, d2])
-    q = np.asarray(c, dtype=float)
-    if is_physical(q, hi):
-        assert is_physical(q, lo)
+    assert 0.0 <= eigenvalue_margin(q) < 1e-12
 
 
 def test_biaxiality_uniaxial_and_extremes(rng):
