@@ -52,14 +52,15 @@ def reduced_nodes(n_x, n_phi):
 
 
 def nodes_for_spread(spread):
-    """Node counts (n_x, n_phi) that integrate exp(b.m^2) to ~3e-13 for a
-    given b spread.
+    """Node counts (n_x, n_phi) of the eigenframe rule for a given b spread.
 
     The counts are those of the unfolded tensor-product rule; reduced_nodes
-    folds it to about a quarter as many nodes. Calibrated by sweeping
-    prolate/oblate/biaxial worst cases against high-order reference rules;
-    the need grows like sqrt(spread), capped consistently with
-    EXPONENT_BUDGET.
+    folds it to about a quarter as many nodes. The need grows like
+    sqrt(spread), capped consistently with EXPONENT_BUDGET. Against a
+    30-digit reference (the phi integral in closed form, 2 pi e^{us} I0(ua)),
+    the worst |error| in ln Z over prolate, oblate and biaxial b is 1.6e-14,
+    3.8e-13, 9.8e-13 and 1.8e-12 at spreads 20, 60, 150 and 300
+    (tests/test_kernels.py).
     """
     s = max(2.0, float(spread))
     n = int(min(140.0, 4.9 * np.sqrt(s) + 10.5))

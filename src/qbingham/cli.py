@@ -295,7 +295,7 @@ def _run_homogeneous(cfg, log):
 
 
 def _field_common(cfg, log, audit):
-    from .dynamics import FieldSolver, smooth_random_state
+    from .dynamics import FieldSolver, energy_report, smooth_random_state
     from .spectral import Grid2D
 
     p = cfg.params
@@ -304,17 +304,14 @@ def _field_common(cfg, log, audit):
                                 v_amplitude=cfg.v_amplitude)
     solver = FieldSolver(grid, p)
     dt = cfg.dt or solver.default_dt(state)
+    state = solver.close(state)
 
-    series = []
-    margins = []
+    series = [energy_report(state, p)]
 
     def sample(k, st):
         if audit or k % cfg.sample_every == 0:
-            rep = solver.energy_report(st)
-            series.append(rep)
+            series.append(energy_report(st, p))
 
-    rep0 = solver.energy_report(state)
-    series.append(rep0)
     t0 = time.perf_counter()
     state = solver.run(state, dt, cfg.steps, callback=sample)
     wall = time.perf_counter() - t0

@@ -57,20 +57,14 @@ class BatchClosureResult:
     residual: np.ndarray   # (N,)
     iterations: np.ndarray
     used_damping: np.ndarray
-
-    @property
-    def B5(self):
-        """Lab-frame qvecs of B."""
-        bmat = np.einsum("nik,nk,njk->nij", self.rotation, self.b_diag, self.rotation)
-        return from_matrix(bmat)
+    B5: np.ndarray         # (N, 5) lab-frame qvecs of B
 
     @property
     def spread(self):
         return self.b_diag.max(axis=1) - self.b_diag.min(axis=1)
 
 
-def bingham_map_batch(q5, delta=0.0, tol=DEFAULT_TOL, b_warm5=None,
-                      maxit=MAX_ITER, check_physical=True):
+def bingham_map_batch(q5, delta=0.0, tol=DEFAULT_TOL, b_warm5=None):
     """Invert the moment map for a batch of qvecs (N, 5).
 
     b_warm5 may carry lab-frame warm starts (N, 5) from a previous solve;
@@ -83,7 +77,7 @@ def bingham_map_batch(q5, delta=0.0, tol=DEFAULT_TOL, b_warm5=None,
     q5 = np.asarray(q5, dtype=float).reshape(-1, 5)
     w, rot = eig_sym3(to_matrix(q5))
     margin = np.minimum(w[:, 0] + 1.0 / 3.0, 2.0 / 3.0 - w[:, 2])
-    if check_physical and np.any(margin < delta):
+    if np.any(margin < delta):
         k = int(np.argmin(margin))
         raise PhysicalityError(
             f"non-physical Q in batch (worst margin {margin[k]:.3e} < "
@@ -104,7 +98,7 @@ def bingham_map_batch(q5, delta=0.0, tol=DEFAULT_TOL, b_warm5=None,
     for _attempt in range(3):
         nodes = _nodes(*_kernels.nodes_for_spread(est))
         b, res, iters, damped, lnz, second, pair = _kernels.newton_batch(
-            w, b0, nodes, tol=tol, maxit=maxit)
+            w, b0, nodes, tol=tol, maxit=MAX_ITER)
         spread = float((b.max(1) - b.min(1)).max()) if b.size else 0.0
         if spread <= est or not np.all(np.isfinite(res)):
             break
@@ -116,7 +110,8 @@ def bingham_map_batch(q5, delta=0.0, tol=DEFAULT_TOL, b_warm5=None,
             f"closure Newton failed to converge: worst residual {res[k]:.3e} "
             f"after {int(iters[k])} iterations (tol {tol:.1e}); "
             f"q eigenvalues {w[k]}")
-    return BatchClosureResult(b, rot, w, lnz, second, pair, res, iters, damped)
+    b5 = from_matrix(np.einsum("nik,nk,njk->nij", rot, b, rot))
+    return BatchClosureResult(b, rot, w, lnz, second, pair, res, iters, damped, b5)
 
 
 # ---------------------------------------------------------------------------

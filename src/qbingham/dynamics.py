@@ -252,24 +252,32 @@ def mu_field(q5_field, grid, params, lam, vec, b5=None):
 
 @dataclass(frozen=True)
 class _History:
+    """The previous time level of the two-step scheme, with the B of its q5."""
+
     q5: np.ndarray
     v: np.ndarray
     fq: np.ndarray
     fv: np.ndarray
     dt: float
-    b5: np.ndarray | None = None
+    b5: np.ndarray
 
 
 @dataclass(frozen=True)
 class FieldState:
-    """Periodic (Q, v) fields plus solver memory (closure warm starts and
-    the previous step for the two-step scheme)."""
+    """Periodic (Q, v) fields, the closure of the state's own q5 and the
+    previous step for the two-step scheme.
+
+    closure is the (mu5, BatchClosureResult) pair of mu_field for q5. The
+    solver owns it: FieldSolver.close solves it once for an initial state,
+    and FieldSolver.step solves it for every state it returns. Both the
+    right-hand side and the energy ledger read it from here.
+    """
 
     grid: Grid2D
     q5: np.ndarray
     v: np.ndarray
     t: float = 0.0
-    b5: np.ndarray | None = None
+    closure: tuple | None = None
     hist: _History | None = None
 
 
@@ -291,6 +299,12 @@ class EnergyReport:
         return self.d_viscous + self.d_closure + self.d_rotational
 
 
+def _closure_of(state):
+    if state.closure is None:
+        raise ValueError("field state has no closure; close it with FieldSolver.close")
+    return state.closure
+
+
 class FieldSolver:
     """Pseudo-spectral IMEX integrator for the coupled field system.
 
@@ -306,6 +320,11 @@ class FieldSolver:
     update and the dealiasing and Leray projection of the velocity update
     act per mode, so `step` applies them once, in the implicit solves,
     together with the viscous term (gamma/Re) Lap v.
+
+    Every state the solver steps carries its closure (FieldState.closure):
+    `close` solves it for an initial state, and `step` solves it for the new
+    state as its last act. That solve holds Q to the delta/2 margin, so a
+    state that leaves it rejects the step.
     """
 
     def __init__(self, grid, params, forcing=None):
@@ -313,37 +332,24 @@ class FieldSolver:
         self.params = params
         self.forcing = forcing
         self.lam, self.vec = elastic_symbols(grid, params.L1, params.L2)
-        self._mu_cache = None
         constants = phase_constants(params.alpha, params.L1, params.L2)
         ctx = DirectorContext.build(np.array([0.0, 0.0, 1.0]), constants)
         self.bulk_shield = float(relaxation_rates(ctx)[-1]) / 4.0
 
-    def _mu(self, q5, b5):
-        """mu_field with a same-state cache (one closure per time level)."""
-        c = self._mu_cache
-        if c is not None and c[0] is q5:
-            return c[1], c[2]
-        mu5, res = mu_field(q5, self.grid, self.params, self.lam, self.vec, b5)
-        self._mu_cache = (q5, mu5, res)
-        return mu5, res
+    def close(self, state: FieldState, b_warm5=None):
+        """`state` with the closure of its q5 (mu_field, delta/2 margin)."""
+        return replace(state, closure=mu_field(
+            state.q5, self.grid, self.params, self.lam, self.vec, b_warm5))
 
-    @staticmethod
-    def _warm_start(state):
-        """Closure warm start: linear extrapolation of B across the step."""
-        if state.b5 is None:
-            return None
-        if state.hist is not None and state.hist.b5 is not None:
-            return 2.0 * state.b5 - state.hist.b5
-        return state.b5
-
-    def rhs(self, q5, v, t, b5=None):
-        """Explicit RHS (fq5, fv, closure batch), including the forcing.
+    def rhs(self, state: FieldState):
+        """Explicit RHS (fq5, fv) of a closed state, including the forcing.
 
         Raw grid products: neither dealiased nor pressure-projected, and
         without the viscous term, all of which `step` applies implicitly.
         """
         grid, p = self.grid, self.params
-        mu5, res = self._mu(q5, b5)
+        q5, v = state.q5, state.v
+        mu5, res = _closure_of(state)
         n = grid.n
         rot = res.rotation.reshape(n, n, 3, 3)
         pair = res.pair.reshape(n, n, 3, 3)
@@ -369,23 +375,25 @@ class FieldSolver:
         fv = _div_stress(sig, grid)
         fv -= v[..., 0:1] * kap[..., 0] + v[..., 1:2] * kap[..., 1]
         if self.forcing is not None:
-            f_q, f_v = self.forcing(t)
+            f_q, f_v = self.forcing(state.t)
             fq5 = fq5 + f_q
             fv = fv + f_v
-        return fq5, fv, res
+        return fq5, fv
 
     def step(self, state: FieldState, dt):
-        """Advance one step (bootstrap Euler if no history, else SBDF2).
+        """Advance a closed state one step (bootstrap Euler if no history,
+        else SBDF2) and close the new state.
 
         Q solve: (a + A_Q) q1 = r_Q with A_Q = (4/De)(c_b + eps c_bar L),
         diagonal in the elastic eigenbasis, then the 2/3 mask. Velocity
         solve: (a - (gamma/Re) Lap) v1 = r_v, then the mask and the Leray
-        projection.
+        projection. The closure solve of q1 starts from 2 B(q0) - B(q_-1),
+        or from B(q0) without history; its delta/2 margin check raises
+        PhysicalityError.
         """
         grid, p = self.grid, self.params
         cbar = (2.0 / 15.0) * (1.0 + 3.0 * float(np.sqrt(qdot(state.q5, state.q5)).max()))
-        fq, fv, res = self.rhs(state.q5, state.v, state.t, self._warm_start(state))
-        b5_new = res.B5.reshape(grid.n, grid.n, 5)
+        fq, fv = self.rhs(state)
         s = (4.0 / p.de) * (self.bulk_shield + p.epsilon * cbar * self.lam)
 
         hist = state.hist
@@ -412,19 +420,18 @@ class FieldSolver:
                 f"divergence residual {div_res:.2e} after projection at "
                 f"t={state.t + dt:.5g}")
 
-        margin = float(eigenvalue_margin(q1).min())
-        if margin < p.delta / 2.0:
+        b5 = state.closure[1].B5
+        new = FieldState(grid=grid, q5=q1, v=v1, t=state.t + dt,
+                         hist=_History(state.q5, state.v, fq, fv, dt, b5))
+        try:
+            return self.close(new, b5 if state.hist is None else 2.0 * b5 - state.hist.b5)
+        except PhysicalityError as exc:
             raise PhysicalityError(
-                f"field left the delta/2 physical margin at t={state.t + dt:.5g} "
-                f"(worst margin {margin:.3e})")
-
-        return FieldState(
-            grid=grid, q5=q1, v=v1, t=state.t + dt, b5=b5_new,
-            hist=_History(state.q5, state.v, fq, fv, dt, state.b5))
+                f"field left the delta/2 physical margin at t={new.t:.5g}: {exc}") from exc
 
     def run(self, state: FieldState, dt, n_steps, callback=None, max_halvings=10):
-        """Advance n_steps, halving dt (and restarting the multistep
-        history) when a step loses physicality."""
+        """Advance a closed state n_steps, halving dt when a step loses
+        physicality (step then restarts the multistep history)."""
         halvings = 0
         k = 0
         while k < n_steps:
@@ -435,7 +442,6 @@ class FieldSolver:
                 if halvings > max_halvings:
                     raise
                 dt *= 0.5
-                state = replace(state, hist=None)
                 continue
             k += 1
             if callback is not None:
@@ -448,17 +454,14 @@ class FieldSolver:
         adv = 0.25 * self.grid.dx / max(vmax, 1e-12)
         return min(adv, 0.1 * self.params.de)
 
-    def energy_report(self, state: FieldState):
-        mu5, res = self._mu(state.q5, self._warm_start(state))
-        return energy_report(state, self.params, mu5, res)
 
-
-def energy_report(state: FieldState, params, mu5, res):
+def energy_report(state: FieldState, params):
     """Energy ledger: E = 1/2 int |v|^2 + (1-gamma)/(Re De) (F_b + F_e) and
-    the three dissipation components of the balance law, from the molecular
-    field and closure batch (mu_field) of the state."""
+    the three dissipation components of the balance law, from the closure
+    (molecular field and closure batch of mu_field) that the state carries."""
     grid, p = state.grid, params
     n = grid.n
+    mu5, res = _closure_of(state)
     rot = res.rotation.reshape(n, n, 3, 3)
     pair = res.pair.reshape(n, n, 3, 3)
     lnz = res.log_z.reshape(n, n)

@@ -90,8 +90,8 @@ class Manufactured:
 def _continuous_rhs(solver, q5, v, t):
     """The whole RHS of the continuous system: the solver's explicit terms
     plus the viscous term (gamma/Re) Lap v that its implicit solve holds."""
-    fq, fv, _ = solver.rhs(q5, v, t)
     grid, p = solver.grid, solver.params
+    fq, fv = solver.rhs(solver.close(FieldState(grid=grid, q5=q5, v=v, t=t)))
     lap_v = grid.ifft(-grid.ksq[..., None] * grid.fft(v))
     return fq, fv + (p.gamma / p.re) * lap_v
 
@@ -121,7 +121,7 @@ def run_manufactured(params, n, dt, t_final, forcing_builder=None, n_fine=None):
         force = mms.forcing_from_fine(grid, fine, fine_solver)
     solver = FieldSolver(grid, params, forcing=force)
     q5, v = mms.exact(grid, 0.0)
-    state = FieldState(grid=grid, q5=q5, v=v, t=0.0)
+    state = solver.close(FieldState(grid=grid, q5=q5, v=v, t=0.0))
     steps = int(round(t_final / dt))
     state = solver.run(state, t_final / steps, steps)
     qe, ve = mms.exact(grid, state.t)

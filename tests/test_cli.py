@@ -1,10 +1,13 @@
 import json
+from dataclasses import asdict, replace
 
 import pytest
 
 from qbingham import cli
 from qbingham.closure import PhysicalityError
-from qbingham.dynamics import DivergenceError, FieldSolver
+from qbingham.config import ConfigError, default_config, validate_config
+from qbingham.dynamics import DivergenceError, FieldSolver, smooth_random_state
+from qbingham.spectral import Grid2D
 
 
 def _raise(exc):
@@ -74,3 +77,45 @@ def test_closure_validate_reports_wall_time(tmp_path):
                      "--quiet"]) == 0
     summary = json.loads((out / "closure_summary.json").read_text())
     assert summary["wall_seconds"] >= summary["total_solve_seconds"]
+
+
+def test_snapshot_round_trip(tmp_path):
+    params = default_config("field-run").params
+    grid = Grid2D(16, length=5.0)
+    state = replace(smooth_random_state(grid, params, seed=3), t=0.75)
+    path = str(tmp_path / "field.qbf")
+    cli.write_snapshot(path, state, params)
+    q5, v, t, length = cli.read_snapshot(path)
+    assert q5.tobytes() == state.q5.tobytes()
+    assert v.tobytes() == state.v.tobytes()
+    assert (t, length) == (0.75, 5.0)
+    side = json.loads((tmp_path / "field.qbf.json").read_text())
+    assert side["params"] == asdict(params)
+
+
+def test_snapshot_rejects_bad_magic_and_truncation(tmp_path):
+    params = default_config("field-run").params
+    state = smooth_random_state(Grid2D(16), params, seed=0)
+    path = tmp_path / "field.qbf"
+    cli.write_snapshot(str(path), state, params)
+    raw = path.read_bytes()
+    for name, data in (("magic.qbf", b"QBF0" + raw[4:]), ("short.qbf", raw[:100])):
+        (tmp_path / name).write_bytes(data)
+        with pytest.raises(ValueError):
+            cli.read_snapshot(str(tmp_path / name))
+
+
+def test_config_reports_every_error_at_once(tmp_path):
+    doc = {"experiment": "small-de", "params": {"l2": 0.5, "L2": -0.6},
+           "grid": {"size": 32}, "de_list": [0.1, 0.2]}
+    with pytest.raises(ConfigError) as info:
+        validate_config(doc)
+    errors = info.value.errors
+    assert len(errors) == 4, errors
+    for part in ("params.l2: unknown key", "grid.size: unknown key",
+                 "L1 + 2 L2 must be positive", "de_list: must be strictly decreasing"):
+        assert sum(part in e for e in errors) == 1, (part, errors)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    assert cli.main(["small-de", "--config", str(cfg), "--out",
+                     str(tmp_path / "out"), "--quiet"]) == 2
