@@ -95,23 +95,29 @@ def _dir_lock(out_dir):
             os.remove(lock)
 
 
-def write_snapshot(path, state, params):
-    """Flat binary field snapshot plus a JSON parameter sidecar.
+def _snapshot_bytes(state, params):
+    """(binary snapshot, JSON parameter sidecar) of a field state.
 
     Layout (little endian): magic "QBF1", uint64 n, uint64 5, uint64 3,
     float64 t, float64 length, then n*n*5 float64 Q components (C order,
     components q11,q22,q12,q13,q23 fastest), then n*n*3 float64 velocity.
     """
+    from dataclasses import asdict
     n = state.grid.n
     head = SNAPSHOT_MAGIC + struct.pack(
         "<QQQdd", n, 5, 3, float(state.t), float(state.grid.length))
     body = (np.ascontiguousarray(state.q5, dtype="<f8").tobytes()
             + np.ascontiguousarray(state.v, dtype="<f8").tobytes())
-    _write_atomic(path, head + body)
-    from dataclasses import asdict
     side = {"params": asdict(params), "t": float(state.t),
             "grid": {"n": n, "length": float(state.grid.length)}}
-    _write_atomic(path + ".json", _json_bytes(side))
+    return head + body, _json_bytes(side)
+
+
+def write_snapshot(path, state, params):
+    """Write a field snapshot to path and its sidecar to path + ".json"."""
+    data, side = _snapshot_bytes(state, params)
+    _write_atomic(path, data)
+    _write_atomic(path + ".json", side)
 
 
 def read_snapshot(path):
@@ -120,8 +126,15 @@ def read_snapshot(path):
         raw = f.read()
     if raw[:4] != SNAPSHOT_MAGIC:
         raise ValueError("not a qbingham field snapshot")
-    n, nq, nv, t, length = struct.unpack("<QQQdd", raw[4:4 + 8 * 3 + 16])
     off = 4 + 8 * 3 + 16
+    if len(raw) < off:
+        raise ValueError(f"snapshot header needs {off} bytes, file has {len(raw)}")
+    n, nq, nv, t, length = struct.unpack("<QQQdd", raw[4:off])
+    if (nq, nv) != (5, 3):
+        raise ValueError(f"snapshot component counts: expected (5, 3), found ({nq}, {nv})")
+    size = off + 8 * n * n * (nq + nv)
+    if len(raw) != size:
+        raise ValueError(f"snapshot of n={n}: expected {size} bytes, found {len(raw)}")
     q = np.frombuffer(raw, dtype="<f8", count=n * n * nq, offset=off).reshape(n, n, nq)
     off += n * n * nq * 8
     v = np.frombuffer(raw, dtype="<f8", count=n * n * nv, offset=off).reshape(n, n, nv)
@@ -330,8 +343,8 @@ def _field_common(cfg, log, audit):
 def _run_field(cfg, log):
     grid, state, series, outputs, dt, wall = _field_common(cfg, log, audit=False)
     if cfg.snapshot:
-        # snapshot written separately because of its two-file layout
-        outputs["__snapshot__"] = state
+        outputs["field_final.qbf"], outputs["field_final.qbf.json"] = (
+            _snapshot_bytes(state, cfg.params))
     dt_final = state.hist.dt  # run() halves dt on a physicality loss
     outputs["run_summary.json"] = _json_bytes({
         "steps": cfg.steps, "dt": dt, "wall_seconds": wall,
@@ -375,8 +388,9 @@ def _run_small_de(cfg, log):
     from .dynamics import shear_kappa
     from .leslie import small_de_experiment
 
+    n0 = np.array([np.cos(cfg.theta0), np.sin(cfg.theta0), 0.0])
     table = small_de_experiment(cfg.params, list(cfg.de_list),
-                                shear_kappa(cfg.shear_rate), cfg.t_final)
+                                shear_kappa(cfg.shear_rate), cfg.t_final, n0=n0)
     recs = table.as_records()
     for r in recs:
         log(f"De={r['De']:g}: sup angle err {r['sup_angle_err']:.5f}, "
@@ -420,18 +434,11 @@ def run_experiment(cfg, out_dir, quiet=False):
         outputs, ok = _RUNNERS[cfg.experiment](cfg, log)
         wall = time.perf_counter() - t0
 
-        snapshot_state = outputs.pop("__snapshot__", None)
         hashes = {}
         for name, data in outputs.items():
             path = os.path.join(out_dir, name)
             _write_atomic(path, data)
             hashes[name] = hashlib.sha256(data).hexdigest()
-        if snapshot_state is not None:
-            path = os.path.join(out_dir, "field_final.qbf")
-            write_snapshot(path, snapshot_state, cfg.params)
-            for name in ("field_final.qbf", "field_final.qbf.json"):
-                with open(os.path.join(out_dir, name), "rb") as f:
-                    hashes[name] = hashlib.sha256(f.read()).hexdigest()
 
         cfg_text = json.dumps(cfg.raw, sort_keys=True).encode()
         manifest = {

@@ -27,7 +27,7 @@ from .tensors import QBASIS, eig_sym3, from_matrix, to_matrix
 __all__ = [
     "PhysicalityError", "bingham_map_batch", "BatchClosureResult",
     "closure_jacobian", "apply_mq", "spread_bound", "m4_contract_frame",
-    "mq_apply_frame",
+    "mq_apply_frame", "DEFAULT_TOL",
 ]
 
 DEFAULT_TOL = 1e-11

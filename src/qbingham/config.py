@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 from .dynamics import ModelParams
 
-__all__ = ["ExperimentConfig", "ConfigError", "validate_config", "default_config"]
+__all__ = ["ExperimentConfig", "ConfigError", "validate_config", "default_config",
+           "EXPERIMENTS"]
 
 EXPERIMENTS = (
     "phase-table", "closure-validate", "homogeneous-run", "field-run",

@@ -40,6 +40,7 @@ __all__ = [
     "homogeneous_rhs", "step_homogeneous", "default_hom_dt",
     "elastic_operator", "elastic_energy", "distortion_stress",
     "mu_field", "energy_report", "smooth_random_state", "DivergenceError",
+    "shear_kappa",
 ]
 
 

@@ -1,19 +1,24 @@
 """Critical points of the bulk energy and derived material constants.
 
 Uniaxial critical points B = eta (nn - I/3) satisfy the self-consistency
-eta = alpha S_2(eta). In the axisymmetric integrals A_k this reads
+eta = alpha S_2(eta), so the positive roots are the eta at which the map
 
-    3 e^eta / int_0^1 e^{eta x^2} dx = 3 + 2 eta + 4 eta^2 / alpha,
+    alpha(eta) = eta / S_2(eta)
 
-evaluated here in the overflow-safe form with every term scaled by e^-eta.
-For alpha above the fold value alpha* the largest root eta_1 is the stable
-nematic branch; all Leslie/Frank material constants derive from it.
+takes the value alpha. On eta > 0 this map is unimodal: it falls from
+lim_{eta->0} eta / S_2(eta) = 15/2 to the fold value alpha* at eta* and then
+grows without bound (Liu, Zhang & Zhang, Comm. Math. Sci. 3, 2005). Hence
+for alpha > alpha* the stable nematic root eta_1 is the one root of
+eta - alpha S_2(eta) in [eta*, alpha], and for alpha* < alpha < 15/2 the
+unstable root eta_2 is the one root in (0, eta*); each is a single bracket
+for scipy's brentq. All Leslie/Frank material constants derive from eta_1.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .sphere import a_integrals
 from .tensors import sym_traceless
@@ -21,172 +26,79 @@ from .tensors import sym_traceless
 __all__ = [
     "PhaseConstants", "crit_residual", "solve_eta", "critical_alpha",
     "order_parameters", "phase_constants", "oseen_frank_energy",
-    "BranchNotPresentError", "ETA_SCAN_MAX",
+    "BranchNotPresentError", "leslie_dissipation_bound", "uniaxial_field",
 ]
 
-ETA_SCAN_MAX = 60.0
-_SCAN_STEP = 0.25
-ISOTROPIC_SPINODAL = 7.5  # alpha above which the eta_2 > 0 root disappears
+ISOTROPIC_SPINODAL = 7.5  # lim_{eta->0} eta / S_2(eta); eta_2 > 0 exists below it
+_ETA2_LO = 1e-8           # left end of the eta_2 bracket
 
 
 class BranchNotPresentError(ValueError):
     """Requested equilibrium branch does not exist at this alpha."""
 
 
-def _h_scaled(eta):
-    """h = (A_0/2) e^-eta and its first two eta-derivatives, overflow-safe."""
-    a0, a2, a4, _ = a_integrals(eta)
-    s = np.exp(-eta) if eta < 700 else 0.0
-    h = 0.5 * a0 * s
-    h1 = 0.5 * (a2 - a0) * s
-    h2 = 0.5 * (a4 - 2.0 * a2 + a0) * s
-    return h, h1, h2
-
-
 def crit_residual(eta, alpha):
     """Residual of the critical-point equation, scaled to O(1).
 
-    Zero exactly when eta = alpha S_2(eta); eta = 0 is always a root.
+    In the axisymmetric integrals A_k the equation eta = alpha S_2(eta)
+    reads 3 e^eta / int_0^1 e^{eta x^2} dx = 3 + 2 eta + 4 eta^2 / alpha;
+    this is its overflow-safe form with every term scaled by e^-eta. It is
+    zero exactly when eta = alpha S_2(eta); eta = 0 is always a root. The
+    solver does not use it, so it is an independent check of a root.
     """
-    h, _, _ = _h_scaled(float(eta))
+    eta = float(eta)
+    h = 0.5 * a_integrals(eta)[0] * (np.exp(-eta) if eta < 700 else 0.0)
     return 3.0 - (3.0 + 2.0 * eta + 4.0 * eta**2 / alpha) * h
 
 
-def _crit_residual_d(eta, alpha):
-    """(g, dg/deta) of the scaled residual."""
-    h, h1, _ = _h_scaled(float(eta))
-    poly = 3.0 + 2.0 * eta + 4.0 * eta**2 / alpha
-    g = 3.0 - poly * h
-    dg = -(2.0 + 8.0 * eta / alpha) * h - poly * h1
-    return g, dg
-
-
-def _bisect_root(lo, hi, flo, alpha):
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        fm = crit_residual(mid, alpha)
-        if flo * fm <= 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    e = 0.5 * (lo + hi)
-    for _ in range(6):
-        g, dg = _crit_residual_d(e, alpha)
-        if dg == 0.0:
-            break
-        e -= g / dg
-    return e
-
-
-def _positive_roots(alpha):
-    """Sign-scan the residual on (0, ETA_SCAN_MAX] and polish each root.
-
-    Just above the fold the two nematic roots sit closer together than any
-    fixed scan step, so interior maxima of the residual are located through
-    its derivative and used to split brackets the plain scan cannot see.
-    """
-    grid = np.arange(_SCAN_STEP, ETA_SCAN_MAX + _SCAN_STEP, _SCAN_STEP)
-    vals = np.array([crit_residual(e, alpha) for e in grid])
-    roots = []
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            roots.append(grid[i])
-            continue
-        if vals[i] * vals[i + 1] < 0.0:
-            roots.append(_bisect_root(grid[i], grid[i + 1], vals[i], alpha))
-    if not roots:
-        # probe for a root pair hiding between grid points: find the
-        # stationary point of the residual (derivative sign change + to -)
-        ders = np.array([_crit_residual_d(e, alpha)[1] for e in grid])
-        for i in range(len(grid) - 1):
-            if vals[i] < 0.0 and ders[i] > 0.0 and ders[i + 1] < 0.0:
-                lo, hi, dlo = grid[i], grid[i + 1], ders[i]
-                for _ in range(80):
-                    mid = 0.5 * (lo + hi)
-                    dm = _crit_residual_d(mid, alpha)[1]
-                    if dlo * dm <= 0.0:
-                        hi = mid
-                    else:
-                        lo, dlo = mid, dm
-                peak = 0.5 * (lo + hi)
-                if crit_residual(peak, alpha) > 0.0:
-                    roots.append(_bisect_root(grid[i], peak,
-                                              crit_residual(grid[i], alpha), alpha))
-                    roots.append(_bisect_root(peak, grid[i + 1],
-                                              crit_residual(peak, alpha), alpha))
-    return sorted(roots)
+def _branch_root(alpha, lo, hi):
+    """The root of eta - alpha S_2(eta) bracketed by [lo, hi]."""
+    return float(brentq(lambda e: e - alpha * order_parameters(e)[0], lo, hi,
+                        xtol=1e-15))
 
 
 def solve_eta(alpha, branch="stable"):
-    """Solve the critical-point equation on the requested branch.
+    """Solve eta = alpha S_2(eta) on the requested branch.
 
-    branch: "isotropic" (eta = 0), "stable" (largest root eta_1), or
-    "unstable" (the smaller positive root eta_2, present only for
-    alpha* < alpha < 7.5).
+    branch: "isotropic" (eta = 0, every alpha), "stable" (eta_1 in
+    [eta*, alpha], alpha >= alpha*) or "unstable" (eta_2 in (0, eta*),
+    alpha* < alpha < 15/2). A missing branch raises BranchNotPresentError.
+    The stable bracket ends at eta = alpha, so beyond the exponent budget
+    (alpha > 300) a_integrals' OverflowError propagates. The eta_2 bracket
+    starts at 1e-8; as alpha -> 15/2 the root tends to 0, where the
+    cancellation in S_2 leaves it an absolute error of about 5e-13 / eta_2
+    (3e-11 at alpha = 7.49).
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if branch == "isotropic":
         return 0.0
-    roots = _positive_roots(alpha)
-    if branch == "stable":
-        if not roots:
-            raise BranchNotPresentError(
-                f"no nematic branch at alpha={alpha:.6g}; need alpha > alpha* "
-                f"= {critical_alpha()[0]:.6f}")
-        return float(max(roots))
-    if branch == "unstable":
-        if len(roots) < 2:
-            raise BranchNotPresentError(
-                f"no positive unstable root at alpha={alpha:.6g}; it exists "
-                f"only for alpha* < alpha < {ISOTROPIC_SPINODAL}")
-        return float(sorted(roots)[-2])
-    raise ValueError(f"unknown branch {branch!r}")
+    if branch not in ("stable", "unstable"):
+        raise ValueError(f"unknown branch {branch!r}")
+    a_star, eta_star = critical_alpha()
+    if branch == "stable" and alpha >= a_star:
+        return _branch_root(alpha, eta_star, alpha)
+    if branch == "unstable" and a_star < alpha < ISOTROPIC_SPINODAL:
+        return _branch_root(alpha, _ETA2_LO, eta_star)
+    raise BranchNotPresentError(
+        f"no {branch} nematic root at alpha={alpha:.6g}; the stable root "
+        f"needs alpha >= alpha* = {a_star:.6f}, the unstable one "
+        f"alpha* < alpha < {ISOTROPIC_SPINODAL}")
 
 
-def critical_alpha(tol=1e-12):
+def critical_alpha():
     """Fold point (alpha*, eta*) where the two nematic roots coalesce.
 
-    Bisection on presence of positive roots brackets alpha*, then a 2D
-    Newton iteration drives the tangency system {g = 0, dg/deta = 0}.
+    eta* is the minimizer of eta / S_2(eta), the root of S_2 - eta S_2' on
+    [0.5, 5] with S_2' = 3 (A_0 A_4 - A_2^2) / (2 A_0^2); alpha* is
+    eta* / S_2(eta*).
     """
-    lo, hi = 6.0, 7.4
-    if not _positive_roots(hi) or _positive_roots(lo):
-        raise RuntimeError("root-count bracket for alpha* failed")
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if _positive_roots(mid):
-            hi = mid
-        else:
-            lo = mid
-    alpha = 0.5 * (lo + hi)
-    roots = _positive_roots(hi)
-    eta = float(np.median(roots)) if roots else 2.2
+    def slope_defect(e):
+        a0, a2, a4, _ = a_integrals(e)
+        return (3.0 * a2 - a0) / (2.0 * a0) - 1.5 * e * (a0 * a4 - a2 * a2) / a0**2
 
-    def _f(e, a):
-        h, h1, h2 = _h_scaled(e)
-        poly = 3.0 + 2.0 * e + 4.0 * e**2 / a
-        dpoly = 2.0 + 8.0 * e / a
-        g = 3.0 - poly * h
-        ge = -dpoly * h - poly * h1
-        ga = 4.0 * e**2 / a**2 * h
-        gee = -(8.0 / a) * h - 2.0 * dpoly * h1 - poly * h2
-        gea = (8.0 * e / a**2) * h + (4.0 * e**2 / a**2) * h1
-        return g, ge, ga, gee, gea
-
-    # Newton on F = (g, dg/deta) with Jacobian [[ge, ga], [gee, gea]]
-    for _ in range(60):
-        g, ge, ga, gee, gea = _f(eta, alpha)
-        det = ge * gea - ga * gee
-        if abs(det) < 1e-300:
-            break
-        de = (gea * g - ga * ge) / det
-        da = (-gee * g + ge * ge) / det
-        eta -= de
-        alpha -= da
-        if abs(de) + abs(da) < tol:
-            break
-    return float(alpha), float(eta)
+    eta = float(brentq(slope_defect, 0.5, 5.0, xtol=1e-15))
+    return eta / order_parameters(eta)[0], eta
 
 
 def order_parameters(eta):

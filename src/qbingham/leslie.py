@@ -22,7 +22,7 @@ from .tensors import biaxiality, eig_sym3, to_matrix, uniaxial
 __all__ = [
     "DirectorState", "LeslieAlignment", "director_rhs", "step_director",
     "leslie_angle", "extract_director", "shear_angle_rate",
-    "SmallDeRow", "ConvergenceTable", "small_de_experiment",
+    "SmallDeRow", "ConvergenceTable", "small_de_experiment", "angle_between",
 ]
 
 
@@ -136,7 +136,7 @@ class ConvergenceTable:
 
 
 def small_de_experiment(params, de_list, kappa, t_final, n0=None,
-                        constants=None, steps_per_de=None):
+                        constants=None):
     """Compare the Q-tensor trajectory against the director ODE per De.
 
     Both start from the same director (Q on the uniaxial slow manifold at
@@ -160,7 +160,7 @@ def small_de_experiment(params, de_list, kappa, t_final, n0=None,
         p = replace(params, de=float(de))
         try:
             dt = default_hom_dt(p, constants)
-            n_steps = int(np.ceil(t_final / dt)) if steps_per_de is None else steps_per_de
+            n_steps = int(np.ceil(t_final / dt))
             dt = t_final / n_steps
             q0 = uniaxial(constants.S2, n0)
             hom = HomState(q5=q0, kappa=np.asarray(kappa, dtype=float))

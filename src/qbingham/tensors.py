@@ -18,7 +18,7 @@ import numpy as np
 __all__ = [
     "to_matrix", "from_matrix", "sym_traceless", "qdot", "qnorm",
     "eig_sym3", "eigenvalue_margin", "biaxiality", "QBASIS",
-    "to_basis_coeffs", "from_basis_coeffs",
+    "to_basis_coeffs", "from_basis_coeffs", "uniaxial",
 ]
 
 # ---------------------------------------------------------------------------

@@ -47,3 +47,16 @@ def test_tracing_targets_resolve(monkeypatch):
     for module, qualname, _observe in tracing.TARGETS:
         mod = importlib.import_module(f"qbingham.{module}")
         assert callable(_resolve(mod, qualname)), (module, qualname)
+
+
+def test_relative_imports_are_exported():
+    src = pathlib.Path(qbingham.__file__).parent
+    drift = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.ImportFrom) and node.level == 1 and node.module):
+                continue
+            exported = importlib.import_module(f"qbingham.{node.module}").__all__
+            drift += [(path.name, node.module, a.name) for a in node.names
+                      if not a.name.startswith("_") and a.name not in exported]
+    assert not drift

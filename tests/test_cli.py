@@ -1,4 +1,7 @@
+import hashlib
 import json
+import re
+import struct
 from dataclasses import asdict, replace
 
 import pytest
@@ -47,15 +50,17 @@ def test_run_summary_reports_halvings(tmp_path, monkeypatch):
     dt = 0.05
     cfg = tmp_path / "field.json"
     cfg.write_text(json.dumps({"experiment": "field-run", "grid": {"n": 16},
-                               "dt": dt, "steps": 3, "snapshot": False}))
+                               "dt": dt, "steps": 3, "snapshot": True}))
     step = FieldSolver.step
     calls = []
+    states = []
 
     def step_once_rejected(self, state, dt):
         calls.append(dt)
         if len(calls) == 1:
             raise PhysicalityError("injected margin loss")
-        return step(self, state, dt)
+        states.append(step(self, state, dt))
+        return states[-1]
 
     monkeypatch.setattr(FieldSolver, "step", step_once_rejected)
     out = tmp_path / "out"
@@ -67,6 +72,15 @@ def test_run_summary_reports_halvings(tmp_path, monkeypatch):
     assert summary["dt_final"] == dt / 2
     assert summary["t_final"] == pytest.approx(1.5 * dt, rel=1e-14)
     assert calls == [dt, dt / 2, dt / 2, dt / 2]
+    # the manifest hashes the snapshot files as written, and they hold the
+    # run's final state
+    hashes = json.loads((out / "manifest.json").read_text())["outputs"]
+    for name in ("field_final.qbf", "field_final.qbf.json"):
+        assert hashes[name] == hashlib.sha256((out / name).read_bytes()).hexdigest()
+    q5, v, t, _ = cli.read_snapshot(str(out / "field_final.qbf"))
+    assert q5.tobytes() == states[-1].q5.tobytes()
+    assert v.tobytes() == states[-1].v.tobytes()
+    assert t == states[-1].t
 
 
 def test_closure_validate_reports_wall_time(tmp_path):
@@ -99,10 +113,38 @@ def test_snapshot_rejects_bad_magic_and_truncation(tmp_path):
     path = tmp_path / "field.qbf"
     cli.write_snapshot(str(path), state, params)
     raw = path.read_bytes()
-    for name, data in (("magic.qbf", b"QBF0" + raw[4:]), ("short.qbf", raw[:100])):
+    four_q = raw[:12] + struct.pack("<Q", 4) + raw[20:]
+    for name, data, msg in (("magic.qbf", b"QBF0" + raw[4:], "not a qbingham"),
+                            ("short.qbf", raw[:100], "found 100"),
+                            ("junk.qbf", raw + bytes(40), f"found {len(raw) + 40}"),
+                            ("counts.qbf", four_q, "found (4, 3)")):
         (tmp_path / name).write_bytes(data)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(msg)):
             cli.read_snapshot(str(tmp_path / name))
+
+
+def test_phase_table_far_above_critical(tmp_path):
+    cfg = tmp_path / "phase.json"
+    cfg.write_text(json.dumps({"experiment": "phase-table", "alphas": [62, 100]}))
+    out = tmp_path / "out"
+    assert cli.main(["phase-table", "--config", str(cfg), "--out", str(out),
+                     "--quiet"]) == 0
+    rows = json.loads((out / "phase_table.json").read_text())
+    assert [r["alpha"] for r in rows] == [62, 100]
+    assert all(r["pass"] for r in rows)
+
+
+def test_small_de_uses_theta0(tmp_path):
+    tables = []
+    for theta0 in (1.0, 0.3):
+        cfg = tmp_path / f"small_de_{theta0}.json"
+        cfg.write_text(json.dumps({"experiment": "small-de", "de_list": [0.2, 0.1],
+                                   "t_final": 0.2, "theta0": theta0}))
+        out = tmp_path / f"out_{theta0}"
+        assert cli.main(["small-de", "--config", str(cfg), "--out", str(out),
+                         "--quiet"]) == 0
+        tables.append((out / "small_de.csv").read_text())
+    assert tables[0] != tables[1]
 
 
 def test_config_reports_every_error_at_once(tmp_path):

@@ -12,7 +12,7 @@ TEST_ALPHAS = None  # filled below with alpha* + 0.5 included
 
 def _alphas():
     a_star, _ = critical_alpha()
-    return [a_star + 0.5, 7.0, 8.0, 10.0, 15.0]
+    return [a_star + 0.5, 7.0, 8.0, 10.0, 15.0, 62.0, 100.0]
 
 
 # independently computed with mpmath (30 digits): fold point of
@@ -20,6 +20,12 @@ def _alphas():
 GOLDEN_ALPHA_STAR = 6.731486396484
 GOLDEN_ETA_STAR = 2.178287974843
 GOLDEN_ETA1_AT_8 = 5.400692660955
+
+
+def _s2_mp(mp, e):
+    a0 = mp.quad(lambda x: mp.e**(e * x * x), [-1, 0, 1])
+    a2 = mp.quad(lambda x: x * x * mp.e**(e * x * x), [-1, 0, 1])
+    return (3 * a2 - a0) / (2 * a0)
 
 
 def test_isotropic_branch_always_root():
@@ -39,15 +45,27 @@ def test_stable_branch_at_eight():
 def test_stable_branch_against_adaptive_oracle():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 30
-
-    def s2_mp(e):
-        a0 = mp.quad(lambda x: mp.e**(e * x * x), [-1, 0, 1])
-        a2 = mp.quad(lambda x: x * x * mp.e**(e * x * x), [-1, 0, 1])
-        return (3 * a2 - a0) / (2 * a0)
-
     for alpha in (7.0, 10.0):
-        ref = float(mp.findroot(lambda e: e - alpha * s2_mp(e), 5.0))
+        ref = float(mp.findroot(lambda e: e - alpha * _s2_mp(mp, e), 5.0))
         assert abs(solve_eta(alpha, "stable") - ref) < 1e-9
+
+
+@pytest.mark.parametrize("branch,alpha,bound", [
+    ("stable", 7.0, 5e-12), ("stable", 20.0, 5e-12), ("stable", 60.0, 5e-12),
+    ("unstable", 7.0, 1e-10), ("unstable", 7.4, 1e-10), ("unstable", 7.49, 1e-10),
+])
+def test_branches_against_mpmath(branch, alpha, bound):
+    # the unstable root tends to 0 as alpha -> 15/2, where S_2 cancels
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    eta = solve_eta(alpha, branch)
+    ref = mp.findroot(lambda e: e - alpha * _s2_mp(mp, e), eta)
+    assert abs(eta - float(ref)) < bound
+
+
+def test_beyond_exponent_budget_overflows():
+    with pytest.raises(OverflowError):
+        solve_eta(301.0)
 
 
 def test_branch_absent_below_critical():
@@ -75,7 +93,7 @@ def test_eta_increases_with_alpha():
 
 
 def test_critical_alpha_tangency_and_root_count():
-    a_star, eta_star = critical_alpha(tol=1e-12)
+    a_star, eta_star = critical_alpha()
     assert abs(a_star - GOLDEN_ALPHA_STAR) < 1e-8
     assert abs(eta_star - GOLDEN_ETA_STAR) < 1e-7
     # tangency
@@ -85,9 +103,9 @@ def test_critical_alpha_tangency_and_root_count():
     assert abs(g0) < 1e-10
     assert abs(dg) < 1e-6
     # root-count flip across the fold
-    from qbingham.equilibrium import _positive_roots
-    assert not _positive_roots(a_star - 1e-4)
-    assert len(_positive_roots(a_star + 1e-4)) >= 2
+    with pytest.raises(BranchNotPresentError):
+        solve_eta(a_star - 1e-4)
+    assert solve_eta(a_star + 1e-4, "unstable") < eta_star < solve_eta(a_star + 1e-4)
     # consistency with the A-integral identity at eta*
     a0, a2, a4, _ = a_integrals(eta_star)
     assert abs(a_star - a0 / (a2 - a4)) < 1e-6
