@@ -15,7 +15,6 @@ operators below and independent forward checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad as _quad1d
@@ -39,11 +38,6 @@ class PhysicalityError(ValueError):
     """Q left the admissible eigenvalue range for the requested margin."""
 
 
-@lru_cache(maxsize=None)
-def _nodes(n_x, n_phi):
-    return _kernels.reduced_nodes(n_x, n_phi)
-
-
 @dataclass(frozen=True)
 class BatchClosureResult:
     """Vectorized closure solves for a batch of Q tensors."""
@@ -58,10 +52,7 @@ class BatchClosureResult:
     iterations: np.ndarray
     used_damping: np.ndarray
     B5: np.ndarray         # (N, 5) lab-frame qvecs of B
-
-    @property
-    def spread(self):
-        return self.b_diag.max(axis=1) - self.b_diag.min(axis=1)
+    spread: np.ndarray     # (N,) eigenvalue spread max(b) - min(b)
 
 
 def bingham_map_batch(q5, delta=0.0, tol=DEFAULT_TOL, b_warm5=None):
@@ -86,8 +77,7 @@ def bingham_map_batch(q5, delta=0.0, tol=DEFAULT_TOL, b_warm5=None):
 
     if b_warm5 is not None:
         bmat = to_matrix(np.asarray(b_warm5, dtype=float).reshape(-1, 5))
-        b0 = np.einsum("nki,nkl,nlj->nij", rot, bmat, rot)
-        b0 = np.stack([b0[:, 0, 0], b0[:, 1, 1], b0[:, 2, 2]], axis=1)
+        b0 = ((bmat @ rot) * rot).sum(axis=1)      # diag(rot^T B rot)
     else:
         b0 = ALPHA_REF * w
     b0 = b0 - b0.mean(axis=1, keepdims=True)
@@ -96,13 +86,13 @@ def bingham_map_batch(q5, delta=0.0, tol=DEFAULT_TOL, b_warm5=None):
     # once with upgraded nodes if the converged solution leaves the range
     est = max(8.0, 1.3 * float((b0.max(1) - b0.min(1)).max()) + 6.0)
     for _attempt in range(3):
-        nodes = _nodes(*_kernels.nodes_for_spread(est))
+        nodes = _kernels.x_rule(_kernels.nodes_for_spread(est))
         b, res, iters, damped, lnz, second, pair = _kernels.newton_batch(
             w, b0, nodes, tol=tol, maxit=MAX_ITER)
-        spread = float((b.max(1) - b.min(1)).max()) if b.size else 0.0
-        if spread <= est or not np.all(np.isfinite(res)):
+        spread = b.max(axis=1) - b.min(axis=1)
+        if spread.max(initial=0.0) <= est or not np.all(np.isfinite(res)):
             break
-        est = 1.3 * spread
+        est = 1.3 * spread.max()
         b0 = b
     if not np.all(res <= tol):
         k = int(np.argmax(res))
@@ -110,8 +100,9 @@ def bingham_map_batch(q5, delta=0.0, tol=DEFAULT_TOL, b_warm5=None):
             f"closure Newton failed to converge: worst residual {res[k]:.3e} "
             f"after {int(iters[k])} iterations (tol {tol:.1e}); "
             f"q eigenvalues {w[k]}")
-    b5 = from_matrix(np.einsum("nik,nk,njk->nij", rot, b, rot))
-    return BatchClosureResult(b, rot, w, lnz, second, pair, res, iters, damped, b5)
+    b5 = from_matrix((rot * b[:, None, :]) @ np.swapaxes(rot, 1, 2))
+    return BatchClosureResult(b, rot, w, lnz, second, pair, res, iters, damped,
+                              b5, spread)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ lim_{eta->0} eta / S_2(eta) = 15/2 to the fold value alpha* at eta* and then
 grows without bound (Liu, Zhang & Zhang, Comm. Math. Sci. 3, 2005). Hence
 for alpha > alpha* the stable nematic root eta_1 is the one root of
 eta - alpha S_2(eta) in [eta*, alpha], and for alpha* < alpha < 15/2 the
-unstable root eta_2 is the one root in (0, eta*); each is a single bracket
-for scipy's brentq. All Leslie/Frank material constants derive from eta_1.
+unstable root eta_2 is the one root of 1 - alpha S_2(eta) / eta in
+[0, eta*]; each is a single bracket for scipy's brentq. All Leslie/Frank
+material constants derive from eta_1.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
+from ._kernels import x_rule
 from .sphere import a_integrals
 from .tensors import sym_traceless
 
@@ -30,7 +32,6 @@ __all__ = [
 ]
 
 ISOTROPIC_SPINODAL = 7.5  # lim_{eta->0} eta / S_2(eta); eta_2 > 0 exists below it
-_ETA2_LO = 1e-8           # left end of the eta_2 bracket
 
 
 class BranchNotPresentError(ValueError):
@@ -51,10 +52,15 @@ def crit_residual(eta, alpha):
     return 3.0 - (3.0 + 2.0 * eta + 4.0 * eta**2 / alpha) * h
 
 
-def _branch_root(alpha, lo, hi):
-    """The root of eta - alpha S_2(eta) bracketed by [lo, hi]."""
-    return float(brentq(lambda e: e - alpha * order_parameters(e)[0], lo, hi,
-                        xtol=1e-15))
+def _s2_over_eta(eta):
+    """S_2(eta) / eta without cancellation as eta -> 0: as int (3 x^2 - 1) dx
+    = 0 on [-1, 1], 3 A_2 - A_0 is the integral of (3 x^2 - 1) expm1(eta x^2),
+    and expm1(eta x^2) / eta tends to x^2. 16 Gauss points reach rounding on
+    eta <= eta* (eta_2 within 3e-15 of 40-digit mpmath for alpha in [7, 7.5)).
+    """
+    x2, _, w, _ = x_rule(16)
+    g = x2 if eta == 0.0 else np.expm1(eta * x2) / eta
+    return float(w @ ((3.0 * x2 - 1.0) * g) / (2.0 * (w @ np.exp(eta * x2))))
 
 
 def solve_eta(alpha, branch="stable"):
@@ -64,10 +70,9 @@ def solve_eta(alpha, branch="stable"):
     [eta*, alpha], alpha >= alpha*) or "unstable" (eta_2 in (0, eta*),
     alpha* < alpha < 15/2). A missing branch raises BranchNotPresentError.
     The stable bracket ends at eta = alpha, so beyond the exponent budget
-    (alpha > 300) a_integrals' OverflowError propagates. The eta_2 bracket
-    starts at 1e-8; as alpha -> 15/2 the root tends to 0, where the
-    cancellation in S_2 leaves it an absolute error of about 5e-13 / eta_2
-    (3e-11 at alpha = 7.49).
+    (alpha > 300) a_integrals' OverflowError propagates. eta_2 is the root
+    of 1 - alpha S_2(eta) / eta on [0, eta*]; that form stays accurate as
+    alpha -> 15/2, where eta_2 tends to 0.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -77,9 +82,11 @@ def solve_eta(alpha, branch="stable"):
         raise ValueError(f"unknown branch {branch!r}")
     a_star, eta_star = critical_alpha()
     if branch == "stable" and alpha >= a_star:
-        return _branch_root(alpha, eta_star, alpha)
+        return float(brentq(lambda e: e - alpha * order_parameters(e)[0],
+                            eta_star, alpha, xtol=1e-15))
     if branch == "unstable" and a_star < alpha < ISOTROPIC_SPINODAL:
-        return _branch_root(alpha, _ETA2_LO, eta_star)
+        return float(brentq(lambda e: 1.0 - alpha * _s2_over_eta(e),
+                            0.0, eta_star, xtol=1e-15))
     raise BranchNotPresentError(
         f"no {branch} nematic root at alpha={alpha:.6g}; the stable root "
         f"needs alpha >= alpha* = {a_star:.6f}, the unstable one "

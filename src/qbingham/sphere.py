@@ -16,7 +16,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .tensors import from_matrix, to_matrix
-from ._kernels import EXPONENT_BUDGET
+from ._kernels import EXPONENT_BUDGET, x_rule
 
 __all__ = [
     "SphereQuadrature", "BinghamMoments", "build_quadrature",
@@ -111,18 +111,14 @@ def bingham_moments(B, quad):
 # axisymmetric 1D integrals A_k = int_{-1}^{1} x^k exp(eta x^2) dx
 # ---------------------------------------------------------------------------
 
-_GL200 = leggauss(200)
-
-
 def a_integrals(eta):
-    """(A_0, A_2, A_4, A_6) in one pass by 200-point Gauss-Legendre with
-    max-shift stabilization."""
+    """(A_0, A_2, A_4, A_6) in one pass by the eigenframe solver's folded
+    200-point Gauss-Legendre rule (whose weights carry the 2 pi of the
+    azimuth) with max-shift stabilization."""
     eta = float(eta)
     if abs(eta) > EXPONENT_BUDGET:
         raise OverflowError(f"|eta| = {abs(eta):.1f} beyond exponent budget")
-    x, w = _GL200
+    x2, _, w, _ = x_rule(200)
     shift = max(eta, 0.0)
-    e = w * np.exp(eta * x**2 - shift)
-    x2 = x * x
-    vals = [e.sum(), (e * x2).sum(), (e * x2 * x2).sum(), (e * x2 * x2 * x2).sum()]
-    return tuple(float(v * np.exp(shift)) for v in vals)
+    e = w * np.exp(eta * x2 - shift) / (2.0 * np.pi)
+    return tuple(float(v * np.exp(shift)) for v in np.power.outer(x2, range(4)).T @ e)

@@ -63,6 +63,16 @@ def test_branches_against_mpmath(branch, alpha, bound):
     assert abs(eta - float(ref)) < bound
 
 
+@pytest.mark.parametrize("alpha", [7.49, 7.4999, 7.49999999])
+def test_unstable_branch_near_isotropic_spinodal(alpha):
+    # eta_2 -> 0 as alpha -> 15/2; at 40 digits S_2 keeps 30 after cancelling
+    mp = pytest.importorskip("mpmath")
+    eta = solve_eta(alpha, "unstable")
+    with mp.workdps(40):
+        ref = mp.findroot(lambda e: 1 - alpha * _s2_mp(mp, e) / e, mp.mpf(eta))
+    assert abs(eta - float(ref)) <= 1e-13
+
+
 def test_beyond_exponent_budget_overflows():
     with pytest.raises(OverflowError):
         solve_eta(301.0)

@@ -1,58 +1,109 @@
+import functools
+
 import mpmath as mp
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import leggauss
 
 from qbingham import _kernels
-from qbingham._kernels import EXPONENT_BUDGET, reduced_nodes
+from qbingham._kernels import x_rule
 from qbingham.closure import bingham_map_batch
-from qbingham.tensors import uniaxial
+from qbingham.sphere import bingham_moments, build_quadrature
+from qbingham.tensors import to_matrix, uniaxial
 from conftest import random_physical
 
-RULES = [(26, 26), (27, 27), (26, 27), (9, 8)]
+# eigenframe shapes of b (before scaling by the spread and centring): with
+# a = (b1 - b2) / 2, prolate and equatorial have kappa = 0, oblate a < 0
+# and biaxial a > 0
+SHAPES = {"prolate": (0.0, 0.0, 1.0), "equatorial": (1.0, 1.0, 0.0),
+          "oblate": (0.0, 1.0, 1.0), "biaxial": (0.5, 0.0, 1.0)}
 
 
-def _unfolded_nodes(n_x, n_phi):
-    """Full tensor-product rule: Gauss-Legendre in x on [-1, 1] times the
-    uniform rule in phi on [0, pi) (the integrand has period pi)."""
-    x, wx = leggauss(n_x)
-    phi = np.pi * np.arange(n_phi) / n_phi
-    c2 = np.cos(phi) ** 2
-    one = np.ones_like(c2)
-    m1 = np.outer(1.0 - x**2, c2).ravel()
-    m2 = np.outer(1.0 - x**2, 1.0 - c2).ravel()
-    m3 = np.outer(x**2, one).ravel()
-    w = np.outer(wx * (2.0 * np.pi / n_phi), one).ravel()
-    return m1, m2, m3, w
+@pytest.mark.parametrize("n_x", [9, 26, 27, 100])
+def test_x_rule_integrates_even_monomials(n_x):
+    x2, u, w, table = x_rule(n_x)
+    assert len(x2) == (n_x + 1) // 2 and table.shape == (3, len(x2), 12)
+    assert np.all(w > 0) and np.all(u > 0)
+    np.testing.assert_allclose(x2 + u, 1.0, rtol=0, atol=2e-16)
+    # int over the sphere of m3^(2k) is 4 pi / (2k + 1), exact up to degree
+    # 2 n_x - 1; the high powers weigh the nodes nearest m3 = 1
+    k = np.arange(n_x)
+    np.testing.assert_allclose(np.power.outer(x2, k).T @ w, 4 * np.pi / (2 * k + 1),
+                               rtol=1e-14, atol=0)
 
 
-def _diagonal_b(rng, spreads):
-    """Diagonal b with the given eigenvalue spreads, random shape and order."""
-    u = rng.uniform(size=(len(spreads), 3))
-    u[:, 0], u[:, 1] = 0.0, 1.0
-    u = rng.permuted(u, axis=1)
-    return spreads[:, None] * u - rng.uniform(-5.0, 5.0, size=(len(spreads), 1))
+def _moments_reference(b, dps=30):
+    """ln Z, <m_i^2> and <m_i^2 m_j^2> of diagonal b from 1-D mpmath integrals.
+
+    In x = m3 with u = 1 - x^2, b1 cos^2 phi + b2 sin^2 phi = s + a cos 2 phi
+    and kappa = u a, the phi integrals of 1, cos 2 phi and cos^2 2 phi against
+    e^{kappa cos 2 phi} are 2 pi I0, 2 pi I1 and 2 pi (I0 - I1 / kappa). The
+    Bessel weights are cached per node, so the ten integrals share them.
+    """
+    with mp.workdps(dps):
+        b1, b2, b3 = (mp.mpf(float(v)) for v in b)
+        s, a = (b1 + b2) / 2, (b1 - b2) / 2
+        top = max(b1, b2, b3)
+
+        @functools.lru_cache(maxsize=None)
+        def weights(x):
+            u = 1 - x * x
+            e = mp.exp(b3 * x * x + u * s - top)
+            i0, i1 = mp.besseli(0, u * a), mp.besseli(1, u * a)
+            i2 = i0 - (i1 / (u * a) if a else mp.mpf(1) / 2)
+            return u, x * x, e * i0, e * i1, e * i2
+
+        def integral(f):
+            return mp.quad(lambda x: f(*weights(x)), [0, 0.9, 1])
+
+        z = integral(lambda u, x2, w0, w1, w2: w0)
+        terms = [  # <m1^2>, <m2^2>, <m3^2>, then the pair moments (i, j)
+            lambda u, x2, w0, w1, w2: u * (w0 + w1) / 2,
+            lambda u, x2, w0, w1, w2: u * (w0 - w1) / 2,
+            lambda u, x2, w0, w1, w2: x2 * w0,
+            lambda u, x2, w0, w1, w2: u * u * (w0 + 2 * w1 + w2) / 4,
+            lambda u, x2, w0, w1, w2: u * u * (w0 - 2 * w1 + w2) / 4,
+            lambda u, x2, w0, w1, w2: x2 * x2 * w0,
+            lambda u, x2, w0, w1, w2: u * u * (w0 - w2) / 4,
+            lambda u, x2, w0, w1, w2: x2 * u * (w0 + w1) / 2,
+            lambda u, x2, w0, w1, w2: x2 * u * (w0 - w1) / 2,
+        ]
+        m = [float(integral(f) / z) for f in terms]
+        pair = np.array([[m[3], m[6], m[7]], [m[6], m[4], m[8]], [m[7], m[8], m[5]]])
+        return float(mp.log(4 * mp.pi * z) + top), np.array(m[:3]), pair
 
 
-@pytest.mark.parametrize("n_x,n_phi", RULES)
-def test_folded_rule_matches_unfolded(rng, n_x, n_phi):
-    folded = reduced_nodes(n_x, n_phi)
-    assert len(folded[0]) == (n_x + 1) // 2 * (n_phi // 2 + 1)
-    spreads = np.concatenate([[0.0], rng.uniform(0.0, EXPONENT_BUDGET, 199),
-                              [EXPONENT_BUDGET]])
-    b = _diagonal_b(rng, spreads)
-    lnz_f, s_f, p_f = _kernels._moments_batch_np(b, *folded)
-    lnz_u, s_u, p_u = _kernels._moments_batch_np(b, *_unfolded_nodes(n_x, n_phi))
-    np.testing.assert_allclose(lnz_f, lnz_u, rtol=1e-13, atol=0)
-    np.testing.assert_allclose(s_f, s_u, rtol=1e-13, atol=0)
-    np.testing.assert_allclose(p_f, p_u, rtol=1e-13, atol=0)
+@pytest.mark.parametrize("spread", [2.0, 8.0, 20.0, 60.0, 150.0, 300.0])
+def test_moments_against_mpmath(spread):
+    # worst seen at the policy's n_x over 48 shapes per spread, every axis
+    # order included: 2.8e-14 in ln Z, 3.9e-15 in <m_i^2>, 8.1e-15 in pairs
+    nodes = x_rule(_kernels.nodes_for_spread(spread))
+    frac = np.array(list(SHAPES.values()))
+    b = spread * (frac - frac.mean(axis=1, keepdims=True))
+    b = np.concatenate([b, b[2:, [1, 0, 2]]])         # both signs of a
+    lnz, second, pair = _kernels._moments_batch_np(b, *nodes)
+    lnz_only = _kernels._lnz_batch_np(b, *nodes)
+    for i, row in enumerate(b):
+        ref_lnz, ref_second, ref_pair = _moments_reference(row)
+        assert abs(lnz[i] - ref_lnz) <= 1e-12, row
+        assert abs(lnz_only[i] - ref_lnz) <= 1e-12, row
+        np.testing.assert_allclose(second[i], ref_second, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(pair[i], ref_pair, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("n_x,n_phi", RULES)
-def test_folded_weights_sum_to_sphere_area(n_x, n_phi):
-    w = reduced_nodes(n_x, n_phi)[3]
-    assert np.all(w > 0)
-    assert abs(w.sum() - 4.0 * np.pi) < 1e-13 * 4.0 * np.pi
+def test_moments_match_full_sphere_rule(rng):
+    # the 64 x 128 full-sphere rule integrates the azimuth numerically; worst
+    # seen 1.9e-14 in ln Z, 5.5e-15 in <m_i^2>, 7.7e-15 in the pairs
+    quad = build_quadrature(64, 128)
+    spreads = np.concatenate([[0.0], rng.uniform(0.0, 20.0, 11)])
+    b = spreads[:, None] * rng.uniform(size=(12, 3))
+    b -= b.mean(axis=1, keepdims=True)                # bingham_moments drops tr B
+    lnz, second, pair = _kernels._moments_batch_np(b, *x_rule(_kernels.nodes_for_spread(20.0)))
+    for i, row in enumerate(b):
+        mo = bingham_moments(np.diag(row), quad)
+        assert abs(lnz[i] - np.log(mo.Z)) <= 1e-13
+        np.testing.assert_allclose(second[i], np.diag(to_matrix(mo.q_of_b)) + 1 / 3,
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(pair[i], np.einsum("iijj->ij", mo.M4), rtol=0, atol=1e-13)
 
 
 def _lnz_reference(b, dps=30):
@@ -77,8 +128,8 @@ def _lnz_reference(b, dps=30):
 @pytest.mark.parametrize("spread", [20.0, 60.0, 150.0, 300.0])
 def test_node_policy_against_mpmath(spread):
     # b3 largest, as in the solver's ascending eigenframe: prolate, two
-    # biaxial shapes and oblate; worst seen 1.6e-14 / 3.8e-13 / 9.8e-13 / 1.8e-12
-    nodes = reduced_nodes(*_kernels.nodes_for_spread(spread))
+    # biaxial shapes and oblate; worst seen 1.8e-15 / 0 / 0 / 2.8e-14
+    nodes = x_rule(_kernels.nodes_for_spread(spread))
     for f2 in (0.0, 0.25, 0.5, 1.0):
         frac = np.array([0.0, f2, 1.0])
         b = spread * (frac - frac.mean())
