@@ -23,7 +23,6 @@ from .closure import (
 from .equilibrium import (
     BranchNotPresentError, PhaseConstants, crit_residual, critical_alpha,
     order_parameters, oseen_frank_energy, phase_constants, solve_eta,
-    uniaxial_field,
 )
 from .linear_ops import (
     DirectorContext, apply_hn, apply_j, apply_qn, apply_qn_inverse,

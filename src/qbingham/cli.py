@@ -276,15 +276,15 @@ def _run_closure_validate(cfg, log):
 
 def _run_homogeneous(cfg, log):
     from .dynamics import HomState, default_hom_dt, shear_kappa, step_homogeneous
-    from .equilibrium import phase_constants, uniaxial_field
+    from .equilibrium import phase_constants
     from .leslie import extract_director
-    from .tensors import biaxiality
+    from .tensors import biaxiality, uniaxial
 
     p = cfg.params
     pc = phase_constants(p.alpha, p.L1, p.L2)
     kappa = shear_kappa(cfg.shear_rate)
     n0 = np.array([np.cos(cfg.theta0), np.sin(cfg.theta0), 0.0])
-    state = HomState(q5=uniaxial_field(pc.S2, n0), kappa=kappa)
+    state = HomState(q5=uniaxial(pc.S2, n0), kappa=kappa)
     dt = cfg.dt or default_hom_dt(p, pc)
     n_steps = int(np.ceil(cfg.t_final / dt))
     dt = cfg.t_final / n_steps

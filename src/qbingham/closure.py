@@ -82,18 +82,24 @@ def bingham_map_batch(q5, delta=0.0, tol=DEFAULT_TOL, b_warm5=None):
         b0 = ALPHA_REF * w
     b0 = b0 - b0.mean(axis=1, keepdims=True)
 
-    # spread estimate for the node policy: current guess plus slack, re-run
-    # once with upgraded nodes if the converged solution leaves the range
+    # spread estimate for the node policy: current guess plus slack. The
+    # points whose solution leaves the range are solved again, from their b,
+    # with upgraded nodes (at most twice); iterations add up over attempts
     est = max(8.0, 1.3 * float((b0.max(1) - b0.min(1)).max()) + 6.0)
-    for _attempt in range(3):
-        nodes = _kernels.x_rule(_kernels.nodes_for_spread(est))
-        b, res, iters, damped, lnz, second, pair = _kernels.newton_batch(
-            w, b0, nodes, tol=tol, maxit=MAX_ITER)
+    b, res, iters, damped, lnz, second, pair = _kernels.newton_batch(
+        w, b0, _kernels.x_rule(_kernels.nodes_for_spread(est)), tol=tol, maxit=MAX_ITER)
+    for _retry in range(2):
         spread = b.max(axis=1) - b.min(axis=1)
-        if spread.max(initial=0.0) <= est or not np.all(np.isfinite(res)):
+        redo = spread > est
+        if not redo.any() or not np.all(np.isfinite(res)):
             break
         est = 1.3 * spread.max()
-        b0 = b
+        out = _kernels.newton_batch(w[redo], b[redo], _kernels.x_rule(
+            _kernels.nodes_for_spread(est)), tol=tol, maxit=MAX_ITER)
+        b[redo], res[redo], lnz[redo], second[redo], pair[redo] = out[:2] + out[4:]
+        iters[redo] += out[2]
+        damped[redo] |= out[3]
+    spread = b.max(axis=1) - b.min(axis=1)
     if not np.all(res <= tol):
         k = int(np.argmax(res))
         raise RuntimeError(

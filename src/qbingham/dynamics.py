@@ -6,11 +6,13 @@ Two settings share the same right-hand sides:
   integrated with RK4;
 * 2D periodic (Q, v) fields with full 3D tensor components, integrated
   pseudo-spectrally with a stabilized two-step IMEX scheme (SBDF2 with a
-  constant-coefficient implicit shield). Each field is transformed once
-  per right-hand side (Grid2D.grad); the explicit terms are raw grid
-  products, and the 2/3 dealiasing, the Leray projection for the pressure
-  and the viscous term act per mode in the implicit solves of
-  FieldSolver.step.
+  constant-coefficient implicit shield). Each field state is closed once
+  (FieldSolver.close): its closure, its gradients (Grid2D.grad) and the
+  frame contractions M_Q(mu) and M4 : D are stored with it, and both the
+  right-hand side and the energy ledger read them from there. The explicit
+  terms are raw grid products, and the 2/3 dealiasing, the Leray
+  projection for the pressure and the viscous term act per mode in the
+  implicit solves of FieldSolver.step.
 
 Index conventions, fixed once for the whole package: the velocity-gradient
 matrix is kappa_ij = dv_i/dx_j (it advects material vectors), the closure
@@ -24,8 +26,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .closure import (
-    DEFAULT_TOL, PhysicalityError, bingham_map_batch, m4_contract_frame,
-    mq_apply_frame,
+    DEFAULT_TOL, BatchClosureResult, PhysicalityError, bingham_map_batch,
+    m4_contract_frame, mq_apply_frame,
 )
 from .linear_ops import DirectorContext, relaxation_rates
 from .equilibrium import phase_constants
@@ -193,9 +195,9 @@ def _grad_q(q5_field, grid):
     return to_matrix(grid.grad(q5_field))
 
 
-def elastic_energy(q5_field, grid, L1, L2, epsilon):
-    """F_e = (eps/2) int L1 |grad Q|^2 + L2 (|div Q|^2 + Q_jk,i Q_ik,j)."""
-    dq = _grad_q(q5_field, grid)
+def elastic_energy(dq, grid, L1, L2, epsilon):
+    """F_e = (eps/2) int L1 |grad Q|^2 + L2 (|div Q|^2 + Q_jk,i Q_ik,j) from
+    the gradient stack dq[..., a, k, l] = d_a Q_kl of shape (n, n, 2, 3, 3)."""
     t_l1 = np.einsum("...akl,...akl->...", dq, dq)
     divq = dq[..., 0, :, 0] + dq[..., 1, :, 1]
     t_div = np.einsum("...k,...k->...", divq, divq)
@@ -210,11 +212,14 @@ def distortion_stress(dq, L1, L2):
 
     sigma_ji = -(L1 Q_kl,j Q_kl,i + L2 Q_km,m Q_kj,i + L2 Q_kj,l Q_kl,i).
     """
-    sig = np.zeros(dq.shape[:2] + (3, 3))
-    sig[..., :2, :2] -= L1 * np.einsum("...akl,...bkl->...ab", dq, dq)
+    n2 = dq.shape[:2]
+    sig = np.zeros(n2 + (3, 3))
+    flat = dq.reshape(n2 + (2, 9))                                    # [a, (k, l)]
+    sig[..., :2, :2] -= L1 * (flat @ np.swapaxes(flat, -1, -2))
     divq = dq[..., 0, :, 0] + dq[..., 1, :, 1]
-    sig[..., :, :2] -= L2 * np.einsum("...k,...bkj->...jb", divq, dq)
-    sig[..., :, :2] -= L2 * np.einsum("...akj,...bka->...jb", dq, dq[..., :, :, :2])
+    sig[..., :, :2] -= L2 * np.swapaxes((divq[..., None, None, :] @ dq)[..., 0, :], -1, -2)
+    planar = np.swapaxes(dq[..., :2], -1, -2).reshape(n2 + (2, 6))   # [b, (a, k)]
+    sig[..., :, :2] -= L2 * np.swapaxes(planar @ dq.reshape(n2 + (6, 3)), -1, -2)
     return sig
 
 
@@ -264,21 +269,36 @@ class _History:
 
 
 @dataclass(frozen=True)
+class _Terms:
+    """The terms of one field state that its RHS and its energy ledger share:
+    mu_field's (mu5, res) of q5, dq = grad Q (_grad_q), kap = grad v
+    (_kappa_field), m_mu = M_Q(mu) and m4_d = M4 : D with D = sym(kap)."""
+
+    mu5: np.ndarray
+    res: BatchClosureResult
+    dq: np.ndarray
+    kap: np.ndarray
+    m_mu: np.ndarray
+    m4_d: np.ndarray
+
+
+@dataclass(frozen=True)
 class FieldState:
-    """Periodic (Q, v) fields, the closure of the state's own q5 and the
+    """Periodic (Q, v) fields, the terms of the state's own (q5, v) and the
     previous step for the two-step scheme.
 
-    closure is the (mu5, BatchClosureResult) pair of mu_field for q5. The
-    solver owns it: FieldSolver.close solves it once for an initial state,
-    and FieldSolver.step solves it for every state it returns. Both the
-    right-hand side and the energy ledger read it from here.
+    closure holds the _Terms of this state: its closure, grad Q, grad v,
+    M_Q(mu) and M4 : D. They depend on both q5 and v. The solver owns them:
+    FieldSolver.close computes them once for an initial state, and
+    FieldSolver.step for every state it returns. Both the right-hand side
+    and the energy ledger read them from here.
     """
 
     grid: Grid2D
     q5: np.ndarray
     v: np.ndarray
     t: float = 0.0
-    closure: tuple | None = None
+    closure: _Terms | None = None
     hist: _History | None = None
 
 
@@ -300,7 +320,7 @@ class EnergyReport:
         return self.d_viscous + self.d_closure + self.d_rotational
 
 
-def _closure_of(state):
+def _terms_of(state):
     if state.closure is None:
         raise ValueError("field state has no closure; close it with FieldSolver.close")
     return state.closure
@@ -322,10 +342,12 @@ class FieldSolver:
     act per mode, so `step` applies them once, in the implicit solves,
     together with the viscous term (gamma/Re) Lap v.
 
-    Every state the solver steps carries its closure (FieldState.closure):
-    `close` solves it for an initial state, and `step` solves it for the new
-    state as its last act. That solve holds Q to the delta/2 margin, so a
-    state that leaves it rejects the step.
+    Every state the solver steps carries its terms (FieldState.closure):
+    `close` computes them for an initial state, and `step` for the new state
+    as its last act. Their closure solve holds Q to the delta/2 margin, so a
+    state that leaves it rejects the step. `rhs` adds to them only what the
+    ledger does not read: M_Q(kappa^T), the distortion stress, the stress
+    divergence, advection and the forcing.
     """
 
     def __init__(self, grid, params, forcing=None):
@@ -338,9 +360,18 @@ class FieldSolver:
         self.bulk_shield = float(relaxation_rates(ctx)[-1]) / 4.0
 
     def close(self, state: FieldState, b_warm5=None):
-        """`state` with the closure of its q5 (mu_field, delta/2 margin)."""
-        return replace(state, closure=mu_field(
-            state.q5, self.grid, self.params, self.lam, self.vec, b_warm5))
+        """`state` with the terms of its (q5, v): mu_field's closure (delta/2
+        margin), grad Q, grad v, M_Q(mu) and M4 : D."""
+        grid, n = self.grid, self.grid.n
+        mu5, res = mu_field(state.q5, grid, self.params, self.lam, self.vec, b_warm5)
+        rot = res.rotation.reshape(n, n, 3, 3)
+        pair = res.pair.reshape(n, n, 3, 3)
+        kap = _kappa_field(state.v, grid)
+        dmat = 0.5 * (kap + np.swapaxes(kap, -1, -2))
+        return replace(state, closure=_Terms(
+            mu5, res, _grad_q(state.q5, grid), kap,
+            mq_apply_frame(to_matrix(state.q5), rot, pair, to_matrix(mu5)),
+            m4_contract_frame(rot, pair, dmat)))
 
     def rhs(self, state: FieldState):
         """Explicit RHS (fq5, fv) of a closed state, including the forcing.
@@ -349,32 +380,25 @@ class FieldSolver:
         without the viscous term, all of which `step` applies implicitly.
         """
         grid, p = self.grid, self.params
-        q5, v = state.q5, state.v
-        mu5, res = _closure_of(state)
+        v = state.v
+        t = _terms_of(state)
         n = grid.n
-        rot = res.rotation.reshape(n, n, 3, 3)
-        pair = res.pair.reshape(n, n, 3, 3)
-        qmat = to_matrix(q5)
-        mumat = to_matrix(mu5)
-        m_mu = mq_apply_frame(qmat, rot, pair, mumat)
+        g = np.swapaxes(t.kap, -1, -2)
+        m_g = mq_apply_frame(to_matrix(state.q5), t.res.rotation.reshape(n, n, 3, 3),
+                             t.res.pair.reshape(n, n, 3, 3), g)
 
-        kap = _kappa_field(v, grid)
-        g = np.swapaxes(kap, -1, -2)
-        m_g = mq_apply_frame(qmat, rot, pair, g)
-
-        dq = _grad_q(q5, grid)
-        fq_mat = (-(2.0 / p.de) * (m_mu + np.swapaxes(m_mu, -1, -2))
+        dq = t.dq
+        fq_mat = (-(2.0 / p.de) * (t.m_mu + np.swapaxes(t.m_mu, -1, -2))
                   + m_g + np.swapaxes(m_g, -1, -2)
                   - v[..., 0, None, None] * dq[..., 0, :, :]
                   - v[..., 1, None, None] * dq[..., 1, :, :])
         fq5 = from_matrix(fq_mat)
 
-        dmat = 0.5 * (kap + np.swapaxes(kap, -1, -2))
-        sig = ((1.0 - p.gamma) / (2.0 * p.re)) * m4_contract_frame(rot, pair, dmat)
+        sig = ((1.0 - p.gamma) / (2.0 * p.re)) * t.m4_d
         sig = sig + ((1.0 - p.gamma) / (p.de * p.re)) * (
-            2.0 * m_mu + p.epsilon * distortion_stress(dq, p.L1, p.L2))
+            2.0 * t.m_mu + p.epsilon * distortion_stress(dq, p.L1, p.L2))
         fv = _div_stress(sig, grid)
-        fv -= v[..., 0:1] * kap[..., 0] + v[..., 1:2] * kap[..., 1]
+        fv -= v[..., 0:1] * t.kap[..., 0] + v[..., 1:2] * t.kap[..., 1]
         if self.forcing is not None:
             f_q, f_v = self.forcing(state.t)
             fq5 = fq5 + f_q
@@ -388,9 +412,9 @@ class FieldSolver:
         Q solve: (a + A_Q) q1 = r_Q with A_Q = (4/De)(c_b + eps c_bar L),
         diagonal in the elastic eigenbasis, then the 2/3 mask. Velocity
         solve: (a - (gamma/Re) Lap) v1 = r_v, then the mask and the Leray
-        projection. The closure solve of q1 starts from 2 B(q0) - B(q_-1),
-        or from B(q0) without history; its delta/2 margin check raises
-        PhysicalityError.
+        projection. The new state is closed: the closure solve of q1 starts
+        from 2 B(q0) - B(q_-1), or from B(q0) without history, and its
+        delta/2 margin check raises PhysicalityError.
         """
         grid, p = self.grid, self.params
         cbar = (2.0 / 15.0) * (1.0 + 3.0 * float(np.sqrt(qdot(state.q5, state.q5)).max()))
@@ -421,7 +445,7 @@ class FieldSolver:
                 f"divergence residual {div_res:.2e} after projection at "
                 f"t={state.t + dt:.5g}")
 
-        b5 = state.closure[1].B5
+        b5 = state.closure.res.B5
         new = FieldState(grid=grid, q5=q1, v=v1, t=state.t + dt,
                          hist=_History(state.q5, state.v, fq, fv, dt, b5))
         try:
@@ -458,30 +482,27 @@ class FieldSolver:
 
 def energy_report(state: FieldState, params):
     """Energy ledger: E = 1/2 int |v|^2 + (1-gamma)/(Re De) (F_b + F_e) and
-    the three dissipation components of the balance law, from the closure
-    (molecular field and closure batch of mu_field) that the state carries."""
+    the three dissipation components of the balance law.
+
+    Sums only: the closure, gradients and frame contractions are the terms
+    the closed state carries, the ones its right-hand side reads.
+    """
     grid, p = state.grid, params
     n = grid.n
-    mu5, res = _closure_of(state)
-    rot = res.rotation.reshape(n, n, 3, 3)
-    pair = res.pair.reshape(n, n, 3, 3)
-    lnz = res.log_z.reshape(n, n)
-    b5 = res.B5.reshape(n, n, 5)
+    t = _terms_of(state)
+    lnz = t.res.log_z.reshape(n, n)
+    b5 = t.res.B5.reshape(n, n, 5)
 
     kinetic = 0.5 * grid.mean_integral((state.v**2).sum(axis=-1))
     f_bulk = grid.mean_integral(
         -lnz + qdot(state.q5, b5) - 0.5 * p.alpha * qdot(state.q5, state.q5))
-    f_el = elastic_energy(state.q5, grid, p.L1, p.L2, p.epsilon)
+    f_el = elastic_energy(t.dq, grid, p.L1, p.L2, p.epsilon)
     total = kinetic + (1.0 - p.gamma) / (p.re * p.de) * (f_bulk + f_el)
 
-    kap = _kappa_field(state.v, grid)
-    grad_v_sq = np.einsum("...ij,...ij->...", kap, kap)
-    dmat = 0.5 * (kap + np.swapaxes(kap, -1, -2))
-    d_m4_d = np.einsum("...ij,...ij->...", dmat, m4_contract_frame(rot, pair, dmat))
-    mumat = to_matrix(mu5)
-    qmat = to_matrix(state.q5)
-    mu_m_mu = np.einsum("...ij,...ij->...", mumat,
-                        mq_apply_frame(qmat, rot, pair, mumat))
+    grad_v_sq = np.einsum("...ij,...ij->...", t.kap, t.kap)
+    dmat = 0.5 * (t.kap + np.swapaxes(t.kap, -1, -2))
+    d_m4_d = np.einsum("...ij,...ij->...", dmat, t.m4_d)
+    mu_m_mu = np.einsum("...ij,...ij->...", to_matrix(t.mu5), t.m_mu)
 
     d_visc = (p.gamma / p.re) * grid.mean_integral(grad_v_sq)
     d_clos = (1.0 - p.gamma) / (2.0 * p.re) * grid.mean_integral(d_m4_d)

@@ -23,12 +23,11 @@ from scipy.optimize import brentq
 
 from ._kernels import x_rule
 from .sphere import a_integrals
-from .tensors import sym_traceless
 
 __all__ = [
     "PhaseConstants", "crit_residual", "solve_eta", "critical_alpha",
     "order_parameters", "phase_constants", "oseen_frank_energy",
-    "BranchNotPresentError", "leslie_dissipation_bound", "uniaxial_field",
+    "BranchNotPresentError", "leslie_dissipation_bound",
 ]
 
 ISOTROPIC_SPINODAL = 7.5  # lim_{eta->0} eta / S_2(eta); eta_2 > 0 exists below it
@@ -242,11 +241,3 @@ def oseen_frank_energy(n_field, k, grid):
             + 0.5 * k3 * (n_cross_curl**2).sum(axis=-1)
             + 0.5 * (k2 + k4) * (tr_grad_sq - div_n**2))
     return float(dens.mean() * grid.length**2)
-
-
-def uniaxial_field(s, n_field):
-    """Q(x) = s (n n - I/3) for a director field, as qvecs (..., 5)."""
-    n_field = np.asarray(n_field, dtype=float)
-    nn = np.einsum("...i,...j->...ij", n_field, n_field)
-    from .tensors import from_matrix
-    return from_matrix(sym_traceless(s * nn))

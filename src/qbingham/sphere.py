@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .tensors import from_matrix, to_matrix
-from ._kernels import EXPONENT_BUDGET, x_rule
+from ._kernels import EXPONENT_BUDGET, _legendre_half, x_rule
 
 __all__ = [
     "SphereQuadrature", "BinghamMoments", "build_quadrature",
@@ -36,10 +35,15 @@ class SphereQuadrature:
 
 
 def build_quadrature(n_polar=64, n_azimuthal=128):
-    """Product Gauss-Legendre x trapezoid rule on the sphere."""
+    """Product Gauss-Legendre x trapezoid rule on the sphere; the polar rule
+    is the eigenframe solver's refined half rule (_kernels._legendre_half),
+    mirrored."""
     if n_polar < 8 or n_azimuthal < 16:
         raise ValueError("quadrature needs n_polar >= 8, n_azimuthal >= 16")
-    x, wx = leggauss(int(n_polar))
+    x, wx = (np.asarray(v, dtype=float) for v in _legendre_half(int(n_polar)))
+    odd = int(n_polar) % 2          # x = 0 is kept once
+    x = np.concatenate([-x[odd:][::-1], x])
+    wx = np.concatenate([wx[odd:][::-1], wx])
     phi = 2.0 * np.pi * np.arange(int(n_azimuthal)) / int(n_azimuthal)
     st = np.sqrt(1.0 - x**2)
     mx = np.outer(st, np.cos(phi))

@@ -11,8 +11,9 @@ spectrally restricted, to expose the spatial error of coarse runs).
 import numpy as np
 
 from qbingham.dynamics import FieldSolver, FieldState
-from qbingham.equilibrium import phase_constants, uniaxial_field
+from qbingham.equilibrium import phase_constants
 from qbingham.spectral import Grid2D
+from qbingham.tensors import uniaxial
 
 
 class Manufactured:
@@ -23,7 +24,7 @@ class Manufactured:
         self.amp_v = amp_v
         self.omega = omega
         self.n_modes = n_modes
-        self.base = uniaxial_field(self.pc.S2, np.array([0.0, 0.0, 1.0]))
+        self.base = uniaxial(self.pc.S2, np.array([0.0, 0.0, 1.0]))
 
     def _shapes(self, grid):
         x, y = grid.x, grid.y

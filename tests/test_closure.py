@@ -216,3 +216,25 @@ def test_solves_respect_spread_bound(rng):
     q5 = random_physical(rng, 200, delta)
     res = bingham_map_batch(q5, delta=delta)
     assert res.spread.max() <= lam
+
+
+def test_node_upgrade_resolves_only_points_past_the_estimate(monkeypatch):
+    # the S = 0.97 point ends far past the spread estimate of its cold start
+    # and is solved again with more nodes; the S = 0.3 point is not
+    from qbingham import _kernels
+    raw = _kernels.newton_batch
+    calls = []
+
+    def recorded(*args, **kwargs):
+        out = raw(*args, **kwargs)
+        calls.append(out[2].copy())  # iterations per point of this call
+        return out
+
+    monkeypatch.setattr(_kernels, "newton_batch", recorded)
+    q5 = np.stack([uniaxial(0.97, [0.0, 0.0, 1.0]), uniaxial(0.3, [1.0, 0.0, 0.0]),
+                   from_matrix(np.diag([0.55, -0.3, -0.25]))])
+    res = bingham_map_batch(q5)
+    assert len(calls) >= 2 and calls[1].sum() > 0
+    assert res.iterations.sum() == sum(int(it.sum()) for it in calls)
+    assert len(calls[1]) < len(q5)
+    assert np.all(res.residual <= 1e-11)

@@ -6,9 +6,9 @@ from qbingham.dynamics import (
     HomState, ModelParams, default_hom_dt, homogeneous_rhs, shear_kappa,
     step_homogeneous,
 )
-from qbingham.equilibrium import phase_constants, uniaxial_field
+from qbingham.equilibrium import phase_constants
 from qbingham.linear_ops import DirectorContext, apply_hn, apply_j, in_space_basis, out_space_basis
-from qbingham.tensors import eig_sym3, from_matrix, qnorm, to_matrix
+from qbingham.tensors import eig_sym3, from_matrix, qnorm, to_matrix, uniaxial
 from conftest import haar_rotations, random_qvec
 
 P = ModelParams(alpha=7.0, epsilon=0.05, de=1.0, re=1.0, gamma=0.5,
@@ -37,13 +37,13 @@ def test_shear_kappa_tracefree():
 
 
 def test_equilibrium_is_stationary():
-    q0 = uniaxial_field(PC.S2, N0)
+    q0 = uniaxial(PC.S2, N0)
     rhs, _ = homogeneous_rhs(q0, np.zeros((3, 3)), P)
     assert qnorm(rhs) < 1e-12
 
 
 def test_equilibrium_fixed_point_over_many_steps():
-    q0 = uniaxial_field(PC.S2, N0)
+    q0 = uniaxial(PC.S2, N0)
     state = HomState(q5=q0, kappa=np.zeros((3, 3)))
     dt = 0.1 * P.de
     for _ in range(1000):
@@ -63,7 +63,7 @@ def test_isotropic_response_to_shear():
 def test_linearized_rhs_matches_operators(rng):
     # small perturbation: dQ/dt ~ -(4/De) J(H(dQ)) + O(h^2)
     ctx = DirectorContext.build(N0, PC)
-    q0 = uniaxial_field(PC.S2, N0)
+    q0 = uniaxial(PC.S2, N0)
     e = random_qvec(rng, scale=1.0)
     e = e / qnorm(e)
     errs = []
@@ -78,7 +78,7 @@ def test_linearized_rhs_matches_operators(rng):
 
 def test_frame_indifference(rng):
     rot = haar_rotations(rng, 1)[0]
-    q = uniaxial_field(0.4, np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0))
+    q = uniaxial(0.4, np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0))
     kap = shear_kappa(0.7)
     rhs, _ = homogeneous_rhs(q, kap, P)
     q_r = from_matrix(rot @ to_matrix(q) @ rot.T)
@@ -89,7 +89,7 @@ def test_frame_indifference(rng):
 def test_rk4_self_convergence_order():
     # shear startup from equilibrium; Richardson with dt halvings
     kap = shear_kappa(1.0)
-    q0 = uniaxial_field(PC.S2, N0)
+    q0 = uniaxial(PC.S2, N0)
     t_final = 0.4
 
     def run(dt):
@@ -107,7 +107,7 @@ def test_rk4_self_convergence_order():
 def test_physicality_retry_with_large_step():
     # a huge step would overshoot; the halving retry must still land inside
     kap = shear_kappa(4.0)
-    q0 = uniaxial_field(PC.S2, N0)
+    q0 = uniaxial(PC.S2, N0)
     st = HomState(q5=q0, kappa=kap)
     out = step_homogeneous(st, 2.0, P)
     w, _ = eig_sym3(to_matrix(out.q5))

@@ -1,12 +1,14 @@
+import collections
+
 import numpy as np
 import pytest
 
-from qbingham.closure import PhysicalityError
-from qbingham import dynamics
+from qbingham.closure import PhysicalityError, m4_contract_frame, mq_apply_frame
+from qbingham import closure, dynamics
 from qbingham.config import default_config
 from qbingham.dynamics import DivergenceError, FieldSolver, smooth_random_state
 from qbingham.spectral import Grid2D
-from qbingham.tensors import eigenvalue_margin, uniaxial
+from qbingham.tensors import eigenvalue_margin, qdot, to_matrix, uniaxial
 from mms_common import run_manufactured
 
 PARAMS = default_config("field-run").params
@@ -104,8 +106,78 @@ def test_each_state_carries_its_own_closure(monkeypatch):
     solver.run(states[0], 0.05, 3, callback=lambda k, st: states.append(st))
     monkeypatch.undo()
     for prev, st in zip(states, states[1:]):
-        assert st.hist.b5 is prev.closure[1].B5
-        cold_mu5, cold = solver.close(st).closure
-        mu5, res = st.closure
-        assert np.abs(res.B5 - cold.B5).max() <= 1e-9
-        assert np.abs(mu5 - cold_mu5).max() <= 1e-9
+        assert st.hist.b5 is prev.closure.res.B5
+        cold = solver.close(st).closure
+        assert np.abs(st.closure.res.B5 - cold.res.B5).max() <= 1e-9
+        assert np.abs(st.closure.mu5 - cold.mu5).max() <= 1e-9
+
+
+def test_ledger_reads_the_terms_the_step_computed(monkeypatch):
+    # close() computes grad Q, grad v, M_Q(mu) and M4 : D once per state;
+    # the ledger sums them and transforms or contracts nothing itself
+    grid = Grid2D(16)
+    solver = FieldSolver(grid, PARAMS)
+    state = solver.close(smooth_random_state(grid, PARAMS, seed=0))
+    calls = collections.Counter()
+
+    def count(owner, name, key):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    count(Grid2D, "fft", "transform")
+    count(Grid2D, "ifft", "transform")
+    count(closure, "m4_contract_frame", "m4")   # inside mq_apply_frame
+    count(dynamics, "m4_contract_frame", "m4")
+    count(dynamics, "mq_apply_frame", "mq")
+    new = solver.step(state, 0.05)
+    stepped = dict(calls)
+    calls.clear()
+    dynamics.energy_report(new, PARAMS)
+    assert not calls
+    assert stepped["transform"] == 15 and stepped["m4"] == 3
+
+
+def _ledger_from_scratch(state, p):
+    """The energy ledger evaluated from the state's fields and its closure
+    batch alone, with its own transforms and frame contractions."""
+    grid, n = state.grid, state.grid.n
+    mu5, res = state.closure.mu5, state.closure.res
+    rot = res.rotation.reshape(n, n, 3, 3)
+    pair = res.pair.reshape(n, n, 3, 3)
+    q5, v = state.q5, state.v
+    dq = to_matrix(grid.grad(q5))
+    kap = np.zeros((n, n, 3, 3))
+    kap[..., :2] = np.swapaxes(grid.grad(v), -1, -2)
+    dmat = 0.5 * (kap + np.swapaxes(kap, -1, -2))
+    mumat = to_matrix(mu5)
+
+    kinetic = 0.5 * grid.mean_integral((v**2).sum(axis=-1))
+    bulk = grid.mean_integral(-res.log_z.reshape(n, n) + qdot(q5, res.B5.reshape(n, n, 5))
+                              - 0.5 * p.alpha * qdot(q5, q5))
+    divq = dq[..., 0, :, 0] + dq[..., 1, :, 1]
+    cross = np.einsum("...akb,...bka->...", dq[..., :, :, :2], dq[..., :, :, :2])
+    elastic = grid.mean_integral(0.5 * p.epsilon * (
+        p.L1 * (dq**2).sum(axis=(-3, -2, -1)) + p.L2 * ((divq**2).sum(axis=-1) + cross)))
+    total = kinetic + (1.0 - p.gamma) / (p.re * p.de) * (bulk + elastic)
+    d_visc = (p.gamma / p.re) * grid.mean_integral((kap**2).sum(axis=(-2, -1)))
+    d_clos = (1.0 - p.gamma) / (2.0 * p.re) * grid.mean_integral(
+        (dmat * m4_contract_frame(rot, pair, dmat)).sum(axis=(-2, -1)))
+    d_rot = 4.0 * (1.0 - p.gamma) / (p.re * p.de**2) * grid.mean_integral(
+        (mumat * mq_apply_frame(to_matrix(q5), rot, pair, mumat)).sum(axis=(-2, -1)))
+    return dynamics.EnergyReport(state.t, kinetic, bulk, elastic, total,
+                                 d_visc, d_clos, d_rot)
+
+
+def test_ledger_matches_a_from_scratch_evaluation():
+    grid = Grid2D(16)
+    solver = FieldSolver(grid, PARAMS)
+    state = solver.close(smooth_random_state(grid, PARAMS, seed=0))
+    for st in (state, solver.step(state, 0.05)):
+        got = vars(dynamics.energy_report(st, PARAMS))
+        ref = vars(_ledger_from_scratch(st, PARAMS))
+        for key, val in ref.items():
+            assert abs(got[key] - val) <= 1e-15 * abs(val), (key, got[key], val)

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from qbingham.dynamics import ModelParams, shear_kappa
-from qbingham.equilibrium import phase_constants, uniaxial_field
+from qbingham.equilibrium import phase_constants
 from qbingham.leslie import (
     DirectorState, angle_between, director_rhs, extract_director,
     leslie_angle, shear_angle_rate, small_de_experiment, step_director,
 )
-from qbingham.tensors import from_matrix, qnorm
+from qbingham.tensors import from_matrix, qnorm, uniaxial
 from conftest import random_qvec
 
 PC = phase_constants(7.0, 1.0, 0.5)  # zeta = 1.0816 > 1, flow aligning
@@ -92,16 +92,16 @@ def test_leslie_angle_is_stable_fixed_point():
 def test_extract_director(rng):
     n = rng.normal(size=3)
     n /= np.linalg.norm(n)
-    d, flag = extract_director(uniaxial_field(0.5, n))
+    d, flag = extract_director(uniaxial(0.5, n))
     assert abs(abs(d @ n) - 1.0) < 1e-12
     assert not flag
     # sign continuity
-    d2, _ = extract_director(uniaxial_field(0.5, -n), prev=d)
+    d2, _ = extract_director(uniaxial(0.5, -n), prev=d)
     assert d2 @ d > 0.99
     # small biaxial perturbation moves the director at first order only
     pert = random_qvec(rng, scale=1.0)
     eps = 1e-4
-    d3, _ = extract_director(uniaxial_field(0.5, n) + eps * pert)
+    d3, _ = extract_director(uniaxial(0.5, n) + eps * pert)
     assert angle_between(d3, n) < 10 * eps
     # argmax eigenvector on a random physical tensor
     q = random_qvec(rng, scale=0.2)
@@ -112,7 +112,7 @@ def test_extract_director(rng):
 
 def test_extract_director_flags_degenerate():
     # oblate tensor: the two largest eigenvalues coincide
-    _, flag = extract_director(uniaxial_field(-0.3, np.array([0.0, 0.0, 1.0])))
+    _, flag = extract_director(uniaxial(-0.3, np.array([0.0, 0.0, 1.0])))
     assert flag
 
 

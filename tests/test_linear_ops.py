@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qbingham.equilibrium import phase_constants, uniaxial_field
+from qbingham.equilibrium import phase_constants
 from qbingham.linear_ops import (
     DirectorContext, apply_hn, apply_j, apply_qn, apply_qn_inverse,
     coercivity_constant, equilibrium_m4, in_space_basis, out_space_basis,

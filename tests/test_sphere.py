@@ -34,6 +34,17 @@ def test_weights_sum_to_sphere_area():
     assert abs(QUAD.weights.sum() - 4.0 * np.pi) < 1e-13 * 4.0 * np.pi
 
 
+@pytest.mark.parametrize("n_polar", [64, 65, 96])
+def test_polar_rule_integrates_even_monomials(n_polar):
+    # int over the sphere of m3^(2k) is 4 pi / (2k + 1) for k < n_polar; the
+    # high powers weigh the weights next to the poles, where leggauss's are
+    # off by up to 4e-13 relative at n_polar = 96
+    quad = build_quadrature(n_polar, 16)
+    k = np.arange(n_polar)
+    np.testing.assert_allclose(np.power.outer(quad.nodes[:, 2], 2 * k).T @ quad.weights,
+                               4 * np.pi / (2 * k + 1), rtol=1e-14, atol=0)
+
+
 def test_second_moment_identity():
     m = QUAD.nodes
     mm = np.einsum("n,ni,nj->ij", QUAD.weights, m, m)
