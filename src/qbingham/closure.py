@@ -49,8 +49,8 @@ class BatchClosureResult:
     second: np.ndarray     # (N, 3) <m_i^2> in the eigenframe
     pair: np.ndarray       # (N, 3, 3) <m_i^2 m_j^2> in the eigenframe
     residual: np.ndarray   # (N,)
-    iterations: np.ndarray
-    used_damping: np.ndarray
+    iterations: np.ndarray    # (N,) Newton updates, summed over node upgrades
+    used_damping: np.ndarray  # (N,) a line search shortened some update
     B5: np.ndarray         # (N, 5) lab-frame qvecs of B
     spread: np.ndarray     # (N,) eigenvalue spread max(b) - min(b)
 
@@ -88,8 +88,8 @@ def bingham_map_batch(q5, delta=0.0, tol=DEFAULT_TOL, b_warm5=None):
     est = max(8.0, 1.3 * float((b0.max(1) - b0.min(1)).max()) + 6.0)
     b, res, iters, damped, lnz, second, pair = _kernels.newton_batch(
         w, b0, _kernels.x_rule(_kernels.nodes_for_spread(est)), tol=tol, maxit=MAX_ITER)
+    spread = b.max(axis=1) - b.min(axis=1)
     for _retry in range(2):
-        spread = b.max(axis=1) - b.min(axis=1)
         redo = spread > est
         if not redo.any() or not np.all(np.isfinite(res)):
             break
@@ -99,7 +99,7 @@ def bingham_map_batch(q5, delta=0.0, tol=DEFAULT_TOL, b_warm5=None):
         b[redo], res[redo], lnz[redo], second[redo], pair[redo] = out[:2] + out[4:]
         iters[redo] += out[2]
         damped[redo] |= out[3]
-    spread = b.max(axis=1) - b.min(axis=1)
+        spread = b.max(axis=1) - b.min(axis=1)
     if not np.all(res <= tol):
         k = int(np.argmax(res))
         raise RuntimeError(

@@ -381,24 +381,23 @@ class FieldSolver:
         """
         grid, p = self.grid, self.params
         v = state.v
-        t = _terms_of(state)
-        n = grid.n
-        g = np.swapaxes(t.kap, -1, -2)
-        m_g = mq_apply_frame(to_matrix(state.q5), t.res.rotation.reshape(n, n, 3, 3),
-                             t.res.pair.reshape(n, n, 3, 3), g)
+        terms = _terms_of(state)
+        dq, kap, n = terms.dq, terms.kap, grid.n
+        g = np.swapaxes(kap, -1, -2)
+        m_g = mq_apply_frame(to_matrix(state.q5), terms.res.rotation.reshape(n, n, 3, 3),
+                             terms.res.pair.reshape(n, n, 3, 3), g)
 
-        dq = t.dq
-        fq_mat = (-(2.0 / p.de) * (t.m_mu + np.swapaxes(t.m_mu, -1, -2))
+        fq_mat = (-(2.0 / p.de) * (terms.m_mu + np.swapaxes(terms.m_mu, -1, -2))
                   + m_g + np.swapaxes(m_g, -1, -2)
                   - v[..., 0, None, None] * dq[..., 0, :, :]
                   - v[..., 1, None, None] * dq[..., 1, :, :])
         fq5 = from_matrix(fq_mat)
 
-        sig = ((1.0 - p.gamma) / (2.0 * p.re)) * t.m4_d
+        sig = ((1.0 - p.gamma) / (2.0 * p.re)) * terms.m4_d
         sig = sig + ((1.0 - p.gamma) / (p.de * p.re)) * (
-            2.0 * t.m_mu + p.epsilon * distortion_stress(dq, p.L1, p.L2))
+            2.0 * terms.m_mu + p.epsilon * distortion_stress(dq, p.L1, p.L2))
         fv = _div_stress(sig, grid)
-        fv -= v[..., 0:1] * t.kap[..., 0] + v[..., 1:2] * t.kap[..., 1]
+        fv -= v[..., 0:1] * kap[..., 0] + v[..., 1:2] * kap[..., 1]
         if self.forcing is not None:
             f_q, f_v = self.forcing(state.t)
             fq5 = fq5 + f_q
@@ -489,20 +488,20 @@ def energy_report(state: FieldState, params):
     """
     grid, p = state.grid, params
     n = grid.n
-    t = _terms_of(state)
-    lnz = t.res.log_z.reshape(n, n)
-    b5 = t.res.B5.reshape(n, n, 5)
+    terms = _terms_of(state)
+    lnz = terms.res.log_z.reshape(n, n)
+    b5 = terms.res.B5.reshape(n, n, 5)
 
     kinetic = 0.5 * grid.mean_integral((state.v**2).sum(axis=-1))
     f_bulk = grid.mean_integral(
         -lnz + qdot(state.q5, b5) - 0.5 * p.alpha * qdot(state.q5, state.q5))
-    f_el = elastic_energy(t.dq, grid, p.L1, p.L2, p.epsilon)
+    f_el = elastic_energy(terms.dq, grid, p.L1, p.L2, p.epsilon)
     total = kinetic + (1.0 - p.gamma) / (p.re * p.de) * (f_bulk + f_el)
 
-    grad_v_sq = np.einsum("...ij,...ij->...", t.kap, t.kap)
-    dmat = 0.5 * (t.kap + np.swapaxes(t.kap, -1, -2))
-    d_m4_d = np.einsum("...ij,...ij->...", dmat, t.m4_d)
-    mu_m_mu = np.einsum("...ij,...ij->...", to_matrix(t.mu5), t.m_mu)
+    grad_v_sq = np.einsum("...ij,...ij->...", terms.kap, terms.kap)
+    dmat = 0.5 * (terms.kap + np.swapaxes(terms.kap, -1, -2))
+    d_m4_d = np.einsum("...ij,...ij->...", dmat, terms.m4_d)
+    mu_m_mu = np.einsum("...ij,...ij->...", to_matrix(terms.mu5), terms.m_mu)
 
     d_visc = (p.gamma / p.re) * grid.mean_integral(grad_v_sq)
     d_clos = (1.0 - p.gamma) / (2.0 * p.re) * grid.mean_integral(d_m4_d)
