@@ -37,8 +37,8 @@ def test_weights_sum_to_sphere_area():
 @pytest.mark.parametrize("n_polar", [64, 65, 96])
 def test_polar_rule_integrates_even_monomials(n_polar):
     # int over the sphere of m3^(2k) is 4 pi / (2k + 1) for k < n_polar; the
-    # high powers weigh the weights next to the poles, where leggauss's are
-    # off by up to 4e-13 relative at n_polar = 96
+    # high powers weigh the weights next to the poles, where leggauss's put
+    # these integrals off by up to 3.8e-13 relative at n_polar = 96
     quad = build_quadrature(n_polar, 16)
     k = np.arange(n_polar)
     np.testing.assert_allclose(np.power.outer(quad.nodes[:, 2], 2 * k).T @ quad.weights,
