@@ -38,9 +38,7 @@ class OutputLockedError(RuntimeError):
 
 def _fmt(x):
     """Shortest round-trip text for CSV cells."""
-    if isinstance(x, float):
-        return repr(x)
-    if isinstance(x, (np.floating,)):
+    if isinstance(x, (float, np.floating)):
         return repr(float(x))
     if isinstance(x, (np.integer,)):
         return str(int(x))
@@ -275,6 +273,7 @@ def _run_closure_validate(cfg, log):
 
 
 def _run_homogeneous(cfg, log):
+    from .closure import bingham_map_batch
     from .dynamics import HomState, default_hom_dt, shear_kappa, step_homogeneous
     from .equilibrium import phase_constants
     from .leslie import extract_director
@@ -284,7 +283,8 @@ def _run_homogeneous(cfg, log):
     pc = phase_constants(p.alpha, p.L1, p.L2)
     kappa = shear_kappa(cfg.shear_rate)
     n0 = np.array([np.cos(cfg.theta0), np.sin(cfg.theta0), 0.0])
-    state = HomState(q5=uniaxial(pc.S2, n0), kappa=kappa)
+    q0 = uniaxial(pc.S2, n0)
+    state = HomState(q5=q0, kappa=kappa, closure=bingham_map_batch(q0))
     dt = cfg.dt or default_hom_dt(p, pc)
     n_steps = int(np.ceil(cfg.t_final / dt))
     dt = cfg.t_final / n_steps
@@ -292,7 +292,7 @@ def _run_homogeneous(cfg, log):
     rows = []
     prev = n0
     for k in range(n_steps + 1):
-        ndir, _ = extract_director(state.q5, prev)
+        ndir, _ = extract_director(state.closure.q_eigs[0], state.closure.rotation[0], prev)
         prev = ndir
         theta = float(np.arctan2(ndir[1], ndir[0]))
         rows.append([state.t, *state.q5, float(biaxiality(state.q5)), theta, *ndir])

@@ -1,9 +1,10 @@
 """Time integration of the closed Q-tensor flow system.
 
-Two settings share the same right-hand sides:
+Two settings share the same closed Q rate (_closed_q_rate), and every state
+carries the closure of its own Q:
 
 * spatially homogeneous states under an imposed velocity gradient,
-  integrated with RK4;
+  integrated with RK4 (step_homogeneous);
 * 2D periodic (Q, v) fields with full 3D tensor components, integrated
   pseudo-spectrally with a stabilized two-step IMEX scheme (SBDF2 with a
   constant-coefficient implicit shield). Each field state is closed once
@@ -101,71 +102,80 @@ def shear_kappa(rate=1.0):
 
 @dataclass(frozen=True)
 class HomState:
-    """A single Q under an imposed, trace-free velocity gradient."""
+    """A single Q under an imposed, trace-free velocity gradient, with the
+    closure (bingham_map_batch result) of its own q5: an initial state is
+    closed once, cold, where it is created, and step_homogeneous closes
+    every state it returns."""
 
     q5: np.ndarray
     kappa: np.ndarray
     t: float = 0.0
-    b5: np.ndarray | None = None  # closure warm start
+    closure: BatchClosureResult | None = None
 
     def __post_init__(self):
         if abs(np.trace(self.kappa)) > 1e-12:
             raise ValueError("imposed velocity gradient must be trace-free")
 
 
-def homogeneous_rhs(q5, kappa, params, b_warm5=None, tol=DEFAULT_TOL):
-    """dQ/dt for the homogeneous system; returns (rhs qvec, B qvec).
+def _closed_q_rate(q_mat, kappa, m_mu, m4_d, de):
+    """dQ/dt of the closed flow without advection, as matrices:
+    -(2/De)(M_Q(mu) + M_Q(mu)^T) + G + G^T with G = M_Q(kappa^T) =
+    kappa^T/3 + Q kappa^T - M4 : D (M4 sees only the symmetric part D)."""
+    g = np.swapaxes(kappa, -1, -2)
+    g = g / 3.0 + q_mat @ g - m4_d
+    return -(2.0 / de) * (m_mu + np.swapaxes(m_mu, -1, -2)) + g + np.swapaxes(g, -1, -2)
+
+
+def homogeneous_rhs(q5, kappa, params, closure):
+    """dQ/dt (qvec) of the homogeneous system at q5, from its closure.
 
     The elastic contribution vanishes identically without gradients, so
     mu = B - alpha Q. The velocity gradient enters through its transpose.
     """
-    q5 = np.asarray(q5, dtype=float)
-    res = bingham_map_batch(q5[None, :], delta=0.0, tol=tol,
-                            b_warm5=None if b_warm5 is None else b_warm5[None, :])
-    b5 = res.B5[0]
-    qmat = to_matrix(q5)
-    mu = to_matrix(b5 - params.alpha * q5)
-    m_mu = mq_apply_frame(qmat[None], res.rotation, res.pair, mu[None])[0]
-    g = np.asarray(kappa, dtype=float).T
-    m_g = mq_apply_frame(qmat[None], res.rotation, res.pair, g[None])[0]
-    rhs = (-(2.0 / params.de) * (m_mu + m_mu.T) + (m_g + m_g.T))
-    return from_matrix(rhs), b5
+    q_mat, rot, pair = to_matrix(q5), closure.rotation, closure.pair
+    m_mu = mq_apply_frame(q_mat, rot, pair, to_matrix(closure.B5 - params.alpha * q5))
+    m4_d = m4_contract_frame(rot, pair, kappa)  # M4 : D, D = sym(kappa)
+    return from_matrix(_closed_q_rate(q_mat, kappa, m_mu, m4_d, params.de)[0])
+
+
+def _bulk_rate(constants):
+    """The fastest linearized bulk relaxation rate (x 1/De) at equilibrium."""
+    ctx = DirectorContext.build(np.array([0.0, 0.0, 1.0]), constants)
+    return float(relaxation_rates(ctx)[-1])
 
 
 def default_hom_dt(params, constants=None):
     """Step size resolving the stiff bulk relaxation for explicit RK4."""
     if constants is None:
         constants = phase_constants(params.alpha, params.L1, params.L2)
-    ctx = DirectorContext.build(np.array([0.0, 0.0, 1.0]), constants)
-    lam = float(relaxation_rates(ctx)[-1])
+    lam = _bulk_rate(constants)
     return min(0.1 * params.de, 2.0 * params.de / max(lam, 1e-12))
 
 
 def step_homogeneous(state: HomState, dt, params, tol=DEFAULT_TOL, _depth=0):
-    """One RK4 step; rejects and halves dt (up to 10 times) if the update,
-    or any internal stage, leaves the physical set with margin delta/2."""
-    q0, b5 = state.q5, state.b5
+    """One RK4 step of a closed state. k1 reads its closure, each later stage
+    closes its Q from the previous stage's B, and the last act closes q1 from
+    k4's B with the delta/2 margin. If that or a stage solve fails, dt is
+    halved (up to 10 times)."""
+    q0, kappa, res = state.q5, state.kappa, _closure_of(state)
     try:
-        k1, b5 = homogeneous_rhs(q0, state.kappa, params, b5, tol)
-        k2, b5 = homogeneous_rhs(q0 + 0.5 * dt * k1, state.kappa, params, b5, tol)
-        k3, b5 = homogeneous_rhs(q0 + 0.5 * dt * k2, state.kappa, params, b5, tol)
-        k4, b5 = homogeneous_rhs(q0 + dt * k3, state.kappa, params, b5, tol)
+        ks = [homogeneous_rhs(q0, kappa, params, res)]
+        for c in (0.5, 0.5, 1.0):
+            q = q0 + c * dt * ks[-1]
+            res = bingham_map_batch(q, tol=tol, b_warm5=res.B5)
+            ks.append(homogeneous_rhs(q, kappa, params, res))
+        k1, k2, k3, k4 = ks
         q1 = q0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        margin = float(eigenvalue_margin(q1))
-        failed = margin < params.delta / 2.0
-        reason = f"margin {margin:.3e}"
+        closure = bingham_map_batch(q1, delta=params.delta / 2.0, tol=tol, b_warm5=res.B5)
     except (PhysicalityError, RuntimeError) as exc:
-        # a stage left the invertible set; treat like a failed step
-        failed = True
-        reason = str(exc)
-    if failed:
+        # the new state or a stage left the delta/2 margin or the invertible set
         if _depth >= 10:
             raise PhysicalityError(
                 f"homogeneous step keeps violating the delta/2 margin after "
-                f"10 halvings at t={state.t:.4g} ({reason})")
+                f"10 halvings at t={state.t:.4g} ({exc})") from exc
         mid = step_homogeneous(state, dt / 2.0, params, tol, _depth + 1)
         return step_homogeneous(mid, dt / 2.0, params, tol, _depth + 1)
-    return HomState(q1, state.kappa, state.t + dt, b5)
+    return HomState(q1, kappa, state.t + dt, closure)
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +330,9 @@ class EnergyReport:
         return self.d_viscous + self.d_closure + self.d_rotational
 
 
-def _terms_of(state):
+def _closure_of(state):
     if state.closure is None:
-        raise ValueError("field state has no closure; close it with FieldSolver.close")
+        raise ValueError("state has no closure; close it where it is created")
     return state.closure
 
 
@@ -346,8 +356,9 @@ class FieldSolver:
     `close` computes them for an initial state, and `step` for the new state
     as its last act. Their closure solve holds Q to the delta/2 margin, so a
     state that leaves it rejects the step. `rhs` adds to them only what the
-    ledger does not read: M_Q(kappa^T), the distortion stress, the stress
-    divergence, advection and the forcing.
+    ledger does not read: the closed Q rate (_closed_q_rate, shared with the
+    homogeneous setting), the distortion stress, the stress divergence,
+    advection and the forcing.
     """
 
     def __init__(self, grid, params, forcing=None):
@@ -355,9 +366,7 @@ class FieldSolver:
         self.params = params
         self.forcing = forcing
         self.lam, self.vec = elastic_symbols(grid, params.L1, params.L2)
-        constants = phase_constants(params.alpha, params.L1, params.L2)
-        ctx = DirectorContext.build(np.array([0.0, 0.0, 1.0]), constants)
-        self.bulk_shield = float(relaxation_rates(ctx)[-1]) / 4.0
+        self.bulk_shield = _bulk_rate(phase_constants(params.alpha, params.L1, params.L2)) / 4.0
 
     def close(self, state: FieldState, b_warm5=None):
         """`state` with the terms of its (q5, v): mu_field's closure (delta/2
@@ -367,11 +376,10 @@ class FieldSolver:
         rot = res.rotation.reshape(n, n, 3, 3)
         pair = res.pair.reshape(n, n, 3, 3)
         kap = _kappa_field(state.v, grid)
-        dmat = 0.5 * (kap + np.swapaxes(kap, -1, -2))
         return replace(state, closure=_Terms(
             mu5, res, _grad_q(state.q5, grid), kap,
             mq_apply_frame(to_matrix(state.q5), rot, pair, to_matrix(mu5)),
-            m4_contract_frame(rot, pair, dmat)))
+            m4_contract_frame(rot, pair, kap)))
 
     def rhs(self, state: FieldState):
         """Explicit RHS (fq5, fv) of a closed state, including the forcing.
@@ -381,14 +389,10 @@ class FieldSolver:
         """
         grid, p = self.grid, self.params
         v = state.v
-        terms = _terms_of(state)
-        dq, kap, n = terms.dq, terms.kap, grid.n
-        g = np.swapaxes(kap, -1, -2)
-        m_g = mq_apply_frame(to_matrix(state.q5), terms.res.rotation.reshape(n, n, 3, 3),
-                             terms.res.pair.reshape(n, n, 3, 3), g)
+        terms = _closure_of(state)
+        dq, kap = terms.dq, terms.kap
 
-        fq_mat = (-(2.0 / p.de) * (terms.m_mu + np.swapaxes(terms.m_mu, -1, -2))
-                  + m_g + np.swapaxes(m_g, -1, -2)
+        fq_mat = (_closed_q_rate(to_matrix(state.q5), kap, terms.m_mu, terms.m4_d, p.de)
                   - v[..., 0, None, None] * dq[..., 0, :, :]
                   - v[..., 1, None, None] * dq[..., 1, :, :])
         fq5 = from_matrix(fq_mat)
@@ -488,7 +492,7 @@ def energy_report(state: FieldState, params):
     """
     grid, p = state.grid, params
     n = grid.n
-    terms = _terms_of(state)
+    terms = _closure_of(state)
     lnz = terms.res.log_z.reshape(n, n)
     b5 = terms.res.B5.reshape(n, n, 5)
 

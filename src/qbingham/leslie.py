@@ -15,9 +15,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .closure import bingham_map_batch
 from .dynamics import HomState, default_hom_dt, step_homogeneous
 from .equilibrium import PhaseConstants, phase_constants
-from .tensors import biaxiality, eig_sym3, to_matrix, uniaxial
+from .tensors import biaxiality, uniaxial
 
 __all__ = [
     "DirectorState", "LeslieAlignment", "director_rhs", "step_director",
@@ -81,14 +82,15 @@ def shear_angle_rate(theta, zeta, rate=1.0):
     return 0.5 * rate * (zeta * np.cos(2.0 * theta) - 1.0)
 
 
-def extract_director(q5, prev=None, gap_tol=1e-8):
-    """Principal eigenvector of Q, sign-aligned with prev when given.
+def extract_director(w, rotation, prev=None, gap_tol=1e-8):
+    """Principal eigenvector of Q from its eigenframe (w ascending, rotation
+    the eigenvector columns: a closure's q_eigs[0] and rotation[0]),
+    sign-aligned with prev when given.
 
     Returns (n, degenerate_flag); the flag marks a top eigenvalue gap below
     gap_tol relative to the eigenvalue scale.
     """
-    w, r = eig_sym3(to_matrix(np.asarray(q5, dtype=float)))
-    n = r[:, 2]
+    n = rotation[:, 2]
     scale = np.abs(w).max() + 1e-300
     flag = (w[2] - w[1]) / scale < gap_tol
     if prev is not None and float(n @ prev) < 0.0:
@@ -163,7 +165,8 @@ def small_de_experiment(params, de_list, kappa, t_final, n0=None,
             n_steps = int(np.ceil(t_final / dt))
             dt = t_final / n_steps
             q0 = uniaxial(constants.S2, n0)
-            hom = HomState(q5=q0, kappa=np.asarray(kappa, dtype=float))
+            hom = HomState(q5=q0, kappa=np.asarray(kappa, dtype=float),
+                           closure=bingham_map_batch(q0))
             dstate = DirectorState(n0)
             prev = n0
             sup_err = 0.0
@@ -171,7 +174,8 @@ def small_de_experiment(params, de_list, kappa, t_final, n0=None,
             for _ in range(n_steps):
                 hom = step_homogeneous(hom, dt, p)
                 dstate = step_director(dstate, kappa, constants, dt)
-                ndir, _flag = extract_director(hom.q5, prev)
+                ndir, _flag = extract_director(hom.closure.q_eigs[0],
+                                               hom.closure.rotation[0], prev)
                 prev = ndir
                 sup_err = max(sup_err, angle_between(ndir, dstate.n))
                 sup_biax = max(sup_biax, float(biaxiality(hom.q5)))

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,18 @@ def random_physical(rng, n, margin):
     rots = haar_rotations(rng, n)
     mats = np.einsum("nik,nk,njk->nij", rots, full, rots)
     return from_matrix(mats)
+
+
+def count_calls(monkeypatch, fn, calls, key):
+    """Count calls of fn under calls[key], through every qbingham module
+    that binds it."""
+    def counted(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("qbingham")
+                and getattr(mod, fn.__name__, None) is fn):
+            monkeypatch.setattr(mod, fn.__name__, counted)
 
 
 def haar_rotations(rng, n):

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import re
 import struct
@@ -91,6 +93,24 @@ def test_closure_validate_reports_wall_time(tmp_path):
                      "--quiet"]) == 0
     summary = json.loads((out / "closure_summary.json").read_text())
     assert summary["wall_seconds"] >= summary["total_solve_seconds"]
+
+
+def test_csv_cells_are_plain_numbers(tmp_path):
+    # numpy scalars are written as their float text, so every numeric cell
+    # parses with float()
+    for kind, doc, name in (
+            ("closure-validate", {"samples": 16}, "closure_samples.csv"),
+            ("homogeneous-run", {"t_final": 0.2}, "hom_series.csv")):
+        cfg = tmp_path / f"{kind}.json"
+        cfg.write_text(json.dumps({"experiment": kind, **doc}))
+        out = tmp_path / kind
+        assert cli.main([kind, "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        rows = list(csv.DictReader(io.StringIO((out / name).read_text())))
+        assert rows
+        for row in rows:
+            for col, cell in row.items():
+                if col != "damped":
+                    float(cell)
 
 
 def test_snapshot_round_trip(tmp_path):

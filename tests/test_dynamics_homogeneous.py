@@ -1,7 +1,9 @@
+import collections
+
 import numpy as np
 import pytest
 
-from qbingham.closure import PhysicalityError
+from qbingham.closure import DEFAULT_TOL, PhysicalityError, bingham_map_batch
 from qbingham.dynamics import (
     HomState, ModelParams, default_hom_dt, homogeneous_rhs, shear_kappa,
     step_homogeneous,
@@ -9,12 +11,21 @@ from qbingham.dynamics import (
 from qbingham.equilibrium import phase_constants
 from qbingham.linear_ops import DirectorContext, apply_hn, apply_j, in_space_basis, out_space_basis
 from qbingham.tensors import eig_sym3, from_matrix, qnorm, to_matrix, uniaxial
-from conftest import haar_rotations, random_qvec
+from conftest import count_calls, haar_rotations, random_qvec
 
 P = ModelParams(alpha=7.0, epsilon=0.05, de=1.0, re=1.0, gamma=0.5,
                 L1=1.0, L2=0.5, delta=0.1)
 PC = phase_constants(7.0, 1.0, 0.5)
 N0 = np.array([0.0, 0.0, 1.0])
+
+
+def closed(q5, kappa, tol=DEFAULT_TOL):
+    """An initial HomState, closed once, cold."""
+    return HomState(q5=q5, kappa=kappa, closure=bingham_map_batch(q5, tol=tol))
+
+
+def rhs_at(q5, kappa, tol=DEFAULT_TOL):
+    return homogeneous_rhs(q5, kappa, P, bingham_map_batch(q5, tol=tol))
 
 
 def test_model_params_validation():
@@ -38,13 +49,13 @@ def test_shear_kappa_tracefree():
 
 def test_equilibrium_is_stationary():
     q0 = uniaxial(PC.S2, N0)
-    rhs, _ = homogeneous_rhs(q0, np.zeros((3, 3)), P)
+    rhs = rhs_at(q0, np.zeros((3, 3)))
     assert qnorm(rhs) < 1e-12
 
 
 def test_equilibrium_fixed_point_over_many_steps():
     q0 = uniaxial(PC.S2, N0)
-    state = HomState(q5=q0, kappa=np.zeros((3, 3)))
+    state = closed(q0, np.zeros((3, 3)), tol=1e-12)
     dt = 0.1 * P.de
     for _ in range(1000):
         state = step_homogeneous(state, dt, P, tol=1e-12)
@@ -56,7 +67,7 @@ def test_isotropic_response_to_shear():
     # dQ/dt = 2 M_0(D) = (2/5) D
     kap = shear_kappa(1.0)
     d = 0.5 * (kap + kap.T)
-    rhs, _ = homogeneous_rhs(np.zeros(5), kap, P)
+    rhs = rhs_at(np.zeros(5), kap)
     assert np.abs(to_matrix(rhs) - 0.4 * d).max() < 1e-11
 
 
@@ -68,7 +79,7 @@ def test_linearized_rhs_matches_operators(rng):
     e = e / qnorm(e)
     errs = []
     for h in (1e-3, 5e-4):
-        rhs, _ = homogeneous_rhs(q0 + h * e, np.zeros((3, 3)), P, tol=1e-13)
+        rhs = rhs_at(q0 + h * e, np.zeros((3, 3)), tol=1e-13)
         lin = -(4.0 / P.de) * apply_j(ctx, apply_hn(ctx, h * to_matrix(e)))
         errs.append(np.abs(to_matrix(rhs) - lin).max() / h)
     # second-order residual halves with h
@@ -80,9 +91,9 @@ def test_frame_indifference(rng):
     rot = haar_rotations(rng, 1)[0]
     q = uniaxial(0.4, np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0))
     kap = shear_kappa(0.7)
-    rhs, _ = homogeneous_rhs(q, kap, P)
+    rhs = rhs_at(q, kap)
     q_r = from_matrix(rot @ to_matrix(q) @ rot.T)
-    rhs_r, _ = homogeneous_rhs(q_r, rot @ kap @ rot.T, P)
+    rhs_r = rhs_at(q_r, rot @ kap @ rot.T)
     assert np.abs(to_matrix(rhs_r) - rot @ to_matrix(rhs) @ rot.T).max() < 1e-10
 
 
@@ -93,7 +104,7 @@ def test_rk4_self_convergence_order():
     t_final = 0.4
 
     def run(dt):
-        st = HomState(q5=q0, kappa=kap)
+        st = closed(q0, kap, tol=1e-13)
         for _ in range(int(round(t_final / dt))):
             st = step_homogeneous(st, dt, P, tol=1e-13)
         return st.q5
@@ -108,7 +119,7 @@ def test_physicality_retry_with_large_step():
     # a huge step would overshoot; the halving retry must still land inside
     kap = shear_kappa(4.0)
     q0 = uniaxial(PC.S2, N0)
-    st = HomState(q5=q0, kappa=kap)
+    st = closed(q0, kap)
     out = step_homogeneous(st, 2.0, P)
     w, _ = eig_sym3(to_matrix(out.q5))
     assert min(w[0] + 1.0 / 3.0, 2.0 / 3.0 - w[2]) >= P.delta / 2.0
@@ -121,3 +132,32 @@ def test_default_dt_resolves_stiffness():
     lam = relaxation_rates(DirectorContext.build(N0, PC))[-1]
     assert dt * lam / P.de <= 2.0 + 1e-12
     assert dt <= 0.1 * P.de + 1e-15
+
+
+def test_each_state_carries_its_own_closure(monkeypatch):
+    # the closure solve of q1 is the step's margin check and the next k1's
+    # eigenframe: one eig_sym3 per closure solve, and no eigvalsh pass
+    kap = shear_kappa(1.0)
+    q0 = uniaxial(PC.S2, np.array([np.cos(1.0), np.sin(1.0), 0.0]))
+    with pytest.raises(ValueError, match="no closure"):
+        step_homogeneous(HomState(q5=q0, kappa=kap), 0.05, P)
+    states = [closed(q0, kap)]
+
+    def no_eigvalsh(*args):
+        raise AssertionError("the closure solve alone checks the margin")
+
+    calls = collections.Counter()
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    count_calls(monkeypatch, bingham_map_batch, calls, "solves")
+    count_calls(monkeypatch, eig_sym3, calls, "eig")
+    per_step = []
+    for _ in range(5):
+        calls.clear()
+        states.append(step_homogeneous(states[-1], 0.05, P))
+        per_step.append((calls["solves"], calls["eig"]))
+    monkeypatch.undo()
+    assert per_step == [(4, 4)] * 5
+    for st in states:
+        cold = bingham_map_batch(st.q5)
+        assert np.abs(st.closure.B5 - cold.B5).max() <= 1e-9
+        assert np.abs(st.closure.rotation - cold.rotation).max() <= 1e-9

@@ -138,7 +138,7 @@ def test_ledger_reads_the_terms_the_step_computed(monkeypatch):
     calls.clear()
     dynamics.energy_report(new, PARAMS)
     assert not calls
-    assert stepped["transform"] == 15 and stepped["m4"] == 3
+    assert stepped["transform"] == 15 and stepped["m4"] == 2
 
 
 def _ledger_from_scratch(state, p):

@@ -1,14 +1,18 @@
+import collections
+
 import numpy as np
 import pytest
 
+from qbingham import tensors
+from qbingham.closure import bingham_map_batch
 from qbingham.dynamics import ModelParams, shear_kappa
 from qbingham.equilibrium import phase_constants
 from qbingham.leslie import (
     DirectorState, angle_between, director_rhs, extract_director,
     leslie_angle, shear_angle_rate, small_de_experiment, step_director,
 )
-from qbingham.tensors import from_matrix, qnorm, uniaxial
-from conftest import random_qvec
+from qbingham.tensors import eig_sym3, to_matrix, uniaxial
+from conftest import count_calls, random_qvec
 
 PC = phase_constants(7.0, 1.0, 0.5)  # zeta = 1.0816 > 1, flow aligning
 
@@ -89,30 +93,35 @@ def test_leslie_angle_is_stable_fixed_point():
         assert angle_between(st.n, n_leslie) < 1e-6
 
 
+def frame(q5):
+    """The eigenframe (w, R) of a qvec, as a closure solve computes it."""
+    return eig_sym3(to_matrix(q5))
+
+
 def test_extract_director(rng):
     n = rng.normal(size=3)
     n /= np.linalg.norm(n)
-    d, flag = extract_director(uniaxial(0.5, n))
+    d, flag = extract_director(*frame(uniaxial(0.5, n)))
     assert abs(abs(d @ n) - 1.0) < 1e-12
     assert not flag
     # sign continuity
-    d2, _ = extract_director(uniaxial(0.5, -n), prev=d)
+    d2, _ = extract_director(*frame(uniaxial(0.5, -n)), prev=d)
     assert d2 @ d > 0.99
     # small biaxial perturbation moves the director at first order only
     pert = random_qvec(rng, scale=1.0)
     eps = 1e-4
-    d3, _ = extract_director(uniaxial(0.5, n) + eps * pert)
+    d3, _ = extract_director(*frame(uniaxial(0.5, n) + eps * pert))
     assert angle_between(d3, n) < 10 * eps
     # argmax eigenvector on a random physical tensor
     q = random_qvec(rng, scale=0.2)
-    dv, _ = extract_director(q)
-    w, r = np.linalg.eigh(__import__("qbingham.tensors", fromlist=["to_matrix"]).to_matrix(q))
+    dv, _ = extract_director(*frame(q))
+    w, r = np.linalg.eigh(to_matrix(q))
     assert abs(abs(dv @ r[:, 2]) - 1.0) < 1e-10
 
 
 def test_extract_director_flags_degenerate():
     # oblate tensor: the two largest eigenvalues coincide
-    _, flag = extract_director(uniaxial(-0.3, np.array([0.0, 0.0, 1.0])))
+    _, flag = extract_director(*frame(uniaxial(-0.3, np.array([0.0, 0.0, 1.0]))))
     assert flag
 
 
@@ -129,3 +138,16 @@ def test_small_de_smoke():
     assert table.zeta == pytest.approx(PC.zeta)
     with pytest.raises(ValueError):
         small_de_experiment(params, [0.1, 0.2], shear_kappa(1.0), 1.0)
+
+
+def test_small_de_reads_the_director_from_the_closure(monkeypatch):
+    # every eigendecomposition of the run is a closure solve's own
+    params = ModelParams(alpha=7.0, epsilon=0.05, de=1.0, re=1.0, gamma=0.5,
+                         L1=1.0, L2=0.5, delta=0.1)
+    calls = collections.Counter()
+    count_calls(monkeypatch, bingham_map_batch, calls, "solves")
+    count_calls(monkeypatch, tensors.eig_sym3, calls, "eig")
+    table = small_de_experiment(params, [0.2, 0.1], shear_kappa(1.0), 0.3,
+                                constants=PC)
+    assert all(r.error is None for r in table.rows)
+    assert calls["solves"] > 0 and calls["eig"] == calls["solves"]
