@@ -1,33 +1,27 @@
 """Q-tensor nematic liquid crystal dynamics with the Bingham moment closure.
 
 Subpackages by topic: tensors (symmetric traceless algebra), sphere
-(quadrature and Bingham moments), closure (moment-map inversion),
-equilibrium (critical points and material constants), linear_ops
-(operators linearized at the uniaxial equilibrium), dynamics (homogeneous
-and 2D-periodic field integration with the energy ledger), leslie
-(director reference dynamics and the small-Deborah experiment), cli.
+(quadrature and Bingham moments), closure (moment-map inversion and the
+eigenframe closure operator), equilibrium (critical points, material
+constants and the closed-form bulk relaxation rates at the uniaxial
+equilibrium), dynamics (homogeneous and 2D-periodic field integration with
+the energy ledger), leslie (director reference dynamics and the
+small-Deborah experiment), cli.
 """
 
 from .tensors import (
-    biaxiality, eig_sym3, from_matrix, qdot, qnorm,
-    sym_traceless, to_matrix, uniaxial,
+    biaxiality, eig_sym3, from_matrix, qdot, qnorm, to_matrix, uniaxial,
 )
 from .sphere import (
-    BinghamMoments, SphereQuadrature, a_integrals,
-    bingham_moments, build_quadrature, log_partition,
+    BinghamMoments, SphereQuadrature, a_integrals, bingham_moments,
+    build_quadrature,
 )
 from .closure import (
-    BatchClosureResult, PhysicalityError, apply_mq, bingham_map_batch,
-    closure_jacobian, spread_bound,
+    BatchClosureResult, PhysicalityError, bingham_map_batch, spread_bound,
 )
 from .equilibrium import (
     BranchNotPresentError, PhaseConstants, crit_residual, critical_alpha,
-    order_parameters, oseen_frank_energy, phase_constants, solve_eta,
-)
-from .linear_ops import (
-    DirectorContext, apply_hn, apply_j, apply_qn, apply_qn_inverse,
-    coercivity_constant, equilibrium_m4, in_space_basis, out_space_basis,
-    project_in, project_out, relaxation_rates,
+    order_parameters, phase_constants, solve_eta,
 )
 from .spectral import Grid2D, elastic_symbols
 from .dynamics import (

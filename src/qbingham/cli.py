@@ -164,15 +164,19 @@ def _run_phase_table(cfg, log):
             "diss_3": pc.alpha5 + pc.alpha6 - pc.gamma2**2 / pc.gamma1,
             "diss_4": 1.0 / pc.gamma1,
             "diss_form_bound": leslie_dissipation_bound(pc),
+            "coercivity": min(pc.h_par, pc.h_perp),
         }
         # diss_3 is reported for reference; it is negative on this branch,
-        # so the gate uses the sharp bound of the full quadratic form
+        # so the gate uses the sharp bound of the full quadratic form. H_n is
+        # coercive off the rotation plane and the bulk relaxes there at
+        # positive rates, the linear stability the Hilbert expansion rests on
         ok = (checks["res_crit"] <= 1e-10 and checks["rel_alpha_identity"] <= 1e-8
               and checks["ineq_a"] > 0 and checks["ineq_b"] > 0
               and checks["xi_sum_defect"] <= 1e-10
               and checks["parodi_defect"] <= 1e-12
               and checks["diss_1"] > 0 and checks["diss_2"] > 0
-              and checks["diss_form_bound"] > 0 and checks["diss_4"] > 0)
+              and checks["diss_form_bound"] > 0 and checks["diss_4"] > 0
+              and checks["coercivity"] > 0 and pc.rate_par > 0 and pc.rate_perp > 0)
         d.update(checks)
         d["pass"] = ok
         if header is None:
@@ -295,7 +299,8 @@ def _run_homogeneous(cfg, log):
         ndir, _ = extract_director(state.closure.q_eigs[0], state.closure.rotation[0], prev)
         prev = ndir
         theta = float(np.arctan2(ndir[1], ndir[0]))
-        rows.append([state.t, *state.q5, float(biaxiality(state.q5)), theta, *ndir])
+        rows.append([state.t, *state.q5, float(biaxiality(state.closure.q_eigs[0])),
+                     theta, *ndir])
         if k < n_steps:
             state = step_homogeneous(state, dt, p)
     log(f"homogeneous-run: {n_steps} steps, final angle {rows[-1][7]:.5f}")

@@ -8,9 +8,11 @@ recovered by rotation. The ascent objective B:Q - ln Z(B) is strictly
 concave, which makes the damped iteration globally convergent.
 
 The eigenframe rule's node count follows from the eigenvalue spread of B
-alone (``_kernels.nodes_for_spread``). The full-sphere rule of ``sphere``
-is never passed to the solver; it serves only the dense reference
-operators below and independent forward checks.
+alone (``_kernels.nodes_for_spread``). The closure operator M_Q and the
+fourth-moment contraction M4 : A are evaluated in the same eigenframe, from
+the pair moments <m_i^2 m_j^2> the solve returns; no dense fourth moment is
+formed. The full-sphere rule of ``sphere`` is never passed to the solver;
+closure-validate uses it for independent forward checks.
 """
 from __future__ import annotations
 
@@ -20,13 +22,11 @@ import numpy as np
 from scipy.integrate import quad as _quad1d
 
 from . import _kernels
-from .sphere import BinghamMoments, _density
-from .tensors import QBASIS, eig_sym3, from_matrix, to_matrix
+from .tensors import eig_sym3, from_matrix, to_matrix
 
 __all__ = [
     "PhysicalityError", "bingham_map_batch", "BatchClosureResult",
-    "closure_jacobian", "apply_mq", "spread_bound", "m4_contract_frame",
-    "mq_apply_frame", "DEFAULT_TOL",
+    "spread_bound", "m4_contract_frame", "mq_apply_frame", "DEFAULT_TOL",
 ]
 
 DEFAULT_TOL = 1e-11
@@ -112,36 +112,7 @@ def bingham_map_batch(q5, delta=0.0, tol=DEFAULT_TOL, b_warm5=None):
 
 
 # ---------------------------------------------------------------------------
-# closure operator and Jacobian
-# ---------------------------------------------------------------------------
-
-def apply_mq(moments: BinghamMoments, A):
-    """M_Q(A) = (1/3) A + Q . A - A : M4 for an arbitrary 3x3 matrix A.
-
-    The dense reference for mq_apply_frame.
-    """
-    A = np.asarray(A, dtype=float)
-    Qm = to_matrix(moments.q_of_b)
-    sym = 0.5 * (A + np.swapaxes(A, -1, -2))
-    return A / 3.0 + Qm @ A - np.einsum("ijkl,...kl->...ij", moments.M4, sym)
-
-
-def closure_jacobian(B, quad):
-    """grad_B Q(B) as a (5, 5) array in the orthonormal basis QBASIS,
-    entry (a, b) = <dQ E_b, E_a>.
-
-    Uses the covariance form: <dQ(B) E, E'> = <(mm:E)(mm:E')>_f - (Q:E)(Q:E').
-    """
-    f, _ = _density(B, quad)
-    m = quad.nodes
-    proj = np.einsum("ni,aij,nj->na", m, QBASIS, m)   # mm : E_a per node
-    cov = np.einsum("n,na,nb->ab", f, proj, proj)
-    mean = np.einsum("n,na->a", f, proj)
-    return cov - np.outer(mean, mean)
-
-
-# ---------------------------------------------------------------------------
-# eigenframe contraction helpers (shared with the field solver)
+# eigenframe contractions (shared by the homogeneous and field settings)
 # ---------------------------------------------------------------------------
 
 def m4_contract_frame(rotation, pair, A):

@@ -30,7 +30,6 @@ from .closure import (
     DEFAULT_TOL, BatchClosureResult, PhysicalityError, bingham_map_batch,
     m4_contract_frame, mq_apply_frame,
 )
-from .linear_ops import DirectorContext, relaxation_rates
 from .equilibrium import phase_constants
 from .spectral import Grid2D, elastic_symbols
 from .tensors import (
@@ -140,8 +139,7 @@ def homogeneous_rhs(q5, kappa, params, closure):
 
 def _bulk_rate(constants):
     """The fastest linearized bulk relaxation rate (x 1/De) at equilibrium."""
-    ctx = DirectorContext.build(np.array([0.0, 0.0, 1.0]), constants)
-    return float(relaxation_rates(ctx)[-1])
+    return max(constants.rate_par, constants.rate_perp)
 
 
 def default_hom_dt(params, constants=None):
@@ -342,7 +340,8 @@ class FieldSolver:
     Implicit (per Fourier mode): the viscous Laplacian and a frozen
     constant-coefficient bound of the stiff closure-elastic product,
     c_bar = (2/15)(1 + 3 max|Q|), plus a scalar shield for the bulk
-    relaxation sized from the linearized rates at equilibrium. Everything
+    relaxation sized from the larger closed-form bulk rate of
+    PhaseConstants (rate_par, rate_perp) at equilibrium. Everything
     else, including the full closure nonlinearity, is explicit; the shield
     enters only through a second-difference bracket so the scheme stays
     second order regardless of the shield values.

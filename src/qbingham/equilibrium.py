@@ -26,8 +26,8 @@ from .sphere import a_integrals
 
 __all__ = [
     "PhaseConstants", "crit_residual", "solve_eta", "critical_alpha",
-    "order_parameters", "phase_constants", "oseen_frank_energy",
-    "BranchNotPresentError", "leslie_dissipation_bound",
+    "order_parameters", "phase_constants", "BranchNotPresentError",
+    "leslie_dissipation_bound",
 ]
 
 ISOTROPIC_SPINODAL = 7.5  # lim_{eta->0} eta / S_2(eta); eta_2 > 0 exists below it
@@ -133,6 +133,10 @@ class PhaseConstants:
     psi1: float
     psi2: float
     psi3: float
+    h_par: float       # H_n on nn - I/3
+    h_perp: float      # H_n on the biaxial pair
+    rate_par: float    # 4 J H_n on nn - I/3 (x 1/De)
+    rate_perp: float   # 4 J H_n on the biaxial pair (x 1/De)
     alpha1: float
     alpha2: float
     alpha3: float
@@ -170,6 +174,14 @@ def phase_constants(alpha, L1=1.0, L2=0.0):
     psi1 = -(psi2 * (4.0 * xi1 / 3.0 + 2.0 * xi2 / 3.0) + psi3 * xi1) / (
         2.0 * xi1 / 3.0 + 4.0 * xi2 / 3.0 + xi3)
 
+    # on the complement of the rotation plane the linearized bulk force H_n
+    # and the closure operator J act as scalars: on nn - I/3 and on the
+    # biaxial pair (e1 e1 - e2 e2, e1 e2 + e2 e1)
+    h_par = (2.0 * psi1 + psi2) / 3.0
+    h_perp = -psi2
+    j_par = 0.2 + s2 / 7.0 - 12.0 * s4 / 35.0
+    j_perp = 0.2 - s2 / 7.0 - 2.0 * s4 / 35.0
+
     zeta = 1.0 / 3.0 + 2.0 / (3.0 * s2) - 2.0 / (s2 * alpha)
     gamma1 = 1.0 / (1.0 / (3.0 * s2) + 2.0 / (3.0 * s2**2) - 2.0 / (s2**2 * alpha))
     gamma2 = -s2
@@ -188,7 +200,8 @@ def phase_constants(alpha, L1=1.0, L2=0.0):
     return PhaseConstants(
         alpha=float(alpha), eta=float(eta), A0=a0, A2=a2, A4=a4, A6=a6,
         S2=s2, S4=s4, xi1=xi1, xi2=xi2, xi3=xi3,
-        psi1=psi1, psi2=psi2, psi3=psi3,
+        psi1=psi1, psi2=psi2, psi3=psi3, h_par=h_par, h_perp=h_perp,
+        rate_par=4.0 * j_par * h_par, rate_perp=4.0 * j_perp * h_perp,
         alpha1=a1, alpha2=a2l, alpha3=a3, alpha4=a4l, alpha5=a5, alpha6=a6l,
         gamma1=gamma1, gamma2=gamma2, zeta=zeta,
         k1=k1, k2=k2, k3=k3, k4=k4, L1=float(L1), L2=float(L2),
@@ -208,36 +221,3 @@ def leslie_dissipation_bound(pc: PhaseConstants):
     c_x = pc.alpha1 + pc.gamma2**2 / pc.gamma1
     c_y = pc.alpha5 + pc.alpha6 - pc.gamma2**2 / pc.gamma1
     return pc.alpha4 + min(0.0, 0.5 * c_y, 2.0 * (c_x + c_y) / 3.0)
-
-
-# ---------------------------------------------------------------------------
-# Oseen-Frank energy of a periodic director field
-# ---------------------------------------------------------------------------
-
-def oseen_frank_energy(n_field, k, grid):
-    """Total Oseen-Frank energy of a unit director field on a periodic grid.
-
-    k = (k1, k2, k3, k4); includes the saddle-splay null-Lagrangian term
-    (k2 + k4)/2 (tr(grad n)^2 - (div n)^2), which integrates to zero on the
-    torus but is kept for pointwise fidelity.
-    """
-    n_field = np.asarray(n_field, dtype=float)
-    norms = np.sqrt((n_field**2).sum(axis=-1))
-    if np.abs(norms - 1.0).max() > 1e-10:
-        raise ValueError("director field must be unit length pointwise")
-    k1, k2, k3, k4 = k
-    dn = grid.grad(n_field)
-    dx, dy = dn[:, :, 0], dn[:, :, 1]   # (N, N, 3) components d n_i / dx, / dy
-
-    div_n = dx[..., 0] + dy[..., 1]
-    curl = np.stack([dy[..., 2], -dx[..., 2], dx[..., 1] - dy[..., 0]], axis=-1)
-    n_dot_curl = (n_field * curl).sum(axis=-1)
-    n_cross_curl = np.cross(n_field, curl)
-    tr_grad_sq = (dx[..., 0] * dx[..., 0] + dy[..., 0] * dx[..., 1]
-                  + dx[..., 1] * dy[..., 0] + dy[..., 1] * dy[..., 1])
-
-    dens = (0.5 * k1 * div_n**2
-            + 0.5 * k2 * n_dot_curl**2
-            + 0.5 * k3 * (n_cross_curl**2).sum(axis=-1)
-            + 0.5 * (k2 + k4) * (tr_grad_sq - div_n**2))
-    return float(dens.mean() * grid.length**2)

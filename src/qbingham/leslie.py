@@ -15,14 +15,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .closure import bingham_map_batch
+from .closure import PhysicalityError, bingham_map_batch
 from .dynamics import HomState, default_hom_dt, step_homogeneous
 from .equilibrium import PhaseConstants, phase_constants
 from .tensors import biaxiality, uniaxial
 
 __all__ = [
     "DirectorState", "LeslieAlignment", "director_rhs", "step_director",
-    "leslie_angle", "extract_director", "shear_angle_rate",
+    "leslie_angle", "extract_director",
     "SmallDeRow", "ConvergenceTable", "small_de_experiment", "angle_between",
 ]
 
@@ -75,11 +75,6 @@ def leslie_angle(zeta):
         return LeslieAlignment(None, True)
     theta = 0.5 * np.arccos(1.0 / zeta)
     return LeslieAlignment(float(theta), zeta <= 1.0)
-
-
-def shear_angle_rate(theta, zeta, rate=1.0):
-    """In-plane angle velocity under simple shear: (zeta cos 2t - 1) rate/2."""
-    return 0.5 * rate * (zeta * np.cos(2.0 * theta) - 1.0)
 
 
 def extract_director(w, rotation, prev=None, gap_tol=1e-8):
@@ -178,7 +173,7 @@ def small_de_experiment(params, de_list, kappa, t_final, n0=None,
                                                hom.closure.rotation[0], prev)
                 prev = ndir
                 sup_err = max(sup_err, angle_between(ndir, dstate.n))
-                sup_biax = max(sup_biax, float(biaxiality(hom.q5)))
+                sup_biax = max(sup_biax, float(biaxiality(hom.closure.q_eigs[0])))
             slope = None
             done = [r for r in rows if r.error is None]
             if done:
@@ -186,7 +181,9 @@ def small_de_experiment(params, de_list, kappa, t_final, n0=None,
                 slope = float(np.log(prev_row.sup_angle_err / sup_err)
                               / np.log(prev_row.de / de))
             rows.append(SmallDeRow(de, sup_err, sup_biax, slope))
-        except Exception as exc:  # row-level failure, table still emitted
+        except (PhysicalityError, RuntimeError, ArithmeticError) as exc:
+            # a numerical failure of this De is an error row; the table is
+            # still emitted, and a programming error propagates
             rows.append(SmallDeRow(de, np.nan, np.nan, None, f"{type(exc).__name__}: {exc}"))
 
     good = [r for r in rows if r.error is None]

@@ -1,12 +1,14 @@
 """Quadrature on the unit sphere and moments of Bingham densities.
 
-The density is f_B(m) = exp(B : mm) / Z on S^2. This module evaluates the
-partition function, the traceless second moment and the dense fourth
-moment M4 with a tensor-product rule: Gauss-Legendre in cos(theta) times a
-uniform (trapezoid) rule in the azimuth, which is spectrally accurate for
-these smooth periodic integrands. It is the full-sphere reference that the
-eigenframe solver in ``closure`` is checked against; it computes no sixth
-moment, since no operator of the model needs one.
+The density is f_B(m) = exp(B : mm) / Z on S^2. ``bingham_moments``
+evaluates the partition function, the traceless second moment and the
+dense fourth moment M4 in one pass of a tensor-product rule: Gauss-Legendre
+in cos(theta) times a uniform (trapezoid) rule in the azimuth, which is
+spectrally accurate for these smooth periodic integrands. It is the
+full-sphere reference that the eigenframe solver in ``closure`` is checked
+against (closure-validate's forward checks); it computes no sixth moment,
+since no operator of the model needs one. ``a_integrals`` gives the
+axisymmetric integrals behind the equilibrium constants.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from ._kernels import EXPONENT_BUDGET, _legendre_half, x_rule
 
 __all__ = [
     "SphereQuadrature", "BinghamMoments", "build_quadrature",
-    "bingham_moments", "log_partition", "a_integrals",
+    "bingham_moments", "a_integrals",
 ]
 
 
@@ -81,30 +83,21 @@ def _check_budget(Bmat):
     return spread
 
 
-def _density(B, quad):
-    """Normalized density f_B at the nodes of quad, and ln Z(B).
+def bingham_moments(B, quad):
+    """Z, traceless second moment and dense M4 of the Bingham density of B.
 
     The exponent is shifted by its maximum before exp, so the weights never
     overflow inside the exponent budget.
     """
     Bmat = to_matrix(_as_qvec(B))
     _check_budget(Bmat)
-    qf = np.einsum("ni,ij,nj->n", quad.nodes, Bmat, quad.nodes)
+    m = quad.nodes
+    qf = np.einsum("ni,ij,nj->n", m, Bmat, m)
     shift = qf.max()
     ew = quad.weights * np.exp(qf - shift)
     z0 = ew.sum()
-    return ew / z0, float(np.log(z0) + shift)
-
-
-def log_partition(B, quad):
-    """ln Z(B) = ln int exp(B:mm) dm, overflow-stabilized."""
-    return _density(B, quad)[1]
-
-
-def bingham_moments(B, quad):
-    """Z, traceless second moment and dense M4 of the Bingham density of B."""
-    f, log_z = _density(B, quad)
-    m = quad.nodes
+    f = ew / z0
+    log_z = float(np.log(z0) + shift)
     mm = (m[:, :, None] * m[:, None, :]).reshape(-1, 9)   # (N, 9) outer products
     second = np.einsum("n,ni,nj->ij", f, m, m)
     m4 = ((f[:, None] * mm).T @ mm).reshape(3, 3, 3, 3)    # one GEMM

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "to_matrix", "from_matrix", "sym_traceless", "qdot", "qnorm",
+    "to_matrix", "from_matrix", "qdot", "qnorm",
     "eig_sym3", "eigenvalue_margin", "biaxiality", "QBASIS",
     "to_basis_coeffs", "from_basis_coeffs", "uniaxial",
 ]
@@ -48,14 +48,6 @@ def from_matrix(m):
         [m[..., 0, 0], m[..., 1, 1], m[..., 0, 1], m[..., 0, 2], m[..., 1, 2]],
         axis=-1,
     )
-
-
-def sym_traceless(m):
-    """Project an arbitrary 3x3 matrix onto Q (symmetrize and remove trace)."""
-    m = np.asarray(m, dtype=float)
-    s = 0.5 * (m + np.swapaxes(m, -1, -2))
-    tr = np.trace(s, axis1=-2, axis2=-1)[..., None, None]
-    return s - tr * _I3 / 3.0
 
 
 def qdot(a, b):
@@ -130,14 +122,15 @@ def eigenvalue_margin(q):
     return np.minimum(w[..., 0] + 1.0 / 3.0, 2.0 / 3.0 - w[..., 2])
 
 
-def biaxiality(q):
-    """Biaxiality measure 1 - 6 (tr Q^3)^2 / (tr Q^2)^3, in [0, 1].
+def biaxiality(w):
+    """Biaxiality measure 1 - 6 (tr Q^3)^2 / (tr Q^2)^3, in [0, 1], from the
+    eigenvalues w (..., 3) of Q, ascending (a closure's q_eigs).
 
     Zero exactly for uniaxial tensors; defined as 0 for the zero tensor.
     """
-    m = to_matrix(q)
-    t2 = np.einsum("...ij,...ij->...", m, m)
-    t3 = np.trace(m @ m @ m, axis1=-2, axis2=-1)
+    w = np.asarray(w, dtype=float)
+    t2 = (w * w).sum(axis=-1)
+    t3 = (w * w * w).sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         val = 1.0 - 6.0 * t3**2 / t2**3
     val = np.where(t2 > 0.0, val, 0.0)

@@ -3,12 +3,20 @@ import sys
 import numpy as np
 import pytest
 
-from qbingham.tensors import from_matrix, sym_traceless
+from qbingham.tensors import from_matrix
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def sym_traceless(m):
+    """Project arbitrary 3x3 matrices onto Q (symmetrize and remove trace)."""
+    m = np.asarray(m, dtype=float)
+    s = 0.5 * (m + np.swapaxes(m, -1, -2))
+    tr = np.trace(s, axis1=-2, axis2=-1)[..., None, None]
+    return s - tr * np.eye(3) / 3.0
 
 
 def random_qvec(rng, n=None, scale=0.3):

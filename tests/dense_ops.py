@@ -1,30 +1,33 @@
-"""Linearized operators around the uniaxial equilibrium Q0 = S2 (nn - I/3).
+"""Dense reference operators that the tests check the package against.
 
-The moment-map linearization at the equilibrium acts on Q by three scalar
-coefficients xi_i; its inverse uses psi_i. The bulk-force linearization
-H_n = (inverse) - alpha annihilates in-plane director rotations (the slow
-manifold) and is coercive on the 3-dimensional complement. J is the
-linearization of the closure friction operator; fourth moments are dense
-(3, 3, 3, 3) arrays.
+apply_mq is the closure operator M_Q from full-sphere moments; the eigenframe
+contractions of ``closure`` must agree with it. The rest are the operators
+linearized at the uniaxial equilibrium Q0 = S2 (nn - I/3): the moment-map
+linearization acts on Q by three scalar coefficients xi_i and its inverse by
+psi_i; H_n = (inverse) - alpha annihilates in-plane director rotations and is
+coercive on the 3-dimensional complement; J linearizes the closure friction
+operator. relaxation_rates and coercivity_constant measure 4 J H_n and H_n
+on explicit out-space bases, the check on the closed forms in PhaseConstants.
+All arguments are 3x3 matrices (batched where noted); fourth moments are
+dense (3, 3, 3, 3) arrays.
 """
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import PhaseConstants, phase_constants
-from .sphere import BinghamMoments
-from .tensors import to_matrix
-
-__all__ = [
-    "DirectorContext", "equilibrium_m4", "apply_qn", "apply_qn_inverse",
-    "apply_hn", "project_in", "project_out", "apply_j",
-    "out_space_basis", "in_space_basis", "coercivity_constant",
-    "relaxation_rates",
-]
+from qbingham.equilibrium import PhaseConstants
+from qbingham.tensors import to_matrix
 
 _I3 = np.eye(3)
+
+
+def apply_mq(moments, A):
+    """M_Q(A) = (1/3) A + Q . A - A : M4 for an arbitrary 3x3 matrix A, from
+    a BinghamMoments."""
+    A = np.asarray(A, dtype=float)
+    Qm = to_matrix(moments.q_of_b)
+    sym = 0.5 * (A + np.swapaxes(A, -1, -2))
+    return A / 3.0 + Qm @ A - np.einsum("ijkl,...kl->...ij", moments.M4, sym)
 
 
 def equilibrium_m4(constants: PhaseConstants, n):
@@ -50,31 +53,16 @@ class DirectorContext:
     M4: np.ndarray  # (3, 3, 3, 3)
 
     @classmethod
-    def build(cls, n, constants=None, alpha=None, L1=1.0, L2=0.0):
+    def build(cls, n, constants):
         n = np.asarray(n, dtype=float)
         nrm = np.linalg.norm(n)
         if abs(nrm - 1.0) > 1e-12:
             raise ValueError("director must be a unit vector")
-        if constants is None:
-            if alpha is None:
-                raise ValueError("give either constants or alpha")
-            constants = phase_constants(alpha, L1, L2)
         return cls(n / nrm, constants, equilibrium_m4(constants, n / nrm))
 
     @property
     def q0_matrix(self):
         return self.constants.S2 * (np.outer(self.n, self.n) - _I3 / 3.0)
-
-    @property
-    def b0_matrix(self):
-        return self.constants.eta * (np.outer(self.n, self.n) - _I3 / 3.0)
-
-
-def _as_mat(q):
-    q = np.asarray(q, dtype=float)
-    if q.shape[-1] == 5 and q.ndim >= 1 and q.shape[-1] != 3:
-        return to_matrix(q)
-    return q
 
 
 def _coeff_apply(n, c_nn, c_mix, c_id, qmat):
@@ -90,52 +78,41 @@ def _coeff_apply(n, c_nn, c_mix, c_id, qmat):
 def apply_qn(ctx: DirectorContext, q):
     """Moment-map linearization at the equilibrium, in closed form."""
     c = ctx.constants
-    return _coeff_apply(ctx.n, c.xi1, c.xi2, c.xi3, _as_mat(q))
+    return _coeff_apply(ctx.n, c.xi1, c.xi2, c.xi3, q)
 
 
 def apply_qn_inverse(ctx: DirectorContext, q):
     """Inverse of apply_qn on Q, in closed form."""
     c = ctx.constants
-    return _coeff_apply(ctx.n, c.psi1, c.psi2, c.psi3, _as_mat(q))
+    return _coeff_apply(ctx.n, c.psi1, c.psi2, c.psi3, q)
 
 
 def apply_hn(ctx: DirectorContext, q):
     """Linearized bulk force: apply_qn_inverse(Q) - alpha Q."""
     c = ctx.constants
-    return _coeff_apply(ctx.n, c.psi1, c.psi2, -c.psi2, _as_mat(q))
+    return _coeff_apply(ctx.n, c.psi1, c.psi2, -c.psi2, q)
 
 
 def project_in(n, q):
     """Projection onto the director-rotation plane: nn.Q + Q.nn - 2(Q:nn)nn."""
-    n = np.asarray(n, dtype=float)
-    qm = _as_mat(q)
     nn = np.outer(n, n)
-    nnq = np.einsum("ij,...ij->...", nn, qm)
-    mix = np.einsum("ik,...kj->...ij", nn, qm) + np.einsum("...ik,kj->...ij", qm, nn)
+    nnq = np.einsum("ij,...ij->...", nn, q)
+    mix = np.einsum("ik,...kj->...ij", nn, q) + np.einsum("...ik,kj->...ij", q, nn)
     return mix - 2.0 * nnq[..., None, None] * nn
 
 
 def project_out(n, q):
     """Complementary projection Q - project_in(n, Q)."""
-    return _as_mat(q) - project_in(n, q)
+    return q - project_in(n, q)
 
 
-def _moments_pair(obj):
-    """(Q0 matrix, M4) from a BinghamMoments or a DirectorContext."""
-    if isinstance(obj, DirectorContext):
-        return obj.q0_matrix, obj.M4
-    if isinstance(obj, BinghamMoments):
-        return to_matrix(obj.q_of_b), obj.M4
-    raise TypeError("expected BinghamMoments or DirectorContext")
-
-
-def apply_j(obj, a):
+def apply_j(ctx: DirectorContext, a):
     """Symmetrized closure operator J(A) = (M(A) + M(A)^T) / 2."""
-    q0, m4 = _moments_pair(obj)
+    q0 = ctx.q0_matrix
     a = np.asarray(a, dtype=float)
     at = np.swapaxes(a, -1, -2)
     sym = 0.5 * (a + at)
-    return sym / 3.0 + 0.5 * (at @ q0 + q0 @ a) - np.einsum("ijkl,...kl->...ij", m4, sym)
+    return sym / 3.0 + 0.5 * (at @ q0 + q0 @ a) - np.einsum("ijkl,...kl->...ij", ctx.M4, sym)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +121,6 @@ def apply_j(obj, a):
 
 def _frame(n):
     """Two unit vectors completing n to an orthonormal right-handed triple."""
-    n = np.asarray(n, dtype=float)
     a = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
     e1 = np.cross(n, a)
     e1 /= np.linalg.norm(e1)
@@ -155,7 +131,6 @@ def _frame(n):
 def in_space_basis(n):
     """Orthonormal basis of the rotation plane {n p + p n : p . n = 0}."""
     e1, e2 = _frame(n)
-    n = np.asarray(n, dtype=float)
     b1 = (np.outer(n, e1) + np.outer(e1, n)) / np.sqrt(2.0)
     b2 = (np.outer(n, e2) + np.outer(e2, n)) / np.sqrt(2.0)
     return np.stack([b1, b2])
@@ -164,7 +139,6 @@ def in_space_basis(n):
 def out_space_basis(n):
     """Orthonormal basis of the complement of the rotation plane in Q."""
     e1, e2 = _frame(n)
-    n = np.asarray(n, dtype=float)
     b0 = np.sqrt(1.5) * (np.outer(n, n) - _I3 / 3.0)
     b1 = (np.outer(e1, e1) - np.outer(e2, e2)) / np.sqrt(2.0)
     b2 = (np.outer(e1, e2) + np.outer(e2, e1)) / np.sqrt(2.0)
@@ -184,7 +158,7 @@ def coercivity_constant(ctx: DirectorContext):
 
 
 def relaxation_rates(ctx: DirectorContext):
-    """Eigenvalues of 4 J H on the out space (the stiff bulk rates)."""
+    """Eigenvalues of 4 J H on the out space (the stiff bulk rates), ascending."""
     basis = out_space_basis(ctx.n)
     h = _matrix_on_basis(lambda q: apply_hn(ctx, q), basis)
     j = _matrix_on_basis(lambda q: apply_j(ctx, q), basis)

@@ -154,6 +154,33 @@ def test_phase_table_far_above_critical(tmp_path):
     assert all(r["pass"] for r in rows)
 
 
+def test_phase_table_gates_the_out_space_rates(tmp_path, monkeypatch):
+    # the closed-form rates and coercivity constant are reported, and a
+    # non-positive one fails the row
+    from qbingham import equilibrium
+    cfg = tmp_path / "phase.json"
+    cfg.write_text(json.dumps({"experiment": "phase-table", "alphas": [7, 8]}))
+    out = tmp_path / "out"
+    assert cli.main(["phase-table", "--config", str(cfg), "--out", str(out),
+                     "--quiet"]) == 0
+    rows = json.loads((out / "phase_table.json").read_text())
+    header = (out / "phase_table.csv").read_text().splitlines()[0].split(",")
+    for key in ("h_par", "h_perp", "rate_par", "rate_perp", "coercivity"):
+        assert key in header
+        assert all(r[key] > 0 for r in rows)
+    assert all(r["coercivity"] == min(r["h_par"], r["h_perp"]) for r in rows)
+
+    real = equilibrium.phase_constants
+    for field in ("h_par", "h_perp", "rate_par", "rate_perp"):
+        def negated(*args, field=field):
+            return replace(real(*args), **{field: -1.0})
+        monkeypatch.setattr(equilibrium, "phase_constants", negated)
+        assert cli.main(["phase-table", "--config", str(cfg), "--out",
+                         str(tmp_path / field), "--quiet"]) == 3
+        rows = json.loads((tmp_path / field / "phase_table.json").read_text())
+        assert not any(r["pass"] for r in rows)
+
+
 def test_small_de_uses_theta0(tmp_path):
     tables = []
     for theta0 in (1.0, 0.3):

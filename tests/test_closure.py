@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from qbingham.closure import (
-    PhysicalityError, apply_mq, bingham_map_batch, closure_jacobian,
-    m4_contract_frame, mq_apply_frame, spread_bound,
+    PhysicalityError, bingham_map_batch, m4_contract_frame, mq_apply_frame,
+    spread_bound,
 )
 from qbingham.sphere import bingham_moments, build_quadrature
 from qbingham.tensors import (
@@ -12,8 +12,18 @@ from qbingham.tensors import (
 )
 from qbingham.equilibrium import phase_constants
 from conftest import random_physical, random_qvec
+from dense_ops import apply_mq
 
 QUAD = build_quadrature(64, 128)
+
+
+def closure_jacobian(B, quad):
+    """grad_B Q(B) as a (5, 5) array in the orthonormal basis QBASIS,
+    entry (a, b) = <dQ E_b, E_a>, by the covariance form
+    <(mm:E)(mm:E')>_f - (Q:E)(Q:E') = E:M4:E' - (Q:E)(Q:E')."""
+    mo = bingham_moments(B, quad)
+    mean = to_basis_coeffs(mo.q_of_b)
+    return np.einsum("aij,ijkl,bkl->ab", QBASIS, mo.M4, QBASIS) - np.outer(mean, mean)
 
 
 def test_zero_maps_to_zero():

@@ -4,17 +4,23 @@ import numpy as np
 import pytest
 
 from qbingham import tensors
-from qbingham.closure import bingham_map_batch
+from qbingham import leslie
+from qbingham.closure import PhysicalityError, bingham_map_batch
 from qbingham.dynamics import ModelParams, shear_kappa
 from qbingham.equilibrium import phase_constants
 from qbingham.leslie import (
     DirectorState, angle_between, director_rhs, extract_director,
-    leslie_angle, shear_angle_rate, small_de_experiment, step_director,
+    leslie_angle, small_de_experiment, step_director,
 )
 from qbingham.tensors import eig_sym3, to_matrix, uniaxial
 from conftest import count_calls, random_qvec
 
 PC = phase_constants(7.0, 1.0, 0.5)  # zeta = 1.0816 > 1, flow aligning
+
+
+def shear_angle_rate(theta, zeta, rate=1.0):
+    """In-plane angle velocity under simple shear: (zeta cos 2t - 1) rate/2."""
+    return 0.5 * rate * (zeta * np.cos(2.0 * theta) - 1.0)
 
 
 def test_rhs_orthogonal_to_director(rng):
@@ -151,3 +157,23 @@ def test_small_de_reads_the_director_from_the_closure(monkeypatch):
                                 constants=PC)
     assert all(r.error is None for r in table.rows)
     assert calls["solves"] > 0 and calls["eig"] == calls["solves"]
+
+
+def test_small_de_rows_catch_numerical_failures_only(monkeypatch):
+    # a PhysicalityError of one De becomes its error row; a TypeError is a
+    # programming error and propagates
+    params = ModelParams(alpha=7.0, epsilon=0.05, de=1.0, re=1.0, gamma=0.5,
+                         L1=1.0, L2=0.5, delta=0.1)
+
+    def stub(exc):
+        def step(state, dt, p, *args):
+            raise exc
+        return step
+
+    monkeypatch.setattr(leslie, "step_homogeneous", stub(PhysicalityError("left the margin")))
+    table = small_de_experiment(params, [0.2], shear_kappa(1.0), 0.3, constants=PC)
+    assert table.rows[0].error == "PhysicalityError: left the margin"
+    assert np.isnan(table.rows[0].sup_angle_err)
+    monkeypatch.setattr(leslie, "step_homogeneous", stub(TypeError("bad call")))
+    with pytest.raises(TypeError, match="bad call"):
+        small_de_experiment(params, [0.2], shear_kappa(1.0), 0.3, constants=PC)

@@ -1,17 +1,18 @@
+"""The operators linearized at the uniaxial equilibrium (tests/dense_ops.py)
+against quadrature and the paper's identities, and the closed-form out-space
+constants of PhaseConstants against them."""
 import numpy as np
 import pytest
 
 from qbingham.equilibrium import phase_constants
-from qbingham.linear_ops import (
-    DirectorContext, apply_hn, apply_j, apply_qn, apply_qn_inverse,
-    coercivity_constant, equilibrium_m4, in_space_basis, out_space_basis,
-    project_in, project_out, relaxation_rates,
-)
 from qbingham.sphere import bingham_moments, build_quadrature
-from qbingham.tensors import (
-    from_matrix, sym_traceless, to_matrix, uniaxial,
-)
+from qbingham.tensors import to_matrix, uniaxial
 from conftest import haar_rotations, random_qvec
+from dense_ops import (
+    DirectorContext, apply_hn, apply_j, apply_mq, apply_qn, apply_qn_inverse,
+    coercivity_constant, in_space_basis, out_space_basis, project_in,
+    project_out, relaxation_rates,
+)
 
 QUAD = build_quadrature(64, 128)
 PC = phase_constants(8.0, 1.0, 0.5)
@@ -190,7 +191,6 @@ def test_j_in_space_eigenvalue(rng):
 
 
 def test_j_equals_mq_on_out_space(rng):
-    from qbingham.closure import apply_mq
     mo = bingham_moments(uniaxial(PC.eta, N_VEC), QUAD)
     for _ in range(5):
         a = project_out(N_VEC, to_matrix(random_qvec(rng)))
@@ -250,6 +250,22 @@ def test_relaxation_rates_positive():
     rates = relaxation_rates(CTX)
     assert rates.shape == (3,)
     assert rates.min() > 0.0
+
+
+@pytest.mark.parametrize("alpha", [6.8, 7.0, 8.0, 10.0, 15.0, 50.0, 300.0])
+def test_closed_form_out_space_constants(alpha):
+    # 4 J H_n is rate_par on nn - I/3 and rate_perp on the biaxial pair, and
+    # H_n's minimum there is min(h_par, h_perp)
+    pc = phase_constants(alpha)
+    ctx = DirectorContext.build(N_VEC, pc)
+    basis = out_space_basis(N_VEC)
+    closed = np.array([pc.rate_par, pc.rate_perp, pc.rate_perp])
+    rel = np.abs(np.sort(closed) - relaxation_rates(ctx)) / np.abs(closed)
+    assert rel.max() <= 1e-12
+    for b, h in zip(basis, (pc.h_par, pc.h_perp, pc.h_perp)):
+        assert abs(np.tensordot(apply_hn(ctx, b), b) - h) <= 1e-12 * abs(h)
+    c0 = coercivity_constant(ctx)
+    assert abs(min(pc.h_par, pc.h_perp) - c0) <= 1e-12 * abs(c0)
 
 
 def test_bases_orthonormal():

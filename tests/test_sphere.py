@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
 
-from qbingham.sphere import (
-    a_integrals, bingham_moments, build_quadrature, log_partition,
-)
+from qbingham.sphere import a_integrals, bingham_moments, build_quadrature
 from qbingham.equilibrium import order_parameters
-from qbingham.tensors import (
-    eig_sym3, from_matrix, qnorm, sym_traceless, to_matrix, uniaxial,
-)
-from conftest import haar_rotations, random_qvec
+from qbingham.tensors import eig_sym3, from_matrix, qnorm, to_matrix, uniaxial
+from conftest import haar_rotations, random_qvec, sym_traceless
 
 QUAD = build_quadrature(64, 128)
 
@@ -160,19 +156,22 @@ def test_q_of_b_is_gradient_of_log_partition(rng):
     for a in range(5):
         dc = np.zeros(5)
         dc[a] = h
-        fp = log_partition(from_basis_coeffs(c0 + dc), QUAD)
-        fm = log_partition(from_basis_coeffs(c0 - dc), QUAD)
+        fp = np.log(bingham_moments(from_basis_coeffs(c0 + dc), QUAD).Z)
+        fm = np.log(bingham_moments(from_basis_coeffs(c0 - dc), QUAD).Z)
         grad_a = (fp - fm) / (2.0 * h)
         proj = float(np.einsum("ij,ij->", to_matrix(q5), QBASIS[a]))
         assert abs(grad_a - proj) < 1e-6
 
 
 def test_log_partition_convexity(rng):
+    def log_z(b):
+        return np.log(bingham_moments(b, QUAD).Z)
+
     for _ in range(10):
         b1 = random_qvec(rng, scale=3.0)
         b2 = random_qvec(rng, scale=3.0)
-        mid = log_partition(0.5 * (b1 + b2), QUAD)
-        assert mid <= 0.5 * (log_partition(b1, QUAD) + log_partition(b2, QUAD)) + 1e-12
+        mid = log_z(0.5 * (b1 + b2))
+        assert mid <= 0.5 * (log_z(b1) + log_z(b2)) + 1e-12
 
 
 def test_overflow_guard():

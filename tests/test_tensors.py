@@ -3,10 +3,9 @@ import pytest
 
 from qbingham.tensors import (
     QBASIS, biaxiality, eig_sym3, eigenvalue_margin, from_basis_coeffs,
-    from_matrix, qdot, qnorm, sym_traceless, to_basis_coeffs,
-    to_matrix, uniaxial,
+    from_matrix, qdot, qnorm, to_basis_coeffs, to_matrix, uniaxial,
 )
-from conftest import random_physical, random_qvec
+from conftest import random_physical, random_qvec, sym_traceless
 
 
 def test_zero_components_give_zero_tensor():
@@ -138,17 +137,38 @@ def test_eigenvalue_margin_at_physical_boundary():
     assert 0.0 <= eigenvalue_margin(q) < 1e-12
 
 
+def _eigs(q):
+    return np.linalg.eigvalsh(to_matrix(q))
+
+
 def test_biaxiality_uniaxial_and_extremes(rng):
     n = rng.normal(size=3)
     n /= np.linalg.norm(n)
-    assert biaxiality(uniaxial(0.5, n)) < 1e-12
-    assert biaxiality(uniaxial(-0.2, n)) < 1e-12
+    assert biaxiality(_eigs(uniaxial(0.5, n))) < 1e-12
+    assert biaxiality(_eigs(uniaxial(-0.2, n))) < 1e-12
     q_max = from_matrix(np.diag([0.3, -0.3, 0.0]))
-    np.testing.assert_allclose(biaxiality(q_max), 1.0, atol=1e-13)
-    assert biaxiality(np.zeros(5)) == 0.0
+    np.testing.assert_allclose(biaxiality(_eigs(q_max)), 1.0, atol=1e-13)
+    assert biaxiality(np.zeros(3)) == 0.0
 
 
 def test_biaxiality_range(rng):
     q = random_qvec(rng, 200)
-    b = biaxiality(q)
+    b = biaxiality(_eigs(q))
     assert np.all((0.0 <= b) & (b <= 1.0))
+
+
+def test_biaxiality_from_eigenvalues_matches_traces(rng):
+    # near-uniaxial Q, where 1 - 6 t3^2 / t2^3 cancels most: the eigenvalue
+    # form against the trace form of the same matrix in 40-digit arithmetic
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    n = rng.normal(size=(200, 3))
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    q = uniaxial(rng.uniform(0.2, 0.6, size=(200, 1, 1)), n) + random_qvec(rng, 200, 1e-3)
+    got = biaxiality(eig_sym3(to_matrix(q))[0])
+    for qm, b in zip(to_matrix(q), got):
+        m = mp.matrix(qm.tolist())
+        m2 = m * m
+        t2 = sum(m2[i, i] for i in range(3))
+        t3 = sum((m2 * m)[i, i] for i in range(3))
+        assert abs(b - float(1 - 6 * t3**2 / t2**3)) <= 1e-14
