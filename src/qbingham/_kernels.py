@@ -100,22 +100,16 @@ def _moments_batch_np(b, x2, u, w, table):
     return np.log(z) + top, mom[:, :3], mom[:, 3:].reshape(-1, 3, 3)
 
 
-def _lnz_batch_np(b, x2, u, w, table):
-    top = b.max(axis=1)
-    ex = np.exp(np.multiply.outer(b[:, 2] - top, x2)
-                + np.multiply.outer(np.maximum(b[:, 0], b[:, 1]) - top, u))
-    ex *= i0e(np.multiply.outer(0.5 * np.abs(b[:, 0] - b[:, 1]), u))
-    return np.log(ex @ w) + top
-
-
 def newton_batch(q_eigs, b_init, nodes, tol=1e-11, maxit=60):
     """Solve <mm - I/3>_f(b) = diag(q_eigs) for diagonal b by a damped Newton
     ascent on b:q - ln Z, batched over points.
 
-    nodes is the tuple (x^2, u, w, table) of x_rule. Returns
-    (b, residual, iterations, used_damping, lnz, second, pair); the moments
-    come from the final Newton evaluation, so they belong to the returned b.
-    Points that exceed the exponent budget come back with residual = inf.
+    nodes is the tuple (x^2, u, w, table) of x_rule. Every trial point is
+    evaluated once, by _moments_batch_np: its ln Z feeds the Armijo test, and
+    an accepted trial's moments give the next sweep's residual and Hessian.
+    Returns (b, residual, iterations, used_damping, lnz, second, pair); the
+    moments belong to the returned b. Points that exceed the exponent budget
+    come back with residual = inf.
     """
     qe = np.asarray(q_eigs, dtype=float)
     b = np.array(b_init, dtype=float)
@@ -123,29 +117,19 @@ def newton_batch(q_eigs, b_init, nodes, tol=1e-11, maxit=60):
     res = np.full(n, np.inf)
     iters = np.zeros(n, dtype=np.int64)
     damped = np.zeros(n, dtype=bool)
-    active = np.ones(n, dtype=bool)
-    lnz_out = np.zeros(n)
-    s_out = np.zeros((n, 3))
-    p_out = np.zeros((n, 3, 3))
+    lnz, s, p = _moments_batch_np(b, *nodes)
+    idx = np.arange(n)
     for sweep in range(int(maxit) + 1):
-        idx = np.where(active)[0]
-        if idx.size == 0:
-            break
-        lnz, s, p = _moments_batch_np(b[idx], *nodes)
-        lnz_out[idx] = lnz
-        s_out[idx] = s
-        p_out[idx] = p
-        r = s - (qe[idx] + 1.0 / 3.0)
+        r = s[idx] - (qe[idx] + 1.0 / 3.0)
         rn = np.sqrt((r**2).sum(axis=1))
         res[idx] = rn
-        done = rn < tol
-        active[idx[done]] = False
-        idx = idx[~done]
+        live = ~(rn < tol)  # a NaN residual stays live, as a failure
+        idx, r = idx[live], r[live]
         if idx.size == 0 or sweep == maxit:
             break
         iters[idx] += 1
-        lnz, s, p, r = lnz[~done], s[~done], p[~done], r[~done]
-        c = p - s[:, :, None] * s[:, None, :]
+        si = s[idx]
+        c = p[idx] - si[:, :, None] * si[:, None, :]
         # reduced symmetric Hessian in (b1, b2) with b3 eliminated
         h11 = c[:, 0, 0] - 2 * c[:, 0, 2] + c[:, 2, 2]
         h22 = c[:, 1, 1] - 2 * c[:, 1, 2] + c[:, 2, 2]
@@ -158,28 +142,27 @@ def newton_batch(q_eigs, b_init, nodes, tol=1e-11, maxit=60):
         d2 = (h11 * g2 - h12 * g1) / det
         step = np.stack([d1, d2, -(d1 + d2)], axis=1)
         bt = b[idx] - step
+        lt, st, pt = _moments_batch_np(bt, *nodes)
         # backtracking line search on the concave objective; skipped in the
         # quadratic endgame where rounding noise dominates the comparison.
         # Rows leave the search once they pass the Armijo test.
         ls = np.where(res[idx] > 1e-5)[0]
         if ls.size:
             qls = qe[idx[ls]]
-            obj0 = (b[idx[ls]] * qls).sum(axis=1) - lnz[ls]
+            obj0 = (b[idx[ls]] * qls).sum(axis=1) - lnz[idx[ls]]
             slack = 1e-12 * (1.0 + np.abs(obj0))
             t = np.ones(ls.size)
             for _ls in range(40):
-                objt = (bt[ls] * qls).sum(axis=1) - _lnz_batch_np(bt[ls], *nodes)
-                bad = objt < obj0 - slack
+                bad = (bt[ls] * qls).sum(axis=1) - lt[ls] < obj0 - slack
                 if not bad.any():
                     break
                 ls, qls, obj0, slack, t = ls[bad], qls[bad], obj0[bad], slack[bad], t[bad]
                 t *= 0.5
                 bt[ls] = b[idx[ls]] - t[:, None] * step[ls]
+                lt[ls], st[ls], pt[ls] = _moments_batch_np(bt[ls], *nodes)
                 damped[idx[ls]] = True
-        b[idx] = bt
-        spread = b[idx].max(axis=1) - b[idx].min(axis=1)
-        if np.any(spread > EXPONENT_BUDGET):
-            bad = idx[spread > EXPONENT_BUDGET]
-            res[bad] = np.inf
-            active[bad] = False
-    return b, res, iters, damped, lnz_out, s_out, p_out
+        b[idx], lnz[idx], s[idx], p[idx] = bt, lt, st, pt
+        over = bt.max(axis=1) - bt.min(axis=1) > EXPONENT_BUDGET
+        res[idx[over]] = np.inf
+        idx = idx[~over]
+    return b, res, iters, damped, lnz, s, p

@@ -277,33 +277,22 @@ def _run_closure_validate(cfg, log):
 
 
 def _run_homogeneous(cfg, log):
-    from .closure import bingham_map_batch
-    from .dynamics import HomState, default_hom_dt, shear_kappa, step_homogeneous
+    from .dynamics import default_hom_dt, shear_kappa
     from .equilibrium import phase_constants
-    from .leslie import extract_director
-    from .tensors import biaxiality, uniaxial
+    from .leslie import homogeneous_trajectory
+    from .tensors import biaxiality
 
     p = cfg.params
     pc = phase_constants(p.alpha, p.L1, p.L2)
-    kappa = shear_kappa(cfg.shear_rate)
     n0 = np.array([np.cos(cfg.theta0), np.sin(cfg.theta0), 0.0])
-    q0 = uniaxial(pc.S2, n0)
-    state = HomState(q5=q0, kappa=kappa, closure=bingham_map_batch(q0))
-    dt = cfg.dt or default_hom_dt(p, pc)
-    n_steps = int(np.ceil(cfg.t_final / dt))
-    dt = cfg.t_final / n_steps
-
     rows = []
-    prev = n0
-    for k in range(n_steps + 1):
-        ndir, _ = extract_director(state.closure.q_eigs[0], state.closure.rotation[0], prev)
-        prev = ndir
+    for state, ndir, _dt in homogeneous_trajectory(
+            p, shear_kappa(cfg.shear_rate), n0, cfg.t_final,
+            cfg.dt or default_hom_dt(p, pc), pc):
         theta = float(np.arctan2(ndir[1], ndir[0]))
         rows.append([state.t, *state.q5, float(biaxiality(state.closure.q_eigs[0])),
                      theta, *ndir])
-        if k < n_steps:
-            state = step_homogeneous(state, dt, p)
-    log(f"homogeneous-run: {n_steps} steps, final angle {rows[-1][7]:.5f}")
+    log(f"homogeneous-run: {len(rows) - 1} steps, final angle {rows[-1][7]:.5f}")
     sampled = rows[::cfg.sample_every] if cfg.sample_every > 1 else rows
     return {
         "hom_series.csv": _csv_bytes(
@@ -395,7 +384,7 @@ def _run_small_de(cfg, log):
 
     n0 = np.array([np.cos(cfg.theta0), np.sin(cfg.theta0), 0.0])
     table = small_de_experiment(cfg.params, list(cfg.de_list),
-                                shear_kappa(cfg.shear_rate), cfg.t_final, n0=n0)
+                                shear_kappa(cfg.shear_rate), cfg.t_final, n0)
     recs = table.as_records()
     for r in recs:
         log(f"De={r['De']:g}: sup angle err {r['sup_angle_err']:.5f}, "

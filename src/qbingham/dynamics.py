@@ -6,8 +6,10 @@ carries the closure of its own Q:
 * spatially homogeneous states under an imposed velocity gradient,
   integrated with RK4 (step_homogeneous);
 * 2D periodic (Q, v) fields with full 3D tensor components, integrated
-  pseudo-spectrally with a stabilized two-step IMEX scheme (SBDF2 with a
-  constant-coefficient implicit shield). Each field state is closed once
+  pseudo-spectrally with a stabilized two-step IMEX scheme (variable-step
+  SBDF2 with a constant-coefficient implicit shield, one formula in the
+  step ratio omega = dt/dt_prev, zero-stable for omega < 1 + sqrt(2);
+  omega = 0 on a first step). Each field state is closed once
   (FieldSolver.close): its closure, its gradients (Grid2D.grad) and the
   frame contractions M_Q(mu) and M4 : D are stored with it, and both the
   right-hand side and the energy ledger read them from there. The explicit
@@ -44,6 +46,12 @@ __all__ = [
     "mu_field", "energy_report", "smooth_random_state", "DivergenceError",
     "shear_kappa",
 ]
+
+
+# dt halvings a homogeneous step or a field run may take before it gives up
+MAX_HALVINGS = 10
+# initial field data are band-limited to |kx|, |ky| <= N_MODES
+N_MODES = 2
 
 
 class DivergenceError(RuntimeError):
@@ -142,10 +150,8 @@ def _bulk_rate(constants):
     return max(constants.rate_par, constants.rate_perp)
 
 
-def default_hom_dt(params, constants=None):
+def default_hom_dt(params, constants):
     """Step size resolving the stiff bulk relaxation for explicit RK4."""
-    if constants is None:
-        constants = phase_constants(params.alpha, params.L1, params.L2)
     lam = _bulk_rate(constants)
     return min(0.1 * params.de, 2.0 * params.de / max(lam, 1e-12))
 
@@ -154,7 +160,7 @@ def step_homogeneous(state: HomState, dt, params, tol=DEFAULT_TOL, _depth=0):
     """One RK4 step of a closed state. k1 reads its closure, each later stage
     closes its Q from the previous stage's B, and the last act closes q1 from
     k4's B with the delta/2 margin. If that or a stage solve fails, dt is
-    halved (up to 10 times)."""
+    halved (up to MAX_HALVINGS times)."""
     q0, kappa, res = state.q5, state.kappa, _closure_of(state)
     try:
         ks = [homogeneous_rhs(q0, kappa, params, res)]
@@ -167,10 +173,10 @@ def step_homogeneous(state: HomState, dt, params, tol=DEFAULT_TOL, _depth=0):
         closure = bingham_map_batch(q1, delta=params.delta / 2.0, tol=tol, b_warm5=res.B5)
     except (PhysicalityError, RuntimeError) as exc:
         # the new state or a stage left the delta/2 margin or the invertible set
-        if _depth >= 10:
+        if _depth >= MAX_HALVINGS:
             raise PhysicalityError(
                 f"homogeneous step keeps violating the delta/2 margin after "
-                f"10 halvings at t={state.t:.4g} ({exc})") from exc
+                f"{MAX_HALVINGS} halvings at t={state.t:.4g} ({exc})") from exc
         mid = step_homogeneous(state, dt / 2.0, params, tol, _depth + 1)
         return step_homogeneous(mid, dt / 2.0, params, tol, _depth + 1)
     return HomState(q1, kappa, state.t + dt, closure)
@@ -408,34 +414,36 @@ class FieldSolver:
         return fq5, fv
 
     def step(self, state: FieldState, dt):
-        """Advance a closed state one step (bootstrap Euler if no history,
-        else SBDF2) and close the new state.
+        """Advance a closed state one step of variable-step SBDF2 and close
+        the new state.
 
-        Q solve: (a + A_Q) q1 = r_Q with A_Q = (4/De)(c_b + eps c_bar L),
-        diagonal in the elastic eigenbasis, then the 2/3 mask. Velocity
-        solve: (a - (gamma/Re) Lap) v1 = r_v, then the mask and the Leray
-        projection. The new state is closed: the closure solve of q1 starts
-        from 2 B(q0) - B(q_-1), or from B(q0) without history, and its
-        delta/2 margin check raises PhysicalityError.
+        With omega = dt / dt_prev (0 without history, which makes the step
+        stabilized semi-implicit Euler) and the extrapolation
+        X* = (1 + omega) X0 - omega X_-1, the step solves
+        ((1 + 2 omega) X1 - (1 + omega)^2 X0 + omega^2 X_-1) / ((1 + omega) dt)
+        = (1 + omega) f0 - omega f_-1 - A (X1 - X*) (Wang & Ruuth, J. Comput.
+        Math. 26, 2008); it is second order at any step ratio and zero-stable
+        for omega < 1 + sqrt(2). Q solve: (a + A_Q) q1 = r_Q with
+        A_Q = (4/De)(c_b + eps c_bar L), diagonal in the elastic eigenbasis,
+        then the 2/3 mask. Velocity solve: (a - (gamma/Re) Lap) v1 = r_v,
+        then the mask and the Leray projection. The closure solve of q1
+        starts from (1 + omega) B(q0) - omega B(q_-1), and its delta/2 margin
+        check raises PhysicalityError.
         """
         grid, p = self.grid, self.params
         cbar = (2.0 / 15.0) * (1.0 + 3.0 * float(np.sqrt(qdot(state.q5, state.q5)).max()))
         fq, fv = self.rhs(state)
         s = (4.0 / p.de) * (self.bulk_shield + p.epsilon * cbar * self.lam)
+        b5 = _closure_of(state).res.B5
+        # without history, dt_prev = inf gives omega = 0 and zero weight to it
+        hist = state.hist or _History(state.q5, state.v, fq, fv, np.inf, b5)
 
-        hist = state.hist
-        if hist is not None and abs(hist.dt - dt) > 1e-14 * max(dt, hist.dt):
-            hist = None  # step size changed, restart the multistep history
-        if hist is None:
-            # stabilized semi-implicit Euler: (1/dt + A) x1 = x0 (1/dt + A) + f0
-            a = 1.0 / dt
-            rq = a * state.q5 + fq + _modal_apply(grid, self.vec, s, state.q5)
-            rv = a * state.v + fv
-        else:
-            a = 1.5 / dt
-            rq = ((4.0 * state.q5 - hist.q5) / (2.0 * dt) + 2.0 * fq - hist.fq
-                  + _modal_apply(grid, self.vec, s, 2.0 * state.q5 - hist.q5))
-            rv = (4.0 * state.v - hist.v) / (2.0 * dt) + 2.0 * fv - hist.fv
+        w = dt / hist.dt
+        a = (1.0 + 2.0 * w) / ((1.0 + w) * dt)
+        c0, c1, cdt = (1.0 + w) ** 2, w * w, (1.0 + w) * dt
+        rq = ((c0 * state.q5 - c1 * hist.q5) / cdt + (1.0 + w) * fq - w * hist.fq
+              + _modal_apply(grid, self.vec, s, (1.0 + w) * state.q5 - w * hist.q5))
+        rv = (c0 * state.v - c1 * hist.v) / cdt + (1.0 + w) * fv - w * hist.fv
         q1 = _modal_apply(grid, self.vec, grid.dealias_mask[..., None] / (a + s), rq)
         vh = grid.fft(rv)
         vh /= (a + (p.gamma / p.re) * grid.ksq)[..., None]
@@ -447,18 +455,18 @@ class FieldSolver:
                 f"divergence residual {div_res:.2e} after projection at "
                 f"t={state.t + dt:.5g}")
 
-        b5 = state.closure.res.B5
         new = FieldState(grid=grid, q5=q1, v=v1, t=state.t + dt,
                          hist=_History(state.q5, state.v, fq, fv, dt, b5))
         try:
-            return self.close(new, b5 if state.hist is None else 2.0 * b5 - state.hist.b5)
+            return self.close(new, (1.0 + w) * b5 - w * hist.b5)
         except PhysicalityError as exc:
             raise PhysicalityError(
                 f"field left the delta/2 physical margin at t={new.t:.5g}: {exc}") from exc
 
-    def run(self, state: FieldState, dt, n_steps, callback=None, max_halvings=10):
+    def run(self, state: FieldState, dt, n_steps, callback=None):
         """Advance a closed state n_steps, halving dt when a step loses
-        physicality (step then restarts the multistep history)."""
+        physicality (up to MAX_HALVINGS times); the halved step continues the
+        SBDF2 history at step ratio 1/2."""
         halvings = 0
         k = 0
         while k < n_steps:
@@ -466,7 +474,7 @@ class FieldSolver:
                 state = self.step(state, dt)
             except PhysicalityError:
                 halvings += 1
-                if halvings > max_halvings:
+                if halvings > MAX_HALVINGS:
                     raise
                 dt *= 0.5
                 continue
@@ -516,43 +524,41 @@ def energy_report(state: FieldState, params):
 # initial data
 # ---------------------------------------------------------------------------
 
-def _band_limited(rng, grid, n_modes, n_comp):
-    """Random real field with modes |kx|, |ky| <= n_modes, unit RMS-ish."""
+def _band_limited(rng, grid, n_comp):
+    """Random real field with modes |kx|, |ky| <= N_MODES, unit RMS-ish."""
     n = grid.n
     out = np.zeros((n, n, n_comp))
-    for kx in range(-n_modes, n_modes + 1):
-        for ky in range(-n_modes, n_modes + 1):
+    for kx in range(-N_MODES, N_MODES + 1):
+        for ky in range(-N_MODES, N_MODES + 1):
             if kx == 0 and ky == 0:
                 continue
             amp = rng.normal(size=n_comp)
             ph = rng.uniform(0.0, 2.0 * np.pi, size=n_comp)
             wave = (2.0 * np.pi / grid.length) * (kx * grid.x + ky * grid.y)
             out += amp * np.cos(wave[..., None] + ph)
-    return out / max(1, n_modes)
+    return out / N_MODES
 
 
-def smooth_random_state(grid, params, seed, q_amplitude=0.5, v_amplitude=0.1,
-                        n_modes=2, margin=None):
+def smooth_random_state(grid, params, seed, q_amplitude=0.5, v_amplitude=0.1):
     """Seeded band-limited initial data with Q inside the margin-delta
     physical set and a divergence-free velocity."""
     rng = np.random.default_rng(seed)
-    margin = params.delta if margin is None else margin
     constants = phase_constants(params.alpha, params.L1, params.L2)
     n0 = np.array([0.0, 0.0, 1.0])
-    s_base = min(constants.S2, 0.75 * (2.0 - 3.0 * margin) / 2.0)
+    s_base = min(constants.S2, 0.75 * (2.0 - 3.0 * params.delta) / 2.0)
     base = from_matrix(s_base * (np.outer(n0, n0) - np.eye(3) / 3.0))
-    pert = _band_limited(rng, grid, n_modes, 5)
+    pert = _band_limited(rng, grid, 5)
     amp = q_amplitude
     for _ in range(60):
         q5 = base + amp * pert
         worst = float(eigenvalue_margin(q5).min())
-        if worst >= margin:
+        if worst >= params.delta:
             break
         amp *= 0.8
     else:
         raise RuntimeError("could not fit initial data inside the margin")
 
-    psi_w = _band_limited(rng, grid, n_modes, 2)
+    psi_w = _band_limited(rng, grid, 2)
     dpsi = grid.grad(psi_w[..., 0])
     v = np.stack([dpsi[..., 1], -dpsi[..., 0], psi_w[..., 1]], axis=-1)
     v = grid.leray(v)

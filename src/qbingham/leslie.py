@@ -22,9 +22,13 @@ from .tensors import biaxiality, uniaxial
 
 __all__ = [
     "DirectorState", "LeslieAlignment", "director_rhs", "step_director",
-    "leslie_angle", "extract_director",
+    "leslie_angle", "extract_director", "homogeneous_trajectory",
     "SmallDeRow", "ConvergenceTable", "small_de_experiment", "angle_between",
 ]
+
+
+# relative top eigenvalue gap below which extract_director flags Q degenerate
+GAP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -77,17 +81,17 @@ def leslie_angle(zeta):
     return LeslieAlignment(float(theta), zeta <= 1.0)
 
 
-def extract_director(w, rotation, prev=None, gap_tol=1e-8):
+def extract_director(w, rotation, prev=None):
     """Principal eigenvector of Q from its eigenframe (w ascending, rotation
     the eigenvector columns: a closure's q_eigs[0] and rotation[0]),
     sign-aligned with prev when given.
 
     Returns (n, degenerate_flag); the flag marks a top eigenvalue gap below
-    gap_tol relative to the eigenvalue scale.
+    GAP_TOL relative to the eigenvalue scale.
     """
     n = rotation[:, 2]
     scale = np.abs(w).max() + 1e-300
-    flag = (w[2] - w[1]) / scale < gap_tol
+    flag = (w[2] - w[1]) / scale < GAP_TOL
     if prev is not None and float(n @ prev) < 0.0:
         n = -n
     return n, bool(flag)
@@ -96,6 +100,27 @@ def extract_director(w, rotation, prev=None, gap_tol=1e-8):
 def angle_between(a, b):
     """Director distance arccos(|a.b|), quotienting the n -> -n symmetry."""
     return float(np.arccos(min(1.0, abs(float(np.dot(a, b))))))
+
+
+def homogeneous_trajectory(params, kappa, n0, t_final, dt, constants):
+    """Yield (state, n, dt) at t = 0 and after every step up to t_final.
+
+    The run starts on the uniaxial slow manifold, Q = S2 (n0 n0 - I/3) at the
+    equilibrium order parameter, closed cold, and takes ceil(t_final / dt)
+    equal RK4 steps (step_homogeneous) of the returned dt <= the given one.
+    n is the state's director (extract_director), sign-continued from n0.
+    """
+    n_steps = int(np.ceil(t_final / dt))
+    dt = t_final / n_steps
+    q0 = uniaxial(constants.S2, n0)
+    state = HomState(q5=q0, kappa=np.asarray(kappa, dtype=float),
+                     closure=bingham_map_batch(q0))
+    n = n0
+    for k in range(n_steps + 1):
+        if k:
+            state = step_homogeneous(state, dt, params)
+        n = extract_director(state.closure.q_eigs[0], state.closure.rotation[0], n)[0]
+        yield state, n, dt
 
 
 # ---------------------------------------------------------------------------
@@ -132,11 +157,10 @@ class ConvergenceTable:
         ]
 
 
-def small_de_experiment(params, de_list, kappa, t_final, n0=None,
-                        constants=None):
+def small_de_experiment(params, de_list, kappa, t_final, n0):
     """Compare the Q-tensor trajectory against the director ODE per De.
 
-    Both start from the same director (Q on the uniaxial slow manifold at
+    Both start from the same director n0 (Q on the uniaxial slow manifold at
     the equilibrium order parameter) under the same imposed gradient; per
     De the sup over time of the director angle error and of the biaxiality
     is recorded, and the log-log slope of the error is fitted.
@@ -144,11 +168,7 @@ def small_de_experiment(params, de_list, kappa, t_final, n0=None,
     de_list = list(de_list)
     if any(b >= a for a, b in zip(de_list, de_list[1:])):
         raise ValueError("de_list must be strictly decreasing")
-    if constants is None:
-        constants = phase_constants(params.alpha, params.L1, params.L2)
-    if n0 is None:
-        theta0 = 1.0
-        n0 = np.array([np.cos(theta0), np.sin(theta0), 0.0])
+    constants = phase_constants(params.alpha, params.L1, params.L2)
     n0 = np.asarray(n0, dtype=float) / np.linalg.norm(n0)
 
     rows = []
@@ -156,22 +176,14 @@ def small_de_experiment(params, de_list, kappa, t_final, n0=None,
     for de in de_list:
         p = replace(params, de=float(de))
         try:
-            dt = default_hom_dt(p, constants)
-            n_steps = int(np.ceil(t_final / dt))
-            dt = t_final / n_steps
-            q0 = uniaxial(constants.S2, n0)
-            hom = HomState(q5=q0, kappa=np.asarray(kappa, dtype=float),
-                           closure=bingham_map_batch(q0))
             dstate = DirectorState(n0)
-            prev = n0
             sup_err = 0.0
             sup_biax = 0.0
-            for _ in range(n_steps):
-                hom = step_homogeneous(hom, dt, p)
-                dstate = step_director(dstate, kappa, constants, dt)
-                ndir, _flag = extract_director(hom.closure.q_eigs[0],
-                                               hom.closure.rotation[0], prev)
-                prev = ndir
+            steps = homogeneous_trajectory(p, kappa, n0, t_final,
+                                           default_hom_dt(p, constants), constants)
+            for k, (hom, ndir, dt) in enumerate(steps):
+                if k:
+                    dstate = step_director(dstate, kappa, constants, dt)
                 sup_err = max(sup_err, angle_between(ndir, dstate.n))
                 sup_biax = max(sup_biax, float(biaxiality(hom.closure.q_eigs[0])))
             slope = None

@@ -93,3 +93,68 @@ def test_every_export_has_a_caller():
               for export in importlib.import_module(f"qbingham.{name}").__all__
               if export not in referenced]
     assert not unused
+
+
+# defaulted parameters that no package or benchmark call passes, and why
+# each stays an option
+DEFAULTS_WITHOUT_CALLER = {
+    ("dynamics", "FieldSolver.__init__", "forcing"):
+        "the manufactured-solution tests drive the field solver with a forcing",
+    ("dynamics", "step_homogeneous", "tol"):
+        "the closure-accuracy tests step at tighter closure tolerances",
+}
+
+
+def _defaulted(fn, bound):
+    """(positional parameter names, defaulted public parameter names) of a
+    def; a method's self (or a classmethod's cls) is dropped when bound."""
+    a = fn.args
+    pos = [p.arg for p in a.posonlyargs + a.args]
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+    if bound and not static:
+        pos = pos[1:]
+    named = pos[len(pos) - len(a.defaults):] if a.defaults else []
+    named += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return pos, [p for p in named if not p.startswith("_")]
+
+
+def _exported_defs():
+    """(module, qualname, call name, def node, positional names, defaulted
+    names) for every exported function and every method of an exported class."""
+    for name in MODULES:
+        if name == "cli":
+            continue
+        exported = set(importlib.import_module(f"qbingham.{name}").__all__)
+        for top in ast.parse((SRC / f"{name}.py").read_text()).body:
+            if isinstance(top, ast.FunctionDef) and top.name in exported:
+                yield (name, top.name, top.name, top, *_defaulted(top, False))
+            elif isinstance(top, ast.ClassDef) and top.name in exported:
+                for fn in top.body:
+                    if isinstance(fn, ast.FunctionDef):
+                        call = top.name if fn.name == "__init__" else fn.name
+                        yield (name, f"{top.name}.{fn.name}", call, fn,
+                               *_defaulted(fn, True))
+
+
+def test_every_default_has_a_caller():
+    # every defaulted parameter of an exported function or method (cli
+    # exempt; underscore parameters are not options) is passed, by keyword or
+    # by position, by some call in the package or the benchmark outside the
+    # function's own body; an option no caller sets is a constant. The
+    # allowlist must name only parameters that are still without a caller
+    files = sorted(SRC.glob("*.py")) + sorted(QBENCH.glob("*.py"))
+    calls = [(path.name, node) for path in files
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)]
+    unpassed = set()
+    for module, qualname, callee, fn, pos, defaulted in _exported_defs():
+        passed = set()
+        for path, call in calls:
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            own = path == f"{module}.py" and fn.lineno <= call.lineno <= fn.end_lineno
+            if name != callee or own:
+                continue
+            n_pos = next((i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)),
+                         len(call.args))
+            passed |= set(pos[:n_pos]) | {k.arg for k in call.keywords if k.arg}
+        unpassed |= {(module, qualname, p) for p in defaulted if p not in passed}
+    assert unpassed == set(DEFAULTS_WITHOUT_CALLER), unpassed ^ set(DEFAULTS_WITHOUT_CALLER)

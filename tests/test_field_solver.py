@@ -20,6 +20,14 @@ def test_sbdf2_second_order_in_time():
     assert np.all(orders >= 1.8), (errs, orders)
 
 
+def test_variable_step_sbdf2_second_order_in_time():
+    # steps alternating h and h/2 (step ratios 1/2 and 2) keep second order
+    errs = [run_manufactured(PARAMS, 16, h, 0.48, ratios=(1.0, 0.5))
+            for h in (0.08, 0.04, 0.02)]
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert np.all(orders >= 1.8), (errs, orders)
+
+
 def test_divergence_failure_raises_typed_error(monkeypatch):
     grid = Grid2D(16)
     solver = FieldSolver(grid, PARAMS)
@@ -28,9 +36,18 @@ def test_divergence_failure_raises_typed_error(monkeypatch):
     with pytest.raises(DivergenceError) as info:
         solver.step(state, 0.05)
     assert not isinstance(info.value, PhysicalityError)
-    # run() must not treat it as a reason to halve dt
+    # run() must not treat it as a reason to halve dt and retry
+    dts = []
+    step = FieldSolver.step
+
+    def counted(self, st, dt):
+        dts.append(dt)
+        return step(self, st, dt)
+
+    monkeypatch.setattr(FieldSolver, "step", counted)
     with pytest.raises(DivergenceError):
-        solver.run(state, 0.05, 1, max_halvings=0)
+        solver.run(state, 0.05, 1)
+    assert dts == [0.05]
 
 
 def test_elastic_symbols_built_once(monkeypatch):
@@ -67,7 +84,7 @@ def test_rhs_filtering_commutes_with_implicit_solves(monkeypatch):
         moved.append(max(np.abs(fq_f - fq).max(), np.abs(fv_f - fv).max()))
         return fq_f, fv_f
 
-    for state in (state0, state1):  # bootstrap Euler, then SBDF2
+    for state in (state0, state1):  # step ratio 0 (no history), then 1
         ref = FieldSolver(grid, PARAMS).step(state, 0.05)
         with monkeypatch.context() as m:
             m.setattr(FieldSolver, "rhs", filtered)

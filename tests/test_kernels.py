@@ -1,4 +1,5 @@
 import functools
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -81,11 +82,9 @@ def test_moments_against_mpmath(spread):
     b = spread * (frac - frac.mean(axis=1, keepdims=True))
     b = np.concatenate([b, b[2:, [1, 0, 2]]])         # both signs of a
     lnz, second, pair = _kernels._moments_batch_np(b, *nodes)
-    lnz_only = _kernels._lnz_batch_np(b, *nodes)
     for i, row in enumerate(b):
         ref_lnz, ref_second, ref_pair = _moments_reference(row)
         assert abs(lnz[i] - ref_lnz) <= 1e-12, row
-        assert abs(lnz_only[i] - ref_lnz) <= 1e-12, row
         np.testing.assert_allclose(second[i], ref_second, rtol=0, atol=1e-12)
         np.testing.assert_allclose(pair[i], ref_pair, rtol=0, atol=1e-12)
 
@@ -133,7 +132,7 @@ def test_node_policy_against_mpmath(spread):
     for f2 in (0.0, 0.25, 0.5, 1.0):
         frac = np.array([0.0, f2, 1.0])
         b = spread * (frac - frac.mean())
-        lnz = _kernels._lnz_batch_np(b[None], *nodes)[0]
+        lnz = _kernels._moments_batch_np(b[None], *nodes)[0][0]
         assert abs(lnz - _lnz_reference(b)) <= 2e-12, (spread, f2)
 
 
@@ -142,17 +141,31 @@ def test_node_policy_against_mpmath(spread):
 # ---------------------------------------------------------------------------
 
 @pytest.fixture
-def lnz_rows(monkeypatch):
-    """Row count of every line-search ln Z evaluation in the Newton kernel."""
-    rows = []
-    inner = _kernels._lnz_batch_np
+def moment_rows(monkeypatch):
+    """Row counts of the Newton kernel's moment evaluations: "all" of them,
+    and the line search's "backtrack" calls. newton_batch evaluates its start
+    before the first sweep and one trial per sweep; a further evaluation in
+    the same sweep (the caller's `sweep` local) re-evaluates shortened steps."""
+    rows = {"all": [], "backtrack": []}
+    inner = _kernels._moments_batch_np
+    last_sweep = [None]
 
     def counted(b, *nodes):
-        rows.append(len(b))
+        sweep = sys._getframe(1).f_locals.get("sweep")
+        if sweep is not None and sweep == last_sweep[0]:
+            rows["backtrack"].append(len(b))
+        last_sweep[0] = sweep
+        rows["all"].append(len(b))
         return inner(b, *nodes)
 
-    monkeypatch.setattr(_kernels, "_lnz_batch_np", counted)
+    monkeypatch.setattr(_kernels, "_moments_batch_np", counted)
     return rows
+
+
+@pytest.fixture
+def lnz_rows(moment_rows):
+    """Row count of every backtracking evaluation of the line search."""
+    return moment_rows["backtrack"]
 
 
 def _uniaxial_batch(order_params):
@@ -191,3 +204,18 @@ def test_line_search_evaluates_only_rows_that_need_it(rng, lnz_rows):
     assert np.all(res.residual <= 1e-11)
     assert lnz_rows and max(lnz_rows) <= len(far)
     assert not res.used_damping[:len(near)].any()
+
+
+def test_one_moment_evaluation_per_trial_point(moment_rows):
+    # a damped batch: every start point, every Newton update and every
+    # shortened step is evaluated once, and nothing else is
+    q5 = _uniaxial_batch([0.6, 0.3, -0.2, 0.05])
+    w = np.linalg.eigvalsh(to_matrix(q5))
+    b0 = -40.0 * w
+    out = _kernels.newton_batch(w, b0 - b0.mean(axis=1, keepdims=True),
+                                x_rule(_kernels.nodes_for_spread(60.0)))
+    iters, damped = out[2], out[3]
+    assert np.all(out[1] <= 1e-11) and damped.any()
+    backtracked = sum(moment_rows["backtrack"])
+    assert backtracked > 0
+    assert sum(moment_rows["all"]) == len(w) + int(iters.sum()) + backtracked

@@ -16,6 +16,7 @@ from qbingham.tensors import eig_sym3, to_matrix, uniaxial
 from conftest import count_calls, random_qvec
 
 PC = phase_constants(7.0, 1.0, 0.5)  # zeta = 1.0816 > 1, flow aligning
+N0 = np.array([np.cos(1.0), np.sin(1.0), 0.0])  # small-de's default theta0 = 1
 
 
 def shear_angle_rate(theta, zeta, rate=1.0):
@@ -134,8 +135,7 @@ def test_extract_director_flags_degenerate():
 def test_small_de_smoke():
     params = ModelParams(alpha=7.0, epsilon=0.05, de=1.0, re=1.0, gamma=0.5,
                          L1=1.0, L2=0.5, delta=0.1)
-    table = small_de_experiment(params, [0.2, 0.1], shear_kappa(1.0), 2.0,
-                                constants=PC)
+    table = small_de_experiment(params, [0.2, 0.1], shear_kappa(1.0), 2.0, N0)
     rows = table.rows
     assert len(rows) == 2
     assert rows[0].error is None and rows[1].error is None
@@ -143,7 +143,7 @@ def test_small_de_smoke():
     assert 0.4 < table.fitted_slope < 1.6
     assert table.zeta == pytest.approx(PC.zeta)
     with pytest.raises(ValueError):
-        small_de_experiment(params, [0.1, 0.2], shear_kappa(1.0), 1.0)
+        small_de_experiment(params, [0.1, 0.2], shear_kappa(1.0), 1.0, N0)
 
 
 def test_small_de_reads_the_director_from_the_closure(monkeypatch):
@@ -153,8 +153,7 @@ def test_small_de_reads_the_director_from_the_closure(monkeypatch):
     calls = collections.Counter()
     count_calls(monkeypatch, bingham_map_batch, calls, "solves")
     count_calls(monkeypatch, tensors.eig_sym3, calls, "eig")
-    table = small_de_experiment(params, [0.2, 0.1], shear_kappa(1.0), 0.3,
-                                constants=PC)
+    table = small_de_experiment(params, [0.2, 0.1], shear_kappa(1.0), 0.3, N0)
     assert all(r.error is None for r in table.rows)
     assert calls["solves"] > 0 and calls["eig"] == calls["solves"]
 
@@ -171,9 +170,9 @@ def test_small_de_rows_catch_numerical_failures_only(monkeypatch):
         return step
 
     monkeypatch.setattr(leslie, "step_homogeneous", stub(PhysicalityError("left the margin")))
-    table = small_de_experiment(params, [0.2], shear_kappa(1.0), 0.3, constants=PC)
+    table = small_de_experiment(params, [0.2], shear_kappa(1.0), 0.3, N0)
     assert table.rows[0].error == "PhysicalityError: left the margin"
     assert np.isnan(table.rows[0].sup_angle_err)
     monkeypatch.setattr(leslie, "step_homogeneous", stub(TypeError("bad call")))
     with pytest.raises(TypeError, match="bad call"):
-        small_de_experiment(params, [0.2], shear_kappa(1.0), 0.3, constants=PC)
+        small_de_experiment(params, [0.2], shear_kappa(1.0), 0.3, N0)
