@@ -10,7 +10,6 @@ eigenframe rule from the eigenvalue spread of B.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .dynamics import ModelParams
@@ -106,16 +105,13 @@ def _reject_unknown(errors, path, given, allowed):
             errors.append(f"{path}{k}: unknown key (allowed: {', '.join(sorted(allowed))})")
 
 
-def validate_config(text_or_dict):
-    """Parse and validate; raises ConfigError listing all problems."""
+def validate_config(doc):
+    """Validate a parsed config dict; raises ConfigError listing all problems.
+
+    The bounds of the model parameters are ModelParams' own; its ValueError
+    is reported as one "params" error.
+    """
     errors = []
-    if isinstance(text_or_dict, dict):
-        doc = text_or_dict
-    else:
-        try:
-            doc = json.loads(text_or_dict)
-        except json.JSONDecodeError as exc:
-            raise ConfigError([f"not valid JSON: {exc}"]) from exc
     if not isinstance(doc, dict):
         raise ConfigError(["top level must be a JSON object"])
 
@@ -135,20 +131,14 @@ def validate_config(text_or_dict):
         errors.append("params: expected an object")
         pdoc = {}
     _reject_unknown(errors, "params.", pdoc, set(_PARAM_DEFAULTS))
-    pvals = {}
-    merged = {**_PARAM_DEFAULTS, **pdoc}
-    pvals["alpha"] = _check_number(errors, "params.alpha", merged["alpha"], lo=0, strict_lo=True)
-    pvals["epsilon"] = _check_number(errors, "params.epsilon", merged["epsilon"], lo=0)
-    pvals["de"] = _check_number(errors, "params.de", merged["de"], lo=0, strict_lo=True)
-    pvals["re"] = _check_number(errors, "params.re", merged["re"], lo=0, strict_lo=True)
-    pvals["gamma"] = _check_number(errors, "params.gamma", merged["gamma"],
-                                   lo=0, hi=1, strict_lo=True, strict_hi=True)
-    pvals["L1"] = _check_number(errors, "params.L1", merged["L1"], lo=0, strict_lo=True)
-    pvals["L2"] = _check_number(errors, "params.L2", merged["L2"])
-    pvals["delta"] = _check_number(errors, "params.delta", merged["delta"],
-                                   lo=0, hi=1.0 / 3.0, strict_lo=True, strict_hi=True)
-    if None not in (pvals["L1"], pvals["L2"]) and pvals["L1"] + 2 * pvals["L2"] <= 0:
-        errors.append("params: L1 + 2 L2 must be positive")
+    pvals = {k: _check_number(errors, f"params.{k}", v)
+             for k, v in {**_PARAM_DEFAULTS, **pdoc}.items() if k in _PARAM_DEFAULTS}
+    params = None
+    if None not in pvals.values():
+        try:
+            params = ModelParams(**pvals)
+        except ValueError as exc:
+            errors.append(f"params: {exc}")
 
     qdoc = doc.get("quadrature") or {}
     if not isinstance(qdoc, dict):
@@ -214,7 +204,6 @@ def validate_config(text_or_dict):
     if errors:
         raise ConfigError(errors)
 
-    params = ModelParams(**pvals)
     return ExperimentConfig(
         experiment=exp, seed=seed, params=params,
         n_polar=n_polar, n_azimuthal=n_az,

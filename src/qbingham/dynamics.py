@@ -15,7 +15,9 @@ carries the closure of its own Q:
   right-hand side and the energy ledger read them from there. The explicit
   terms are raw grid products, and the 2/3 dealiasing, the Leray
   projection for the pressure and the viscous term act per mode in the
-  implicit solves of FieldSolver.step.
+  implicit solves of FieldSolver.step. The elastic operator and the
+  implicit Q solve are scalars per mode on each of the three parts of the
+  axial split of Q about k/|k| (tensors.axial_parts, spectral.elastic_symbols).
 
 Index conventions, fixed once for the whole package: the velocity-gradient
 matrix is kappa_ij = dv_i/dx_j (it advects material vectors), the closure
@@ -34,10 +36,7 @@ from .closure import (
 )
 from .equilibrium import phase_constants
 from .spectral import Grid2D, elastic_symbols
-from .tensors import (
-    eigenvalue_margin, from_basis_coeffs, from_matrix, qdot, to_basis_coeffs,
-    to_matrix,
-)
+from .tensors import axial_parts, eigenvalue_margin, from_matrix, qdot, to_matrix
 
 __all__ = [
     "ModelParams", "HomState", "FieldState", "EnergyReport", "FieldSolver",
@@ -186,22 +185,24 @@ def step_homogeneous(state: HomState, dt, params, tol=DEFAULT_TOL, _depth=0):
 # spectral field operators
 # ---------------------------------------------------------------------------
 
-def _modal_apply(grid, vec, diag, q5_field):
-    """Apply the per-mode symmetric matrix vec diag(d) vec^T to a qvec field
-    in the Q basis: one forward and one inverse transform."""
-    ch = grid.fft(to_basis_coeffs(q5_field))
-    ch = np.einsum("xyab,xyb->xya", vec, diag * np.einsum("xyba,xyb->xya", vec, ch))
-    return from_basis_coeffs(grid.ifft(ch))
+def _modal_apply(grid, f, q5_field):
+    """Apply f1 P1 + f2 P2 + f3 P3 per mode to a qvec field, with P the axial
+    split of Q about grid.khat and f (3, n, nh) the per-mode scalars: one
+    forward and one inverse transform."""
+    qh = grid.fft(q5_field)
+    p1, p2 = axial_parts(qh, grid.khat)
+    f = f[..., None]
+    return grid.ifft(f[2] * qh + (f[0] - f[2]) * p1 + (f[1] - f[2]) * p2)
 
 
-def elastic_operator(q5_field, grid, lam, vec):
+def elastic_operator(q5_field, grid, lam):
     """L(Q) = -(L1 Lap Q + L2 (Q_ik,jk + Q_jk,ik)), deviatoric, per point.
 
-    Evaluated mode-by-mode through the symmetric symbol in the Q basis,
-    (lam, vec) = elastic_symbols(grid, L1, L2), the same matrices the
+    Evaluated mode-by-mode from its eigenvalues lam = elastic_symbols(grid,
+    L1, L2) on the axial split of Q about k/|k|, the same symbols the
     implicit time-step solves use.
     """
-    return _modal_apply(grid, vec, lam, q5_field)
+    return _modal_apply(grid, lam, q5_field)
 
 
 def _grad_q(q5_field, grid):
@@ -251,10 +252,10 @@ def _kappa_field(v, grid):
     return kap
 
 
-def mu_field(q5_field, grid, params, lam, vec, b5=None):
+def mu_field(q5_field, grid, params, lam, b5=None):
     """Molecular field mu = (B - alpha Q) + eps L(Q) and the closure batch.
 
-    (lam, vec) are the elastic symbols of the grid, as FieldSolver holds them.
+    lam are the elastic symbols of the grid, as FieldSolver holds them.
     """
     n = grid.n
     res = bingham_map_batch(
@@ -262,7 +263,7 @@ def mu_field(q5_field, grid, params, lam, vec, b5=None):
         b_warm5=None if b5 is None else b5.reshape(-1, 5))
     mu5 = res.B5.reshape(n, n, 5) - params.alpha * q5_field
     if params.epsilon != 0.0:
-        mu5 = mu5 + params.epsilon * elastic_operator(q5_field, grid, lam, vec)
+        mu5 = mu5 + params.epsilon * elastic_operator(q5_field, grid, lam)
     return mu5, res
 
 
@@ -370,14 +371,14 @@ class FieldSolver:
         self.grid = grid
         self.params = params
         self.forcing = forcing
-        self.lam, self.vec = elastic_symbols(grid, params.L1, params.L2)
+        self.lam = elastic_symbols(grid, params.L1, params.L2)
         self.bulk_shield = _bulk_rate(phase_constants(params.alpha, params.L1, params.L2)) / 4.0
 
     def close(self, state: FieldState, b_warm5=None):
         """`state` with the terms of its (q5, v): mu_field's closure (delta/2
         margin), grad Q, grad v, M_Q(mu) and M4 : D."""
         grid, n = self.grid, self.grid.n
-        mu5, res = mu_field(state.q5, grid, self.params, self.lam, self.vec, b_warm5)
+        mu5, res = mu_field(state.q5, grid, self.params, self.lam, b_warm5)
         rot = res.rotation.reshape(n, n, 3, 3)
         pair = res.pair.reshape(n, n, 3, 3)
         kap = _kappa_field(state.v, grid)
@@ -424,8 +425,9 @@ class FieldSolver:
         = (1 + omega) f0 - omega f_-1 - A (X1 - X*) (Wang & Ruuth, J. Comput.
         Math. 26, 2008); it is second order at any step ratio and zero-stable
         for omega < 1 + sqrt(2). Q solve: (a + A_Q) q1 = r_Q with
-        A_Q = (4/De)(c_b + eps c_bar L), diagonal in the elastic eigenbasis,
-        then the 2/3 mask. Velocity solve: (a - (gamma/Re) Lap) v1 = r_v,
+        A_Q = (4/De)(c_b + eps c_bar L), a scalar per mode on each part of
+        the axial split about k/|k| (L's eigenvalues elastic_symbols), then
+        the 2/3 mask. Velocity solve: (a - (gamma/Re) Lap) v1 = r_v,
         then the mask and the Leray projection. The closure solve of q1
         starts from (1 + omega) B(q0) - omega B(q_-1), and its delta/2 margin
         check raises PhysicalityError.
@@ -442,9 +444,9 @@ class FieldSolver:
         a = (1.0 + 2.0 * w) / ((1.0 + w) * dt)
         c0, c1, cdt = (1.0 + w) ** 2, w * w, (1.0 + w) * dt
         rq = ((c0 * state.q5 - c1 * hist.q5) / cdt + (1.0 + w) * fq - w * hist.fq
-              + _modal_apply(grid, self.vec, s, (1.0 + w) * state.q5 - w * hist.q5))
+              + _modal_apply(grid, s, (1.0 + w) * state.q5 - w * hist.q5))
         rv = (c0 * state.v - c1 * hist.v) / cdt + (1.0 + w) * fv - w * hist.fv
-        q1 = _modal_apply(grid, self.vec, grid.dealias_mask[..., None] / (a + s), rq)
+        q1 = _modal_apply(grid, grid.dealias_mask / (a + s), rq)
         vh = grid.fft(rv)
         vh /= (a + (p.gamma / p.re) * grid.ksq)[..., None]
         v1 = grid.ifft(grid.leray_hat(grid.dealias_hat(vh)))

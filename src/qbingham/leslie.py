@@ -27,10 +27,6 @@ __all__ = [
 ]
 
 
-# relative top eigenvalue gap below which extract_director flags Q degenerate
-GAP_TOL = 1e-8
-
-
 @dataclass(frozen=True)
 class DirectorState:
     n: np.ndarray
@@ -81,20 +77,14 @@ def leslie_angle(zeta):
     return LeslieAlignment(float(theta), zeta <= 1.0)
 
 
-def extract_director(w, rotation, prev=None):
-    """Principal eigenvector of Q from its eigenframe (w ascending, rotation
-    the eigenvector columns: a closure's q_eigs[0] and rotation[0]),
-    sign-aligned with prev when given.
-
-    Returns (n, degenerate_flag); the flag marks a top eigenvalue gap below
-    GAP_TOL relative to the eigenvalue scale.
-    """
+def extract_director(rotation, prev=None):
+    """Principal eigenvector n of Q from its eigenframe (rotation: the
+    eigenvector columns for ascending eigenvalues, a closure's rotation[0]),
+    sign-aligned with prev when given."""
     n = rotation[:, 2]
-    scale = np.abs(w).max() + 1e-300
-    flag = (w[2] - w[1]) / scale < GAP_TOL
     if prev is not None and float(n @ prev) < 0.0:
         n = -n
-    return n, bool(flag)
+    return n
 
 
 def angle_between(a, b):
@@ -119,7 +109,7 @@ def homogeneous_trajectory(params, kappa, n0, t_final, dt, constants):
     for k in range(n_steps + 1):
         if k:
             state = step_homogeneous(state, dt, params)
-        n = extract_director(state.closure.q_eigs[0], state.closure.rotation[0], n)[0]
+        n = extract_director(state.closure.rotation[0], n)
         yield state, n, dt
 
 

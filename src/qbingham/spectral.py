@@ -1,17 +1,18 @@
-"""Periodic 2D spectral grid: gradients, the dealiasing mask, Leray projection.
+"""Periodic 2D spectral grid: gradients, the dealiasing mask, Leray
+projection and the closed-form symbols of the elastic operator.
 
 Fields live on an N x N torus of side `length` and may carry trailing
 component axes; transforms always act on the two leading axes. Everything
 is real-to-complex (rfft2) with the half spectrum along the second axis.
 Products are formed on the grid without dealiasing; the 2/3 mask and the
 Leray projection are applied per mode by the field solver's implicit
-solves (`dealias_hat`, `leray_hat`).
+solves (`dealias_hat`, `leray_hat`). The elastic operator is diagonal per
+mode in the axial split of Q about the unit wavevector `Grid2D.khat`
+(tensors.axial_parts); `elastic_symbols` gives its three eigenvalues.
 """
 from __future__ import annotations
 
 import numpy as np
-
-from .tensors import QBASIS
 
 __all__ = ["Grid2D", "elastic_symbols"]
 
@@ -30,6 +31,9 @@ class Grid2D:
         self.kx = k1[:, None] + 0.0 * k2[None, :]
         self.ky = 0.0 * k1[:, None] + k2[None, :]
         self.ksq = self.kx**2 + self.ky**2
+        kvec = np.stack([self.kx, self.ky, np.zeros_like(self.kx)], axis=-1)
+        kabs = np.sqrt(self.ksq)
+        self.khat = kvec / np.where(kabs == 0.0, 1.0, kabs)[..., None]  # 0 at k = 0
         self._ik = 1j * np.stack([self.kx, self.ky], axis=2)  # (n, nh, 2)
         kmax = np.abs(k1).max()
         cut = (2.0 / 3.0) * kmax
@@ -82,17 +86,13 @@ class Grid2D:
 
 
 def elastic_symbols(grid, L1, L2):
-    """Per-mode 5x5 matrices of the elastic operator in the Q basis.
+    """Per-mode eigenvalues of the elastic operator, shape (3, n, nh).
 
-    L(Q)^hat = L1 k^2 Q + L2 dev-sym(k (Q k) + (Q k) k) reads, in the
-    orthonormal basis E_a, as L1 k^2 I + 2 L2 Gram(E_a k); symmetric PSD
-    under the standing assumptions L1 > 0, L1 + 2 L2 > 0.
-    Returns (lam, vec): eigenvalues (n, nh, 5) and eigenvectors (n, nh, 5, 5).
+    L(Q)^hat = L1 k^2 Q + L2 dev(k (Q k) + (Q k) k) acts as
+    (L1 + 4 L2 / 3) k^2 on k^k^ - I/3, (L1 + L2) k^2 on k^e + e k^ (e . k = 0)
+    and L1 k^2 on the modes with Q k = 0: the parts P1, P2, P3 of
+    tensors.axial_parts about k^ = grid.khat. All three are >= 0 under the
+    standing assumptions L1 > 0, L1 + 2 L2 > 0.
     """
-    kvec = np.stack([grid.kx, grid.ky, np.zeros_like(grid.kx)], axis=-1)
-    ek = np.einsum("aij,xyj->xyai", QBASIS, kvec)          # E_a k per mode
-    gram = np.einsum("xyai,xybi->xyab", ek, ek)
-    sym = L1 * grid.ksq[..., None, None] * np.eye(5) + 2.0 * L2 * gram
-    lam, vec = np.linalg.eigh(sym)
-    lam = np.maximum(lam, 0.0)  # clip rounding noise at k = 0
-    return lam, vec
+    return np.stack([(L1 + 4.0 * L2 / 3.0) * grid.ksq, (L1 + L2) * grid.ksq,
+                     L1 * grid.ksq])

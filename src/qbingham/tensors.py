@@ -9,7 +9,11 @@ All functions accept batched arrays with the component axis last. There
 are no tensor classes: a qvec is a plain ndarray, and fourth moments
 elsewhere in the package are dense (3, 3, 3, 3) ndarrays, not packed.
 Eigendecompositions go to LAPACK: ``eig_sym3`` for the eigenframe,
-``eigenvalue_margin`` for the eigenvalues alone.
+``eigenvalue_margin`` for the eigenvalues alone. ``axial_parts`` splits Q
+relative to a unit vector n into its parts on nn - I/3, on the pair
+n e + e n (e . n = 0) and on the tensors with Q n = 0; the field solver
+takes n = k/|k| per Fourier mode, where this split diagonalizes the
+elastic operator.
 """
 from __future__ import annotations
 
@@ -17,8 +21,7 @@ import numpy as np
 
 __all__ = [
     "to_matrix", "from_matrix", "qdot", "qnorm",
-    "eig_sym3", "eigenvalue_margin", "biaxiality", "QBASIS",
-    "to_basis_coeffs", "from_basis_coeffs", "uniaxial",
+    "eig_sym3", "eigenvalue_margin", "biaxiality", "uniaxial", "axial_parts",
 ]
 
 # ---------------------------------------------------------------------------
@@ -74,26 +77,28 @@ def uniaxial(s, n):
     return from_matrix(m)
 
 
-# orthonormal basis of Q, used for 5x5 operator matrices
-QBASIS = np.stack([
-    np.diag([1.0, -1.0, 0.0]) / np.sqrt(2.0),
-    np.diag([1.0, 1.0, -2.0]) / np.sqrt(6.0),
-    np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]]) / np.sqrt(2.0),
-    np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]]) / np.sqrt(2.0),
-    np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]]) / np.sqrt(2.0),
-])
+def axial_parts(q, n):
+    """The parts (P1 q, P2 q) of qvecs q (..., 5), real or complex, on
+    nn - I/3 and on {n e + e n : e . n = 0}, for unit vectors n (..., 3).
 
-
-def to_basis_coeffs(q):
-    """Coefficients of a qvec in the orthonormal basis QBASIS."""
-    m = to_matrix(q)
-    return np.einsum("...ij,aij->...a", m, QBASIS)
-
-
-def from_basis_coeffs(c):
-    """Inverse of to_basis_coeffs."""
-    m = np.einsum("...a,aij->...ij", np.asarray(c, dtype=float), QBASIS)
-    return from_matrix(m)
+    With s = n . Q n and u = Q n - s n: P1 Q = (3/2) s (nn - I/3) and
+    P2 Q = n u + u n. The rest, P3 q = q - P1 q - P2 q, has P3 Q n = 0. The
+    three are orthogonal projections in A:B. For n = 0 both parts are 0.
+    Written out in components: this runs per Fourier mode in every field step.
+    """
+    n0, n1, n2 = np.moveaxis(np.asarray(n, dtype=float), -1, 0)
+    q11, q22, q12, q13, q23 = np.moveaxis(np.asarray(q), -1, 0)
+    v0 = q11 * n0 + q12 * n1 + q13 * n2                      # Q n
+    v1 = q12 * n0 + q22 * n1 + q23 * n2
+    v2 = q13 * n0 + q23 * n1 - (q11 + q22) * n2
+    s = v0 * n0 + v1 * n1 + v2 * n2
+    u0, u1, u2 = v0 - s * n0, v1 - s * n1, v2 - s * n2
+    c = 1.5 * s
+    p1 = np.stack([c * (n0 * n0 - 1.0 / 3.0), c * (n1 * n1 - 1.0 / 3.0),
+                   c * n0 * n1, c * n0 * n2, c * n1 * n2], axis=-1)
+    p2 = np.stack([2.0 * n0 * u0, 2.0 * n1 * u1, n0 * u1 + n1 * u0,
+                   n0 * u2 + n2 * u0, n1 * u2 + n2 * u1], axis=-1)
+    return p1, p2
 
 
 # ---------------------------------------------------------------------------

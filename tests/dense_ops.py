@@ -9,14 +9,17 @@ coercive on the 3-dimensional complement; J linearizes the closure friction
 operator. relaxation_rates and coercivity_constant measure 4 J H_n and H_n
 on explicit out-space bases, the check on the closed forms in PhaseConstants.
 All arguments are 3x3 matrices (batched where noted); fourth moments are
-dense (3, 3, 3, 3) arrays.
+dense (3, 3, 3, 3) arrays. QBASIS is an orthonormal basis of Q for 5x5
+operator matrices; elastic_eigh and eigh_apply diagonalize the elastic
+symbol numerically, per mode, the check on the closed-form axial split of
+spectral.elastic_symbols.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
 from qbingham.equilibrium import PhaseConstants
-from qbingham.tensors import to_matrix
+from qbingham.tensors import from_matrix, to_matrix
 
 _I3 = np.eye(3)
 
@@ -164,3 +167,42 @@ def relaxation_rates(ctx: DirectorContext):
     j = _matrix_on_basis(lambda q: apply_j(ctx, q), basis)
     rates = np.linalg.eigvals(4.0 * j @ h)
     return np.sort(rates.real)
+
+
+# ---------------------------------------------------------------------------
+# the orthonormal Q basis and the numerically diagonalized elastic symbol
+# ---------------------------------------------------------------------------
+
+QBASIS = np.stack([
+    np.diag([1.0, -1.0, 0.0]) / np.sqrt(2.0),
+    np.diag([1.0, 1.0, -2.0]) / np.sqrt(6.0),
+    np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]]) / np.sqrt(2.0),
+    np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]]) / np.sqrt(2.0),
+    np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0]]) / np.sqrt(2.0),
+])
+
+
+def to_basis_coeffs(q):
+    """Coefficients of a qvec in the orthonormal basis QBASIS."""
+    return np.einsum("...ij,aij->...a", to_matrix(q), QBASIS)
+
+
+def from_basis_coeffs(c):
+    """Inverse of to_basis_coeffs."""
+    return from_matrix(np.einsum("...a,aij->...ij", c, QBASIS))
+
+
+def elastic_eigh(grid, L1, L2):
+    """Eigenvalues (n, nh, 5) and eigenvectors (n, nh, 5, 5) of the per-mode
+    elastic symbol L1 k^2 I + 2 L2 Gram(E_a k) in the basis E_a = QBASIS."""
+    kvec = np.stack([grid.kx, grid.ky, np.zeros_like(grid.kx)], axis=-1)
+    ek = np.einsum("aij,xyj->xyai", QBASIS, kvec)
+    gram = np.einsum("xyai,xybi->xyab", ek, ek)
+    return np.linalg.eigh(L1 * grid.ksq[..., None, None] * np.eye(5) + 2.0 * L2 * gram)
+
+
+def eigh_apply(grid, vec, diag, q5_field):
+    """Apply the per-mode matrix vec diag vec^T to a qvec field in QBASIS."""
+    ch = grid.fft(to_basis_coeffs(q5_field))
+    ch = np.einsum("xyab,xyb->xya", vec, diag * np.einsum("xyba,xyb->xya", vec, ch))
+    return from_basis_coeffs(grid.ifft(ch))

@@ -6,13 +6,10 @@ from qbingham.closure import (
     spread_bound,
 )
 from qbingham.sphere import bingham_moments, build_quadrature
-from qbingham.tensors import (
-    QBASIS, from_basis_coeffs, from_matrix, qnorm, to_basis_coeffs,
-    to_matrix, uniaxial,
-)
+from qbingham.tensors import from_matrix, qnorm, to_matrix, uniaxial
 from qbingham.equilibrium import phase_constants
 from conftest import random_physical, random_qvec
-from dense_ops import apply_mq
+from dense_ops import QBASIS, apply_mq, from_basis_coeffs, to_basis_coeffs
 
 QUAD = build_quadrature(64, 128)
 

@@ -67,6 +67,30 @@ def test_elastic_symbols_built_once(monkeypatch):
     assert len(calls) == 1
 
 
+def _band_limited(grid, rng, modes=4):
+    """Random qvec field with Fourier modes |kx|, |ky| <= modes (in 2 pi / length)."""
+    fh = grid.fft(rng.normal(size=(grid.n, grid.n, 5)))
+    cut = (modes + 0.5) * 2.0 * np.pi / grid.length
+    fh[(np.abs(grid.kx) > cut) | (np.abs(grid.ky) > cut)] = 0.0
+    return grid.ifft(fh)
+
+
+@pytest.mark.parametrize("L1, L2", [(1.0, 0.5), (1.0, -0.4), (2.0, 3.0)])
+def test_elastic_operator_is_the_variation_of_the_elastic_energy(rng, L1, L2):
+    # F_e is quadratic, so its central difference is exact up to rounding:
+    # (F_e(Q + hH) - F_e(Q - hH)) / 2h = eps int L(Q) : H
+    grid, eps, h = Grid2D(32, length=5.0), 0.3, 1e-3
+    q, dir_h = _band_limited(grid, rng), _band_limited(grid, rng)
+
+    def f_e(q5):
+        return dynamics.elastic_energy(to_matrix(grid.grad(q5)), grid, L1, L2, eps)
+
+    fd = (f_e(q + h * dir_h) - f_e(q - h * dir_h)) / (2.0 * h)
+    lq = dynamics.elastic_operator(q, grid, dynamics.elastic_symbols(grid, L1, L2))
+    exact = eps * grid.mean_integral(qdot(lq, dir_h))
+    assert abs(fd - exact) <= 1e-10 * abs(exact), (fd, exact)
+
+
 def test_rhs_filtering_commutes_with_implicit_solves(monkeypatch):
     # dealiasing fq and Leray-projecting fv act per mode, so applying them
     # inside rhs instead of only in the solves leaves the step unchanged

@@ -1,6 +1,9 @@
 import numpy as np
+import pytest
 
-from qbingham.spectral import Grid2D
+from qbingham.dynamics import _modal_apply
+from qbingham.spectral import Grid2D, elastic_symbols
+from dense_ops import eigh_apply, elastic_eigh
 
 
 def test_grad_matches_analytic_derivatives():
@@ -18,3 +21,35 @@ def test_grad_matches_analytic_derivatives():
     assert np.abs(g[:, :, 1] - fy).max() <= 1e-12
     # a scalar field gets the derivative axis last
     assert np.abs(grid.grad(f[..., 1])[:, :, 1] - fy[..., 1]).max() <= 1e-12
+
+
+ELASTIC_CONSTANTS = ((1.0, 0.5), (1.0, -0.4), (2.0, 3.0))
+
+
+@pytest.mark.parametrize("n", [16, 17])
+@pytest.mark.parametrize("L1, L2", ELASTIC_CONSTANTS)
+def test_elastic_symbols_match_the_dense_eigh(n, L1, L2):
+    grid = Grid2D(n, length=5.0)
+    lam = elastic_symbols(grid, L1, L2)
+    assert lam.shape == (3,) + grid.ksq.shape and lam.min() >= 0.0
+    # multiplicities 1, 2, 2, as the Gram matrix in the orthonormal Q basis has them
+    closed = np.sort(np.stack([lam[0], lam[1], lam[1], lam[2], lam[2]], axis=-1), axis=-1)
+    dense, _ = elastic_eigh(grid, L1, L2)
+    assert np.abs(closed - dense).max() <= 1e-14 * grid.ksq.max()
+
+
+@pytest.mark.parametrize("n", [16, 17])
+@pytest.mark.parametrize("L1, L2", ELASTIC_CONSTANTS)
+def test_modal_apply_matches_the_dense_eigenbasis(rng, n, L1, L2):
+    # white noise excites every mode, k = 0 and the Nyquist row included
+    grid = Grid2D(n, length=5.0)
+    q = rng.normal(size=(n, n, 5))
+    lam = elastic_symbols(grid, L1, L2)
+    lam_d, vec = elastic_eigh(grid, L1, L2)
+    a, c = 12.5, 0.3
+    for f, f_d in ((lam, lam_d),
+                   (grid.dealias_mask / (a + c * lam),
+                    grid.dealias_mask[..., None] / (a + c * lam_d))):
+        got = grid.fft(_modal_apply(grid, f, q))
+        ref = grid.fft(eigh_apply(grid, vec, f_d, q))
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()

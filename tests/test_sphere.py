@@ -5,6 +5,7 @@ from qbingham.sphere import a_integrals, bingham_moments, build_quadrature
 from qbingham.equilibrium import order_parameters
 from qbingham.tensors import eig_sym3, from_matrix, qnorm, to_matrix, uniaxial
 from conftest import haar_rotations, random_qvec, sym_traceless
+from dense_ops import QBASIS, from_basis_coeffs, to_basis_coeffs
 
 QUAD = build_quadrature(64, 128)
 
@@ -148,7 +149,6 @@ def test_rotation_equivariance(rng):
 
 
 def test_q_of_b_is_gradient_of_log_partition(rng):
-    from qbingham.tensors import QBASIS, from_basis_coeffs, to_basis_coeffs
     b = random_qvec(rng, scale=2.0)
     c0 = to_basis_coeffs(b)
     q5 = bingham_moments(b, QUAD).q_of_b

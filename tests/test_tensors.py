@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from qbingham.tensors import (
-    QBASIS, biaxiality, eig_sym3, eigenvalue_margin, from_basis_coeffs,
-    from_matrix, qdot, qnorm, to_basis_coeffs, to_matrix, uniaxial,
+    axial_parts, biaxiality, eig_sym3, eigenvalue_margin, from_matrix, qdot,
+    qnorm, to_matrix, uniaxial,
 )
 from conftest import random_physical, random_qvec, sym_traceless
+from dense_ops import QBASIS, from_basis_coeffs, to_basis_coeffs
 
 
 def test_zero_components_give_zero_tensor():
@@ -40,6 +41,34 @@ def test_qbasis_orthonormal():
 def test_basis_coeff_round_trip(rng):
     q = random_qvec(rng, 30)
     np.testing.assert_allclose(from_basis_coeffs(to_basis_coeffs(q)), q, atol=1e-14)
+
+
+def _three_parts(q, n):
+    p1, p2 = axial_parts(q, n)
+    return [p1, p2, q - p1 - p2]
+
+
+def test_axial_parts_are_orthogonal_projections(rng):
+    q, r = random_qvec(rng, 40, scale=1.0), random_qvec(rng, 40, scale=1.0)
+    n = rng.normal(size=(40, 3))
+    n /= np.linalg.norm(n, axis=-1, keepdims=True)
+    parts, others = _three_parts(q, n), _three_parts(r, n)
+    # P3 Q n = 0
+    assert np.abs(np.einsum("...ij,...j->...i", to_matrix(parts[2]), n)).max() <= 1e-14
+    for i, p in enumerate(parts):
+        # Pi Pj = delta_ij Pi
+        for j, pj in enumerate(_three_parts(p, n)):
+            np.testing.assert_allclose(pj, p if i == j else 0.0, atol=1e-14)
+        # mutual orthogonality
+        for j, o in enumerate(others):
+            if i != j:
+                assert np.abs(qdot(p, o)).max() <= 1e-14
+    # P1 keeps nn - I/3 and P2 keeps n e + e n = ((n + e)(n + e) - (n - e)(n - e)) / 2
+    e = np.cross(n, rng.normal(size=(40, 3)))
+    ne = uniaxial(0.5, n + e) - uniaxial(0.5, n - e)
+    np.testing.assert_allclose(axial_parts(ne, n)[1], ne, atol=1e-14)
+    np.testing.assert_allclose(axial_parts(uniaxial(0.7, n), n)[0], uniaxial(0.7, n),
+                               atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
