@@ -285,13 +285,15 @@ def _run_homogeneous(cfg, log):
     p = cfg.params
     pc = phase_constants(p.alpha, p.L1, p.L2)
     n0 = np.array([np.cos(cfg.theta0), np.sin(cfg.theta0), 0.0])
-    rows = []
-    for state, ndir, _dt in homogeneous_trajectory(
-            p, shear_kappa(cfg.shear_rate), n0, cfg.t_final,
-            cfg.dt or default_hom_dt(p, pc), pc):
-        theta = float(np.arctan2(ndir[1], ndir[0]))
-        rows.append([state.t, *state.q5, float(biaxiality(state.closure.q_eigs[0])),
-                     theta, *ndir])
+    rows, errors = [], {}
+    for _rows, state, ndir, _dt in homogeneous_trajectory(
+            p, shear_kappa(cfg.shear_rate), n0, cfg.t_final, [p.de],
+            [cfg.dt or default_hom_dt(p, pc)], pc, errors):
+        n = ndir[0]
+        rows.append([state.t[0], *state.q5[0], float(biaxiality(state.closure.q_eigs[0])),
+                     float(np.arctan2(n[1], n[0])), *n])
+    if errors:
+        raise errors[0]
     log(f"homogeneous-run: {len(rows) - 1} steps, final angle {rows[-1][7]:.5f}")
     sampled = rows[::cfg.sample_every] if cfg.sample_every > 1 else rows
     return {

@@ -4,7 +4,10 @@ Two settings share the same closed Q rate (_closed_q_rate), and every state
 carries the closure of its own Q:
 
 * spatially homogeneous states under an imposed velocity gradient,
-  integrated with RK4 (step_homogeneous);
+  integrated with RK4 (step_homogeneous). A HomState is a batch of N rows,
+  each with its own De and stepped with its own dt, and every RK stage makes
+  one closure solve and one homogeneous_rhs call for all rows; a single run
+  is the batch of one row;
 * 2D periodic (Q, v) fields with full 3D tensor components, integrated
   pseudo-spectrally with a stabilized two-step IMEX scheme (variable-step
   SBDF2 with a constant-coefficient implicit shield, one formula in the
@@ -108,19 +111,23 @@ def shear_kappa(rate=1.0):
 
 @dataclass(frozen=True)
 class HomState:
-    """A single Q under an imposed, trace-free velocity gradient, with the
-    closure (bingham_map_batch result) of its own q5: an initial state is
-    closed once, cold, where it is created, and step_homogeneous closes
-    every state it returns."""
+    """N homogeneous Q tensors under one imposed, trace-free velocity
+    gradient: q5 (N, 5), the Deborah number de (N,) and the time t of each
+    row, and the closure (bingham_map_batch result) of the N rows of q5. An
+    initial state is closed once, cold, where it is created, and
+    step_homogeneous closes every state it returns."""
 
     q5: np.ndarray
     kappa: np.ndarray
-    t: float = 0.0
+    de: np.ndarray
+    t: np.ndarray
     closure: BatchClosureResult | None = None
 
     def __post_init__(self):
         if abs(np.trace(self.kappa)) > 1e-12:
             raise ValueError("imposed velocity gradient must be trace-free")
+        if np.shape(self.de) != np.shape(self.q5)[:-1]:
+            raise ValueError("one De per row of q5")
 
 
 def _closed_q_rate(q_mat, kappa, m_mu, m4_d, de):
@@ -132,8 +139,9 @@ def _closed_q_rate(q_mat, kappa, m_mu, m4_d, de):
     return -(2.0 / de) * (m_mu + np.swapaxes(m_mu, -1, -2)) + g + np.swapaxes(g, -1, -2)
 
 
-def homogeneous_rhs(q5, kappa, params, closure):
-    """dQ/dt (qvec) of the homogeneous system at q5, from its closure.
+def homogeneous_rhs(q5, kappa, de, params, closure):
+    """dQ/dt (qvec) of the homogeneous system at the rows q5 (N, 5) with
+    Deborah numbers de (N,), from their closure.
 
     The elastic contribution vanishes identically without gradients, so
     mu = B - alpha Q. The velocity gradient enters through its transpose.
@@ -141,7 +149,8 @@ def homogeneous_rhs(q5, kappa, params, closure):
     q_mat, rot, pair = to_matrix(q5), closure.rotation, closure.pair
     m_mu = mq_apply_frame(q_mat, rot, pair, to_matrix(closure.B5 - params.alpha * q5))
     m4_d = m4_contract_frame(rot, pair, kappa)  # M4 : D, D = sym(kappa)
-    return from_matrix(_closed_q_rate(q_mat, kappa, m_mu, m4_d, params.de)[0])
+    return from_matrix(_closed_q_rate(q_mat, kappa, m_mu, m4_d,
+                                      np.asarray(de)[:, None, None]))
 
 
 def _bulk_rate(constants):
@@ -156,29 +165,36 @@ def default_hom_dt(params, constants):
 
 
 def step_homogeneous(state: HomState, dt, params, tol=DEFAULT_TOL, _depth=0):
-    """One RK4 step of a closed state. k1 reads its closure, each later stage
-    closes its Q from the previous stage's B, and the last act closes q1 from
-    k4's B with the delta/2 margin. If that or a stage solve fails, dt is
-    halved (up to MAX_HALVINGS times)."""
-    q0, kappa, res = state.q5, state.kappa, _closure_of(state)
+    """One RK4 step of every row of a closed state, row i with its own
+    dt[i] (dt is an (N,) array or a scalar for all rows) and its own De.
+
+    k1 reads the state's closure, each later stage closes the N rows of its
+    Q from the previous stage's B in one solve, and the last act closes q1
+    from k4's B with the delta/2 margin. If that or a stage solve fails, dt
+    is halved for the whole batch (up to MAX_HALVINGS times), so a row that
+    did not fail takes two half steps as well. params gives alpha and delta;
+    De is the state's own.
+    """
+    q0, kappa, de, res = state.q5, state.kappa, state.de, _closure_of(state)
+    h = np.asarray(dt, dtype=float)[..., None]
     try:
-        ks = [homogeneous_rhs(q0, kappa, params, res)]
+        ks = [homogeneous_rhs(q0, kappa, de, params, res)]
         for c in (0.5, 0.5, 1.0):
-            q = q0 + c * dt * ks[-1]
+            q = q0 + c * h * ks[-1]
             res = bingham_map_batch(q, tol=tol, b_warm5=res.B5)
-            ks.append(homogeneous_rhs(q, kappa, params, res))
+            ks.append(homogeneous_rhs(q, kappa, de, params, res))
         k1, k2, k3, k4 = ks
-        q1 = q0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        q1 = q0 + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         closure = bingham_map_batch(q1, delta=params.delta / 2.0, tol=tol, b_warm5=res.B5)
     except (PhysicalityError, RuntimeError) as exc:
         # the new state or a stage left the delta/2 margin or the invertible set
         if _depth >= MAX_HALVINGS:
             raise PhysicalityError(
                 f"homogeneous step keeps violating the delta/2 margin after "
-                f"{MAX_HALVINGS} halvings at t={state.t:.4g} ({exc})") from exc
+                f"{MAX_HALVINGS} halvings at t={float(np.max(state.t)):.4g} ({exc})") from exc
         mid = step_homogeneous(state, dt / 2.0, params, tol, _depth + 1)
         return step_homogeneous(mid, dt / 2.0, params, tol, _depth + 1)
-    return HomState(q1, kappa, state.t + dt, closure)
+    return HomState(q1, kappa, de, state.t + dt, closure)
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,20 @@ With no spatial gradients the director obeys
 the explicit form of the torque balance n x (gamma1 N + gamma2 D n) = 0.
 For zeta > 1 a simple shear aligns n at the Leslie angle
 theta_L = arccos(1/zeta)/2; for zeta <= 1 the director tumbles.
+
+The director functions work on rows of directors (..., 3). The Q-tensor
+trajectories of several De values advance in lockstep as one batch
+(homogeneous_trajectory), each row with its own De and dt, so every RK
+stage makes one closure solve for all live rows; small_de_experiment steps
+the rows' reference directors alongside them in one loop.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .closure import PhysicalityError, bingham_map_batch
+from .closure import BatchClosureResult, PhysicalityError, bingham_map_batch
 from .dynamics import HomState, default_hom_dt, step_homogeneous
 from .equilibrium import PhaseConstants, phase_constants
 from .tensors import biaxiality, uniaxial
@@ -25,6 +31,10 @@ __all__ = [
     "leslie_angle", "extract_director", "homogeneous_trajectory",
     "SmallDeRow", "ConvergenceTable", "small_de_experiment", "angle_between",
 ]
+
+# failures of a step that make its row an error row; anything else is a
+# programming error and propagates
+_NUMERICAL = (PhysicalityError, RuntimeError, ArithmeticError)
 
 
 @dataclass(frozen=True)
@@ -42,28 +52,32 @@ class LeslieAlignment:
 
 
 def director_rhs(n, kappa, constants: PhaseConstants):
-    """dn/dt for the homogeneous director equation; orthogonal to n."""
+    """dn/dt for the homogeneous director equation at directors n (..., 3);
+    orthogonal to n."""
     n = np.asarray(n, dtype=float)
     kappa = np.asarray(kappa, dtype=float)
     omega = 0.5 * (kappa - kappa.T)
-    d = 0.5 * (kappa + kappa.T)
-    dn = omega @ n + constants.zeta * (d @ n - (n @ d @ n) * n)
-    return dn - (dn @ n) * n
+    dn_d = n @ (0.5 * (kappa + kappa.T))  # D n, D symmetric
+    dn = n @ omega.T + constants.zeta * (dn_d - (dn_d * n).sum(-1, keepdims=True) * n)
+    return dn - (dn * n).sum(-1, keepdims=True) * n
 
 
 def step_director(state: DirectorState, kappa, constants, dt):
-    """RK4 step with renormalization (keeps |n| = 1 exactly)."""
+    """RK4 step of the directors state.n (..., 3), each row with its own
+    dt (an array over the rows, or a scalar), with renormalization (keeps
+    |n| = 1 exactly)."""
     n = state.n
+    h = np.asarray(dt, dtype=float)[..., None]
 
     def f(m):
         return director_rhs(m, kappa, constants)
 
     k1 = f(n)
-    k2 = f(n + 0.5 * dt * k1)
-    k3 = f(n + 0.5 * dt * k2)
-    k4 = f(n + dt * k3)
-    n1 = n + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    n1 /= np.linalg.norm(n1)
+    k2 = f(n + 0.5 * h * k1)
+    k3 = f(n + 0.5 * h * k2)
+    k4 = f(n + h * k3)
+    n1 = n + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    n1 /= np.linalg.norm(n1, axis=-1, keepdims=True)
     return DirectorState(n1, state.t + dt)
 
 
@@ -78,39 +92,85 @@ def leslie_angle(zeta):
 
 
 def extract_director(rotation, prev=None):
-    """Principal eigenvector n of Q from its eigenframe (rotation: the
-    eigenvector columns for ascending eigenvalues, a closure's rotation[0]),
-    sign-aligned with prev when given."""
-    n = rotation[:, 2]
-    if prev is not None and float(n @ prev) < 0.0:
-        n = -n
+    """Principal eigenvectors n (..., 3) of Q from its eigenframes (rotation
+    (..., 3, 3): the eigenvector columns for ascending eigenvalues, a
+    closure's rotation), each sign-aligned with its row of prev when given."""
+    n = rotation[..., 2]
+    if prev is not None:
+        n = np.where(((n * prev).sum(-1) < 0.0)[..., None], -n, n)
     return n
 
 
 def angle_between(a, b):
-    """Director distance arccos(|a.b|), quotienting the n -> -n symmetry."""
-    return float(np.arccos(min(1.0, abs(float(np.dot(a, b))))))
+    """Director distance arccos(|a.b|) of rows (..., 3), quotienting the
+    n -> -n symmetry."""
+    return np.arccos(np.minimum(1.0, np.abs((np.asarray(a) * b).sum(-1))))
 
 
-def homogeneous_trajectory(params, kappa, n0, t_final, dt, constants):
-    """Yield (state, n, dt) at t = 0 and after every step up to t_final.
+def _take(state, rows):
+    """The rows of a closed HomState, with their closure."""
+    res = state.closure
+    return HomState(state.q5[rows], state.kappa, state.de[rows], state.t[rows],
+                    BatchClosureResult(*(getattr(res, f.name)[rows] for f in fields(res))))
 
-    The run starts on the uniaxial slow manifold, Q = S2 (n0 n0 - I/3) at the
-    equilibrium order parameter, closed cold, and takes ceil(t_final / dt)
-    equal RK4 steps (step_homogeneous) of the returned dt <= the given one.
-    n is the state's director (extract_director), sign-continued from n0.
+
+def _concat(states):
+    """One closed HomState of the rows of several, in order."""
+    def cat(objs, name):
+        return np.concatenate([getattr(o, name) for o in objs])
+    res = [s.closure for s in states]
+    return HomState(cat(states, "q5"), states[0].kappa, cat(states, "de"), cat(states, "t"),
+                    BatchClosureResult(*(cat(res, f.name) for f in fields(BatchClosureResult))))
+
+
+def homogeneous_trajectory(params, kappa, n0, t_final, de, dt, constants, errors):
+    """Run one Q-tensor trajectory per row i, with Deborah number de[i] and
+    step size at most dt[i], in lockstep; yield (rows, state, n, dt) at t = 0
+    and after every lockstep step.
+
+    Every row starts on the uniaxial slow manifold, Q = S2 (n0 n0 - I/3) at
+    the equilibrium order parameter, closed cold, and takes
+    n_i = ceil(t_final / dt[i]) equal RK4 steps of t_final / n_i. The live
+    rows (indices `rows` into de) are stepped as one batch with one
+    step_homogeneous call, and a row leaves the batch once it has taken its
+    n_i steps; where n_i grows along the rows, the live rows are a suffix.
+    state is the HomState of the live rows, n their directors
+    (extract_director, sign-continued from n0) and dt their step sizes.
+
+    If the batch step fails numerically even after its halvings, each live
+    row retries that step on its own. A row that fails alone leaves the
+    batch, and its exception goes into errors[i]; the other rows continue.
     """
-    n_steps = int(np.ceil(t_final / dt))
+    de = np.asarray(de, dtype=float)
+    n_steps = np.ceil(t_final / np.asarray(dt, dtype=float)).astype(int)
     dt = t_final / n_steps
-    q0 = uniaxial(constants.S2, n0)
-    state = HomState(q5=q0, kappa=np.asarray(kappa, dtype=float),
-                     closure=bingham_map_batch(q0))
-    n = n0
-    for k in range(n_steps + 1):
-        if k:
-            state = step_homogeneous(state, dt, params)
-        n = extract_director(state.closure.rotation[0], n)
-        yield state, n, dt
+    q0 = np.tile(uniaxial(constants.S2, n0), (len(de), 1))
+    state = HomState(q5=q0, kappa=np.asarray(kappa, dtype=float), de=de,
+                     t=np.zeros(len(de)), closure=bingham_map_batch(q0))
+    rows = np.arange(len(de))
+    n = extract_director(state.closure.rotation, np.tile(n0, (len(de), 1)))
+    yield rows, state, n, dt
+    for k in range(1, n_steps.max() + 1):
+        live = n_steps[rows] >= k
+        if not live.any():
+            return
+        if not live.all():
+            rows, state, n = rows[live], _take(state, live), n[live]
+        try:
+            state = step_homogeneous(state, dt[rows], params)
+        except _NUMERICAL:
+            alone = {}
+            for i, row in enumerate(rows):
+                try:
+                    alone[i] = step_homogeneous(_take(state, [i]), dt[[row]], params)
+                except _NUMERICAL as exc:
+                    errors[int(row)] = exc
+            if not alone:
+                return
+            ok = list(alone)
+            rows, n, state = rows[ok], n[ok], _concat(list(alone.values()))
+        n = extract_director(state.closure.rotation, n)
+        yield rows, state, n, dt[rows]
 
 
 # ---------------------------------------------------------------------------
@@ -151,42 +211,46 @@ def small_de_experiment(params, de_list, kappa, t_final, n0):
     """Compare the Q-tensor trajectory against the director ODE per De.
 
     Both start from the same director n0 (Q on the uniaxial slow manifold at
-    the equilibrium order parameter) under the same imposed gradient; per
-    De the sup over time of the director angle error and of the biaxiality
-    is recorded, and the log-log slope of the error is fitted.
+    the equilibrium order parameter) under the same imposed gradient. All De
+    rows advance in lockstep (homogeneous_trajectory), each with its own
+    default_hom_dt, and their reference directors step alongside with the
+    same per-row dt. Per De the sup over time of the director angle error and
+    of the biaxiality is recorded, and the log-log slope of the error is
+    fitted. A numerical failure of one De, also when its row steps alone, is
+    that De's error row; the table is still emitted, the other rows go on,
+    and a programming error propagates.
     """
     de_list = list(de_list)
     if any(b >= a for a, b in zip(de_list, de_list[1:])):
         raise ValueError("de_list must be strictly decreasing")
     constants = phase_constants(params.alpha, params.L1, params.L2)
     n0 = np.asarray(n0, dtype=float) / np.linalg.norm(n0)
+    dts = [default_hom_dt(replace(params, de=float(de)), constants) for de in de_list]
+
+    errors = {}
+    sup_err = np.zeros(len(de_list))
+    sup_biax = np.zeros(len(de_list))
+    nref = np.tile(n0, (len(de_list), 1))
+    steps = homogeneous_trajectory(params, kappa, n0, t_final, de_list, dts, constants, errors)
+    for k, (live, hom, ndir, dt) in enumerate(steps):
+        if k:
+            nref[live] = step_director(DirectorState(nref[live]), kappa, constants, dt).n
+        sup_err[live] = np.maximum(sup_err[live], angle_between(ndir, nref[live]))
+        sup_biax[live] = np.maximum(sup_biax[live], biaxiality(hom.closure.q_eigs))
 
     rows = []
-
-    for de in de_list:
-        p = replace(params, de=float(de))
-        try:
-            dstate = DirectorState(n0)
-            sup_err = 0.0
-            sup_biax = 0.0
-            steps = homogeneous_trajectory(p, kappa, n0, t_final,
-                                           default_hom_dt(p, constants), constants)
-            for k, (hom, ndir, dt) in enumerate(steps):
-                if k:
-                    dstate = step_director(dstate, kappa, constants, dt)
-                sup_err = max(sup_err, angle_between(ndir, dstate.n))
-                sup_biax = max(sup_biax, float(biaxiality(hom.closure.q_eigs[0])))
-            slope = None
-            done = [r for r in rows if r.error is None]
-            if done:
-                prev_row = done[-1]
-                slope = float(np.log(prev_row.sup_angle_err / sup_err)
-                              / np.log(prev_row.de / de))
-            rows.append(SmallDeRow(de, sup_err, sup_biax, slope))
-        except (PhysicalityError, RuntimeError, ArithmeticError) as exc:
-            # a numerical failure of this De is an error row; the table is
-            # still emitted, and a programming error propagates
+    for i, de in enumerate(de_list):
+        if i in errors:
+            exc = errors[i]
             rows.append(SmallDeRow(de, np.nan, np.nan, None, f"{type(exc).__name__}: {exc}"))
+            continue
+        slope = None
+        done = [r for r in rows if r.error is None]
+        if done:
+            prev_row = done[-1]
+            slope = float(np.log(prev_row.sup_angle_err / sup_err[i])
+                          / np.log(prev_row.de / de))
+        rows.append(SmallDeRow(de, float(sup_err[i]), float(sup_biax[i]), slope))
 
     good = [r for r in rows if r.error is None]
     slope = None

@@ -3,6 +3,7 @@ tracer patches by name, so a deletion that breaks them fails here; and every
 exported name has a caller in the package or the benchmark."""
 import ast
 import importlib
+import inspect
 import pathlib
 import pkgutil
 import sys
@@ -158,3 +159,11 @@ def test_every_default_has_a_caller():
             passed |= set(pos[:n_pos]) | {k.arg for k in call.keywords if k.arg}
         unpassed |= {(module, qualname, p) for p in defaulted if p not in passed}
     assert unpassed == set(DEFAULTS_WITHOUT_CALLER), unpassed ^ set(DEFAULTS_WITHOUT_CALLER)
+
+
+def test_step_homogeneous_positional_layout():
+    # the benchmark's tracer reads a halved step's _depth as args[4] of
+    # step_homogeneous; a reorder of these parameters would corrupt its count
+    from qbingham.dynamics import step_homogeneous
+    params = list(inspect.signature(step_homogeneous).parameters)
+    assert params[:5] == ["state", "dt", "params", "tol", "_depth"]

@@ -19,13 +19,18 @@ PC = phase_constants(7.0, 1.0, 0.5)
 N0 = np.array([0.0, 0.0, 1.0])
 
 
-def closed(q5, kappa, tol=DEFAULT_TOL):
-    """An initial HomState, closed once, cold."""
-    return HomState(q5=q5, kappa=kappa, closure=bingham_map_batch(q5, tol=tol))
+def closed(q5, kappa, tol=DEFAULT_TOL, de=P.de):
+    """An initial HomState of the rows q5 with Deborah numbers de, closed
+    once, cold."""
+    q5 = np.reshape(q5, (-1, 5))
+    return HomState(q5=q5, kappa=kappa, de=np.broadcast_to(de, len(q5)).astype(float),
+                    t=np.zeros(len(q5)), closure=bingham_map_batch(q5, tol=tol))
 
 
 def rhs_at(q5, kappa, tol=DEFAULT_TOL):
-    return homogeneous_rhs(q5, kappa, P, bingham_map_batch(q5, tol=tol))
+    """dQ/dt of one qvec q5 (5,) at De = P.de."""
+    q5 = np.reshape(q5, (1, 5))
+    return homogeneous_rhs(q5, kappa, [P.de], P, bingham_map_batch(q5, tol=tol))[0]
 
 
 def test_model_params_validation():
@@ -44,7 +49,9 @@ def test_shear_kappa_tracefree():
     assert k[0, 1] == 2.5
     assert np.trace(k) == 0.0
     with pytest.raises(ValueError):
-        HomState(q5=np.zeros(5), kappa=np.eye(3))
+        HomState(q5=np.zeros((1, 5)), kappa=np.eye(3), de=np.ones(1), t=np.zeros(1))
+    with pytest.raises(ValueError, match="one De per row"):
+        HomState(q5=np.zeros((2, 5)), kappa=k, de=np.ones(1), t=np.zeros(2))
 
 
 def test_equilibrium_is_stationary():
@@ -59,7 +66,7 @@ def test_equilibrium_fixed_point_over_many_steps():
     dt = 0.1 * P.de
     for _ in range(1000):
         state = step_homogeneous(state, dt, P, tol=1e-12)
-    assert qnorm(state.q5 - q0) < 1e-12
+    assert qnorm(state.q5[0] - q0) < 1e-12
 
 
 def test_isotropic_response_to_shear():
@@ -107,7 +114,7 @@ def test_rk4_self_convergence_order():
         st = closed(q0, kap, tol=1e-13)
         for _ in range(int(round(t_final / dt))):
             st = step_homogeneous(st, dt, P, tol=1e-13)
-        return st.q5
+        return st.q5[0]
 
     ref = run(0.0025)
     errs = [qnorm(run(dt) - ref) for dt in (0.04, 0.02, 0.01)]
@@ -121,9 +128,9 @@ def test_physicality_retry_with_large_step():
     q0 = uniaxial(PC.S2, N0)
     st = closed(q0, kap)
     out = step_homogeneous(st, 2.0, P)
-    w, _ = eig_sym3(to_matrix(out.q5))
+    w, _ = eig_sym3(to_matrix(out.q5[0]))
     assert min(w[0] + 1.0 / 3.0, 2.0 / 3.0 - w[2]) >= P.delta / 2.0
-    assert out.t == pytest.approx(2.0)
+    assert out.t[0] == pytest.approx(2.0)
 
 
 def test_default_dt_resolves_stiffness():
@@ -139,7 +146,7 @@ def test_each_state_carries_its_own_closure(monkeypatch):
     kap = shear_kappa(1.0)
     q0 = uniaxial(PC.S2, np.array([np.cos(1.0), np.sin(1.0), 0.0]))
     with pytest.raises(ValueError, match="no closure"):
-        step_homogeneous(HomState(q5=q0, kappa=kap), 0.05, P)
+        step_homogeneous(HomState(q5=q0[None], kappa=kap, de=np.ones(1), t=np.zeros(1)), 0.05, P)
     states = [closed(q0, kap)]
 
     def no_eigvalsh(*args):
@@ -160,3 +167,39 @@ def test_each_state_carries_its_own_closure(monkeypatch):
         cold = bingham_map_batch(st.q5)
         assert np.abs(st.closure.B5 - cold.B5).max() <= 1e-9
         assert np.abs(st.closure.rotation - cold.rotation).max() <= 1e-9
+
+
+def test_batch_equals_rows():
+    # one step of three rows with their own De, dt and director is each row
+    # stepped alone, up to the closure tolerance (a batch shares one node
+    # count, the largest its rows need)
+    kap = shear_kappa(1.0)
+    dirs = [np.array([np.cos(a), np.sin(a), z]) / np.hypot(1.0, z)
+            for a, z in ((0.3, 0.0), (1.0, 0.4), (2.0, -0.7))]
+    q5 = np.stack([uniaxial(PC.S2, n) for n in dirs]) + np.array([0.01, -0.02, 0.0, 0.005, 0.0])
+    de = np.array([0.3, 0.1, 0.05])
+    dt = np.array([0.02, 0.005, 0.003])
+    batch = step_homogeneous(closed(q5, kap, de=de), dt, P)
+    for i in range(3):
+        alone = step_homogeneous(closed(q5[i], kap, de=de[i]), dt[i:i + 1], P)
+        assert np.abs(batch.q5[i] - alone.q5[0]).max() <= 1e-12
+        assert np.abs(batch.closure.B5[i] - alone.closure.B5[0]).max() <= 1e-12
+        assert np.abs(batch.closure.rotation[i] - alone.closure.rotation[0]).max() <= 1e-12
+        assert batch.t[i] == alone.t[0] == dt[i]
+
+
+def test_batch_of_one_is_the_single_state_step():
+    # two steps of one row reproduce the single-state RK4 step this batched
+    # step replaced (its q5 and B recorded from it on the same input)
+    q0 = uniaxial(0.5, np.array([np.cos(1.0), np.sin(1.0), 0.0])) + np.array(
+        [0.02, -0.01, 0.015, 0.0, 0.01])
+    st = closed(q0, shear_kappa(1.0), de=0.3)
+    for _ in range(2):
+        st = step_homogeneous(st, np.array([0.02]), P)
+    q5 = [0.010234358101554207, 0.16584683416475166, 0.25269072720807007,
+          0.0030732248308637878, 0.0077993935237562415]
+    b5 = [0.07206060395594867, 1.1714002877812633, 1.7869700210316712,
+          -0.006280007430772173, 0.07578528499104822]
+    assert np.abs(st.q5[0] - q5).max() <= 1e-14
+    assert np.abs(st.closure.B5[0] - b5).max() <= 1e-14
+    assert st.t[0] == 0.04

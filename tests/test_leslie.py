@@ -1,4 +1,5 @@
 import collections
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from qbingham import tensors
 from qbingham import leslie
 from qbingham.closure import PhysicalityError, bingham_map_batch
-from qbingham.dynamics import ModelParams, shear_kappa
+from qbingham.dynamics import ModelParams, default_hom_dt, shear_kappa
 from qbingham.equilibrium import phase_constants
 from qbingham.leslie import (
     DirectorState, angle_between, director_rhs, extract_director,
@@ -169,3 +170,42 @@ def test_small_de_rows_catch_numerical_failures_only(monkeypatch):
     monkeypatch.setattr(leslie, "step_homogeneous", stub(TypeError("bad call")))
     with pytest.raises(TypeError, match="bad call"):
         small_de_experiment(params, [0.2], shear_kappa(1.0), 0.3, N0)
+    monkeypatch.undo()
+
+    # a lockstep step that fails retries each row alone: only the row that
+    # fails alone is an error row, and the other rows go on
+    des = [0.2, 0.1, 0.05]
+    ref = small_de_experiment(params, des, shear_kappa(1.0), 0.3, N0)
+    step = leslie.step_homogeneous
+
+    def fails_with_de_01(state, dt, p, *args):
+        if np.any(state.de == 0.1):
+            raise PhysicalityError("left the margin")
+        return step(state, dt, p, *args)
+
+    monkeypatch.setattr(leslie, "step_homogeneous", fails_with_de_01)
+    table = small_de_experiment(params, des, shear_kappa(1.0), 0.3, N0)
+    assert [r.error for r in table.rows] == [None, "PhysicalityError: left the margin", None]
+    for got, want in zip(table.rows[::2], ref.rows[::2]):
+        assert got.sup_angle_err == pytest.approx(want.sup_angle_err, rel=1e-9)
+        assert got.sup_biaxiality == pytest.approx(want.sup_biaxiality, rel=1e-9)
+    # the rows left after the longest one failed end at their own step count
+    table = small_de_experiment(params, des[:2], shear_kappa(1.0), 0.3, N0)
+    assert [r.error for r in table.rows] == [None, "PhysicalityError: left the margin"]
+    assert table.rows[0].sup_angle_err == pytest.approx(ref.rows[0].sup_angle_err, rel=1e-9)
+
+
+def test_small_de_steps_the_rows_in_lockstep(monkeypatch):
+    # one closure solve per RK stage for all live rows: 1 cold solve plus 4
+    # per lockstep step, and max(n_i) steps (30 at De = 0.1; one row after
+    # another made 182 solves and 45 steps)
+    params = ModelParams(alpha=7.0, epsilon=0.05, de=1.0, re=1.0, gamma=0.5,
+                         L1=1.0, L2=0.5, delta=0.1)
+    calls = collections.Counter()
+    count_calls(monkeypatch, bingham_map_batch, calls, "solves")
+    count_calls(monkeypatch, leslie.step_homogeneous, calls, "steps")
+    table = small_de_experiment(params, [0.2, 0.1], shear_kappa(1.0), 0.3, N0)
+    assert all(r.error is None for r in table.rows)
+    n_max = int(np.ceil(0.3 / default_hom_dt(replace(params, de=0.1), PC)))
+    assert n_max == 30
+    assert calls == {"solves": 1 + 4 * n_max, "steps": n_max}
