@@ -31,9 +31,8 @@ from .dynamics import (
     smooth_random_state, step_homogeneous,
 )
 from .leslie import (
-    ConvergenceTable, DirectorState, LeslieAlignment, angle_between,
-    director_rhs, extract_director, leslie_angle, small_de_experiment,
-    step_director,
+    angle_between, director_rhs, extract_director, leslie_angle,
+    small_de_experiment, step_director,
 )
 
 __version__ = "0.1.0"

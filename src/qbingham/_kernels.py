@@ -100,7 +100,7 @@ def _moments_batch_np(b, x2, u, w, table):
     return np.log(z) + top, mom[:, :3], mom[:, 3:].reshape(-1, 3, 3)
 
 
-def newton_batch(q_eigs, b_init, nodes, tol=1e-11, maxit=60):
+def newton_batch(q_eigs, b_init, nodes, tol, maxit):
     """Solve <mm - I/3>_f(b) = diag(q_eigs) for diagonal b by a damped Newton
     ascent on b:q - ln Z, batched over points.
 

@@ -42,7 +42,6 @@ class PhysicalityError(ValueError):
 class BatchClosureResult:
     """Vectorized closure solves for a batch of Q tensors."""
 
-    b_diag: np.ndarray     # (N, 3) eigenvalues of B in the frame of Q
     rotation: np.ndarray   # (N, 3, 3) eigenvector columns shared by Q and B
     q_eigs: np.ndarray     # (N, 3) eigenvalues of Q, ascending
     log_z: np.ndarray      # (N,)
@@ -107,8 +106,7 @@ def bingham_map_batch(q5, delta=0.0, tol=DEFAULT_TOL, b_warm5=None):
             f"after {int(iters[k])} iterations (tol {tol:.1e}); "
             f"q eigenvalues {w[k]}")
     b5 = from_matrix((rot * b[:, None, :]) @ np.swapaxes(rot, 1, 2))
-    return BatchClosureResult(b, rot, w, lnz, second, pair, res, iters, damped,
-                              b5, spread)
+    return BatchClosureResult(rot, w, lnz, second, pair, res, iters, damped, b5, spread)
 
 
 # ---------------------------------------------------------------------------

@@ -158,10 +158,11 @@ def _bulk_rate(constants):
     return max(constants.rate_par, constants.rate_perp)
 
 
-def default_hom_dt(params, constants):
-    """Step size resolving the stiff bulk relaxation for explicit RK4."""
+def default_hom_dt(de, constants):
+    """Step size resolving the stiff bulk relaxation at Deborah number de
+    for explicit RK4."""
     lam = _bulk_rate(constants)
-    return min(0.1 * params.de, 2.0 * params.de / max(lam, 1e-12))
+    return min(0.1 * de, 2.0 * de / max(lam, 1e-12))
 
 
 def step_homogeneous(state: HomState, dt, params, tol=DEFAULT_TOL, _depth=0):

@@ -7,17 +7,18 @@ With no spatial gradients the director obeys
 
 the explicit form of the torque balance n x (gamma1 N + gamma2 D n) = 0.
 For zeta > 1 a simple shear aligns n at the Leslie angle
-theta_L = arccos(1/zeta)/2; for zeta <= 1 the director tumbles.
+theta_L = arccos(1/zeta)/2; for zeta < 1 the director tumbles.
 
-The director functions work on rows of directors (..., 3). The Q-tensor
-trajectories of several De values advance in lockstep as one batch
-(homogeneous_trajectory), each row with its own De and dt, so every RK
+The director functions take and return plain rows of directors (..., 3).
+The Q-tensor trajectories of several De values advance in lockstep as one
+batch (homogeneous_trajectory), each row with its own De and dt, so every RK
 stage makes one closure solve for all live rows; small_de_experiment steps
-the rows' reference directors alongside them in one loop.
+the rows' reference directors alongside them in one loop and returns its
+table as the plain records small_de.json holds.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields
 
 import numpy as np
 
@@ -27,28 +28,13 @@ from .equilibrium import PhaseConstants, phase_constants
 from .tensors import biaxiality, uniaxial
 
 __all__ = [
-    "DirectorState", "LeslieAlignment", "director_rhs", "step_director",
-    "leslie_angle", "extract_director", "homogeneous_trajectory",
-    "SmallDeRow", "ConvergenceTable", "small_de_experiment", "angle_between",
+    "director_rhs", "step_director", "leslie_angle", "extract_director",
+    "homogeneous_trajectory", "small_de_experiment", "angle_between",
 ]
 
 # failures of a step that make its row an error row; anything else is a
 # programming error and propagates
 _NUMERICAL = (PhysicalityError, RuntimeError, ArithmeticError)
-
-
-@dataclass(frozen=True)
-class DirectorState:
-    n: np.ndarray
-    t: float = 0.0
-
-
-@dataclass(frozen=True)
-class LeslieAlignment:
-    """Steady shear alignment: the angle when it exists, else tumbling."""
-
-    theta: float | None
-    tumbling: bool
 
 
 def director_rhs(n, kappa, constants: PhaseConstants):
@@ -62,11 +48,10 @@ def director_rhs(n, kappa, constants: PhaseConstants):
     return dn - (dn * n).sum(-1, keepdims=True) * n
 
 
-def step_director(state: DirectorState, kappa, constants, dt):
-    """RK4 step of the directors state.n (..., 3), each row with its own
-    dt (an array over the rows, or a scalar), with renormalization (keeps
-    |n| = 1 exactly)."""
-    n = state.n
+def step_director(n, kappa, constants, dt):
+    """RK4 step of the directors n (..., 3), each row with its own dt (an
+    array over the rows, or a scalar), with renormalization (keeps |n| = 1
+    exactly); returns the stepped directors."""
     h = np.asarray(dt, dtype=float)[..., None]
 
     def f(m):
@@ -78,17 +63,17 @@ def step_director(state: DirectorState, kappa, constants, dt):
     k4 = f(n + h * k3)
     n1 = n + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     n1 /= np.linalg.norm(n1, axis=-1, keepdims=True)
-    return DirectorState(n1, state.t + dt)
+    return n1
 
 
 def leslie_angle(zeta):
-    """Shear alignment angle arccos(1/zeta)/2 for zeta >= 1, else tumbling."""
+    """Shear alignment angle arccos(1/zeta)/2 for zeta >= 1; None for
+    zeta < 1, where the director tumbles."""
     if zeta <= 0:
         raise ValueError("zeta must be positive")
     if zeta < 1.0:
-        return LeslieAlignment(None, True)
-    theta = 0.5 * np.arccos(1.0 / zeta)
-    return LeslieAlignment(float(theta), zeta <= 1.0)
+        return None
+    return float(0.5 * np.arccos(1.0 / zeta))
 
 
 def extract_director(rotation, prev=None):
@@ -177,36 +162,6 @@ def homogeneous_trajectory(params, kappa, n0, t_final, de, dt, constants, errors
 # small-Deborah convergence experiment
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SmallDeRow:
-    de: float
-    sup_angle_err: float
-    sup_biaxiality: float
-    running_slope: float | None
-    error: str | None = None
-
-
-@dataclass(frozen=True)
-class ConvergenceTable:
-    rows: tuple
-    fitted_slope: float | None
-    alpha: float
-    zeta: float
-    theta_leslie: float | None
-
-    def as_records(self):
-        return [
-            {
-                "De": r.de,
-                "sup_angle_err": r.sup_angle_err,
-                "sup_biaxiality": r.sup_biaxiality,
-                "fitted_slope_running": r.running_slope,
-                "error": r.error or "",
-            }
-            for r in self.rows
-        ]
-
-
 def small_de_experiment(params, de_list, kappa, t_final, n0):
     """Compare the Q-tensor trajectory against the director ODE per De.
 
@@ -216,16 +171,23 @@ def small_de_experiment(params, de_list, kappa, t_final, n0):
     default_hom_dt, and their reference directors step alongside with the
     same per-row dt. Per De the sup over time of the director angle error and
     of the biaxiality is recorded, and the log-log slope of the error is
-    fitted. A numerical failure of one De, also when its row steps alone, is
-    that De's error row; the table is still emitted, the other rows go on,
-    and a programming error propagates.
+    fitted. params gives everything but De, which is each row's own.
+
+    Returns the table small_de.json holds: {"rows": [{"De",
+    "sup_angle_err", "sup_biaxiality", "fitted_slope_running", "error"}, ...],
+    "fitted_slope", "alpha", "zeta", "theta_leslie"}. A row's running slope
+    is against the previous good row (None for the first), and the fitted
+    slope is None with fewer than two good rows. A numerical failure of one
+    De, also when its row steps alone, is that De's error row (NaN sup
+    values and the exception's text); the other rows go on, and a
+    programming error propagates.
     """
     de_list = list(de_list)
     if any(b >= a for a, b in zip(de_list, de_list[1:])):
         raise ValueError("de_list must be strictly decreasing")
     constants = phase_constants(params.alpha, params.L1, params.L2)
     n0 = np.asarray(n0, dtype=float) / np.linalg.norm(n0)
-    dts = [default_hom_dt(replace(params, de=float(de)), constants) for de in de_list]
+    dts = [default_hom_dt(de, constants) for de in de_list]
 
     errors = {}
     sup_err = np.zeros(len(de_list))
@@ -234,30 +196,27 @@ def small_de_experiment(params, de_list, kappa, t_final, n0):
     steps = homogeneous_trajectory(params, kappa, n0, t_final, de_list, dts, constants, errors)
     for k, (live, hom, ndir, dt) in enumerate(steps):
         if k:
-            nref[live] = step_director(DirectorState(nref[live]), kappa, constants, dt).n
+            nref[live] = step_director(nref[live], kappa, constants, dt)
         sup_err[live] = np.maximum(sup_err[live], angle_between(ndir, nref[live]))
         sup_biax[live] = np.maximum(sup_biax[live], biaxiality(hom.closure.q_eigs))
 
-    rows = []
+    sup_err[list(errors)] = sup_biax[list(errors)] = np.nan
+    rows, good = [], []
     for i, de in enumerate(de_list):
-        if i in errors:
-            exc = errors[i]
-            rows.append(SmallDeRow(de, np.nan, np.nan, None, f"{type(exc).__name__}: {exc}"))
-            continue
-        slope = None
-        done = [r for r in rows if r.error is None]
-        if done:
-            prev_row = done[-1]
-            slope = float(np.log(prev_row.sup_angle_err / sup_err[i])
-                          / np.log(prev_row.de / de))
-        rows.append(SmallDeRow(de, float(sup_err[i]), float(sup_biax[i]), slope))
+        exc = errors.get(i)
+        rows.append({"De": de, "sup_angle_err": float(sup_err[i]),
+                     "sup_biaxiality": float(sup_biax[i]), "fitted_slope_running": None,
+                     "error": "" if exc is None else f"{type(exc).__name__}: {exc}"})
+        if exc is None:
+            if good:
+                rows[i]["fitted_slope_running"] = float(
+                    np.log(good[-1]["sup_angle_err"] / sup_err[i]) / np.log(good[-1]["De"] / de))
+            good.append(rows[i])
 
-    good = [r for r in rows if r.error is None]
     slope = None
     if len(good) >= 2:
-        x = np.log([r.de for r in good])
-        y = np.log([r.sup_angle_err for r in good])
+        x = np.log([r["De"] for r in good])
+        y = np.log([r["sup_angle_err"] for r in good])
         slope = float(np.polyfit(x, y, 1)[0])
-    align = leslie_angle(constants.zeta)
-    return ConvergenceTable(tuple(rows), slope, params.alpha, constants.zeta,
-                            align.theta)
+    return {"rows": rows, "fitted_slope": slope, "alpha": params.alpha,
+            "zeta": constants.zeta, "theta_leslie": leslie_angle(constants.zeta)}

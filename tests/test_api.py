@@ -2,6 +2,7 @@
 tracer patches by name, so a deletion that breaks them fails here; and every
 exported name has a caller in the package or the benchmark."""
 import ast
+import dataclasses
 import importlib
 import inspect
 import pathlib
@@ -159,6 +160,23 @@ def test_every_default_has_a_caller():
             passed |= set(pos[:n_pos]) | {k.arg for k in call.keywords if k.arg}
         unpassed |= {(module, qualname, p) for p in defaulted if p not in passed}
     assert unpassed == set(DEFAULTS_WITHOUT_CALLER), unpassed ^ set(DEFAULTS_WITHOUT_CALLER)
+
+
+def test_every_config_field_is_a_key_a_runner_reads():
+    # every ExperimentConfig field but experiment and raw is declared as a
+    # config key, and is read as cfg.<field> by the command line or the
+    # benchmark; a key no runner reads is a dead option
+    from qbingham.config import ExperimentConfig
+    keys = [f for f in dataclasses.fields(ExperimentConfig)
+            if f.name not in ("experiment", "raw")]
+    assert keys
+    assert not [f.name for f in keys if "path" not in f.metadata]
+    read = set()
+    for path in [SRC / "cli.py"] + sorted(QBENCH.glob("*.py")):
+        read |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and node.value.id == "cfg"}
+    assert not [f.name for f in keys if f.name not in read]
 
 
 def test_step_homogeneous_positional_layout():

@@ -1,0 +1,238 @@
+"""Config catalogue: for every key, the error a wrong type, a non-integer and
+a value just past its bound give, the structural errors, and the built-in
+config of every experiment. Messages are compared as sets: the validator
+reports every violation at once, in no promised order."""
+from dataclasses import fields
+
+import pytest
+
+from qbingham.config import EXPERIMENTS, ConfigError, default_config, validate_config
+from qbingham.dynamics import ModelParams
+
+TOP_KEYS = ("experiment, grid, params, quadrature, seed, dt, steps, sample_every, alphas, "
+            "samples, de_list, t_final, shear_rate, theta0, snapshot, q_amplitude, "
+            "v_amplitude")
+ALLOWED = ", ".join(sorted(TOP_KEYS.split(", ")))
+
+# (key path, integer, value just past the bound, its message); None: unbounded
+NUMBERS = [
+    ("seed", True, -1, "must be >= 0"),
+    ("steps", True, 0, "must be >= 1"),
+    ("sample_every", True, 0, "must be >= 1"),
+    ("samples", True, 0, "must be >= 1"),
+    ("dt", False, 0.0, "must be > 0"),
+    ("t_final", False, 0.0, "must be > 0"),
+    ("shear_rate", False, None, None),
+    ("theta0", False, None, None),
+    ("q_amplitude", False, -1e-12, "must be >= 0"),
+    ("v_amplitude", False, -1e-12, "must be >= 0"),
+    ("quadrature.n_polar", True, 7, "must be >= 8"),
+    ("quadrature.n_azimuthal", True, 15, "must be >= 16"),
+    ("grid.n", True, 7, "must be >= 8"),
+    ("grid.length", False, 0.0, "must be > 0"),
+    ("alphas[1]", False, 0.0, "must be > 0"),
+    ("de_list[1]", False, 0.0, "must be > 0"),
+]
+
+# the bounds of params.* are ModelParams' own, reported as one "params" error
+PARAMS = [
+    ("alpha", 0.0, "alpha must be positive"),
+    ("epsilon", -1e-12, "epsilon must be nonnegative"),
+    ("de", 0.0, "De must be positive"),
+    ("re", 0.0, "Re must be positive"),
+    ("gamma", 1.0, "gamma must lie in (0,1)"),
+    ("L1", 0.0, "L1 must be positive"),
+    ("L2", -0.5, "L1 + 2 L2 must be positive"),
+    ("delta", 1.0 / 3.0, "delta must lie in (0, 1/3)"),
+]
+
+DEFAULTS = {
+    "seed": 0,
+    "params": ModelParams(alpha=7.0, epsilon=0.05, de=1.0, re=1.0, gamma=0.5,
+                          L1=1.0, L2=0.5, delta=0.1),
+    "n_polar": 64, "n_azimuthal": 128,
+    "grid_n": 128, "grid_length": 6.283185307179586,
+    "dt": None, "steps": 2000, "sample_every": 1,
+    "alphas": (7.0, 8.0, 10.0), "samples": 1000,
+    "de_list": (0.2, 0.1, 0.05, 0.025),
+    "t_final": 5.0, "shear_rate": 1.0, "theta0": 1.0, "snapshot": True,
+    "q_amplitude": 0.5, "v_amplitude": 0.1,
+}
+
+
+def _doc(path, value):
+    """A phase-table doc with the key at path set to value; list elements
+    follow a valid first element."""
+    doc = {"experiment": "phase-table"}
+    if "[" in path:
+        key = path.split("[")[0]
+        doc[key] = [0.5, value]
+    elif "." in path:
+        outer, inner = path.split(".")
+        doc[outer] = {inner: value}
+    else:
+        doc[path] = value
+    return doc
+
+
+def _errors(doc):
+    with pytest.raises(ConfigError) as info:
+        validate_config(doc)
+    return set(info.value.errors)
+
+
+def _as_dict(cfg):
+    return {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "raw"}
+
+
+def _field(path):
+    return {"quadrature.n_polar": "n_polar", "quadrature.n_azimuthal": "n_azimuthal",
+            "grid.n": "grid_n", "grid.length": "grid_length"}.get(path, path)
+
+
+@pytest.mark.parametrize("path", [p for p, *_ in NUMBERS] + [f"params.{k}" for k, *_ in PARAMS])
+@pytest.mark.parametrize("bad", ["x", True, [1.0], {"a": 1}])
+def test_wrong_type(path, bad):
+    assert _errors(_doc(path, bad)) == {
+        f"{path}: expected a number, got {type(bad).__name__}"}
+
+
+@pytest.mark.parametrize("path", [p for p, integer, *_ in NUMBERS if integer])
+def test_non_integer(path):
+    assert _errors(_doc(path, 8.5)) == {f"{path}: expected an integer"}
+    # an integral float is an integer
+    cfg = validate_config(_doc(path, 1000.0))
+    assert isinstance(_as_dict(cfg)[_field(path)], int)
+
+
+@pytest.mark.parametrize("path,past,msg", [(p, v, m) for p, _, v, m in NUMBERS if m])
+def test_past_the_bound(path, past, msg):
+    assert _errors(_doc(path, past)) == {f"{path}: {msg}"}
+
+
+@pytest.mark.parametrize("key,past,msg", PARAMS)
+def test_params_past_the_bound(key, past, msg):
+    assert _errors(_doc(f"params.{key}", past)) == {f"params: {msg}"}
+
+
+@pytest.mark.parametrize("path,lo", [
+    ("seed", 0), ("steps", 1), ("sample_every", 1), ("samples", 1),
+    ("q_amplitude", 0.0), ("v_amplitude", 0.0),
+    ("quadrature.n_polar", 8), ("quadrature.n_azimuthal", 16), ("grid.n", 8),
+])
+def test_inclusive_bound_accepted(path, lo):
+    assert _as_dict(validate_config(_doc(path, lo)))[_field(path)] == lo
+
+
+def test_dt_null_accepted_steps_null_rejected():
+    assert validate_config({"experiment": "field-run", "dt": None}).dt is None
+    assert validate_config({"experiment": "field-run", "dt": 0.25}).dt == 0.25
+    assert _errors({"experiment": "field-run", "steps": None}) == {
+        "steps: expected a number, got NoneType"}
+
+
+@pytest.mark.parametrize("key", ["alphas", "de_list"])
+@pytest.mark.parametrize("bad", [[], "x", 3.0, None])
+def test_lists_must_be_non_empty(key, bad):
+    assert _errors({"experiment": "small-de", key: bad}) == {
+        f"{key}: expected a non-empty list of numbers"}
+
+
+def test_lists_report_each_element():
+    assert _errors({"experiment": "small-de", "alphas": ["a", -1.0, 2.0]}) == {
+        "alphas[0]: expected a number, got str", "alphas[1]: must be > 0"}
+    cfg = validate_config({"experiment": "small-de", "alphas": [9, 7.5]})
+    assert cfg.alphas == (9.0, 7.5) and all(type(a) is float for a in cfg.alphas)
+
+
+@pytest.mark.parametrize("de_list", [[0.1, 0.2], [0.1, 0.1], [0.3, 0.1, 0.2]])
+def test_de_list_must_decrease(de_list):
+    assert _errors({"experiment": "small-de", "de_list": de_list}) == {
+        "de_list: must be strictly decreasing"}
+
+
+def test_de_list_order_unchecked_past_a_bad_element():
+    assert _errors({"experiment": "small-de", "de_list": [0.1, "x", 0.2]}) == {
+        "de_list[1]: expected a number, got str"}
+
+
+@pytest.mark.parametrize("key", ["params", "quadrature", "grid"])
+@pytest.mark.parametrize("bad", [3, "x", [1]])
+def test_nested_must_be_objects(key, bad):
+    assert _errors({"experiment": "field-run", key: bad}) == {f"{key}: expected an object"}
+
+
+@pytest.mark.parametrize("key,allowed", [
+    ("params", "L1, L2, alpha, de, delta, epsilon, gamma, re"),
+    ("quadrature", "n_azimuthal, n_polar"),
+    ("grid", "length, n"),
+])
+def test_unknown_nested_keys(key, allowed):
+    assert _errors({"experiment": "field-run", key: {"zz": 1, "aa": 2}}) == {
+        f"{key}.zz: unknown key (allowed: {allowed})",
+        f"{key}.aa: unknown key (allowed: {allowed})"}
+
+
+def test_unknown_top_key():
+    assert _errors({"experiment": "field-run", "step": 3}) == {
+        f"step: unknown key (allowed: {ALLOWED})"}
+
+
+@pytest.mark.parametrize("bad", [1, "yes", None])
+def test_snapshot_must_be_bool(bad):
+    assert _errors({"experiment": "field-run", "snapshot": bad}) == {
+        "snapshot: expected true/false"}
+    assert validate_config({"experiment": "field-run", "snapshot": False}).snapshot is False
+
+
+def test_experiment_missing_or_unknown():
+    assert _errors({}) == {"experiment: missing (one of: " + ", ".join(EXPERIMENTS) + ")"}
+    assert _errors({"experiment": "phase"}) == {"experiment: unknown kind 'phase'"}
+    with pytest.raises(ConfigError) as info:
+        validate_config(["phase-table"])
+    assert info.value.errors == ["top level must be a JSON object"]
+
+
+def test_every_error_of_a_doc_at_once():
+    doc = {"experiment": "nope", "seed": -1, "steps": 1.5, "dt": "x", "snapshot": 0,
+           "alphas": [], "de_list": [0.1, 0.2], "params": {"gamma": 2.0, "foo": 1},
+           "quadrature": {"n_polar": 4}, "grid": [1], "extra": 1}
+    assert _errors(doc) == {
+        "experiment: unknown kind 'nope'", "seed: must be >= 0",
+        "steps: expected an integer", "dt: expected a number, got str",
+        "snapshot: expected true/false",
+        "alphas: expected a non-empty list of numbers",
+        "de_list: must be strictly decreasing",
+        "params: gamma must lie in (0,1)",
+        "params.foo: unknown key (allowed: L1, L2, alpha, de, delta, epsilon, gamma, re)",
+        "quadrature.n_polar: must be >= 8", "grid: expected an object",
+        f"extra: unknown key (allowed: {ALLOWED})"}
+
+
+def test_overrides_reach_their_fields():
+    doc = {"experiment": "field-run", "seed": 3, "params": {"de": 0.5, "L2": 0.0},
+           "quadrature": {"n_polar": 16}, "grid": {"n": 32, "length": 3},
+           "dt": 0.05, "steps": 7, "sample_every": 2, "alphas": [8], "samples": 9,
+           "de_list": [0.3, 0.1], "t_final": 1, "shear_rate": -2, "theta0": 0,
+           "snapshot": False, "q_amplitude": 0.25, "v_amplitude": 0}
+    cfg = validate_config(doc)
+    assert cfg.raw is doc
+    assert _as_dict(cfg) == {
+        "experiment": "field-run", "seed": 3,
+        "params": ModelParams(alpha=7.0, epsilon=0.05, de=0.5, re=1.0, gamma=0.5,
+                              L1=1.0, L2=0.0, delta=0.1),
+        "n_polar": 16, "n_azimuthal": 128, "grid_n": 32, "grid_length": 3.0,
+        "dt": 0.05, "steps": 7, "sample_every": 2, "alphas": (8.0,), "samples": 9,
+        "de_list": (0.3, 0.1), "t_final": 1.0, "shear_rate": -2.0, "theta0": 0.0,
+        "snapshot": False, "q_amplitude": 0.25, "v_amplitude": 0.0}
+    floats = ("grid_length", "dt", "t_final", "shear_rate", "theta0", "q_amplitude",
+              "v_amplitude")
+    assert all(type(getattr(cfg, f)) is float for f in floats)
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_default_config(experiment):
+    cfg = default_config(experiment)
+    assert _as_dict(cfg) == {"experiment": experiment, **DEFAULTS}
+    assert cfg.raw == {"experiment": experiment}
+    assert default_config(experiment, seed=4).seed == 4

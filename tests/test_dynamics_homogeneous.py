@@ -134,7 +134,7 @@ def test_physicality_retry_with_large_step():
 
 
 def test_default_dt_resolves_stiffness():
-    dt = default_hom_dt(P, PC)
+    dt = default_hom_dt(P.de, PC)
     lam = relaxation_rates(DirectorContext.build(N0, PC))[-1]
     assert dt * lam / P.de <= 2.0 + 1e-12
     assert dt <= 0.1 * P.de + 1e-15

@@ -7,7 +7,7 @@ import pytest
 
 from qbingham import _kernels
 from qbingham._kernels import x_rule
-from qbingham.closure import bingham_map_batch
+from qbingham.closure import DEFAULT_TOL, MAX_ITER, bingham_map_batch
 from qbingham.sphere import bingham_moments, build_quadrature
 from qbingham.tensors import to_matrix, uniaxial
 from conftest import random_physical
@@ -213,7 +213,8 @@ def test_one_moment_evaluation_per_trial_point(moment_rows):
     w = np.linalg.eigvalsh(to_matrix(q5))
     b0 = -40.0 * w
     out = _kernels.newton_batch(w, b0 - b0.mean(axis=1, keepdims=True),
-                                x_rule(_kernels.nodes_for_spread(60.0)))
+                                x_rule(_kernels.nodes_for_spread(60.0)),
+                                tol=DEFAULT_TOL, maxit=MAX_ITER)
     iters, damped = out[2], out[3]
     assert np.all(out[1] <= 1e-11) and damped.any()
     backtracked = sum(moment_rows["backtrack"])
