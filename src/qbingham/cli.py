@@ -260,6 +260,9 @@ def _run_closure_validate(cfg, log):
         "margin": margin,
         "max_residual": float(res.residual.max()),
         "max_spread": float(res.spread.max()),
+        "iterations_mean": float(res.iterations.mean()),
+        "iterations_max": int(res.iterations.max()),
+        "damped_fraction": float(res.used_damping.mean()),
         "spread_bound": lam,
         "spread_bound_satisfied": bool(res.spread.max() <= lam),
         "independent_forward_max_err": fwd_err,

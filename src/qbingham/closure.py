@@ -7,6 +7,14 @@ ascent in the two independent eigenvalues of B; the lab-frame tensor is
 recovered by rotation. The ascent objective B:Q - ln Z(B) is strictly
 concave, which makes the damped iteration globally convergent.
 
+Every solve starts from the same fitted inverse map (_fitted_start): with
+Q's eigenvalues sorted and s_i = lambda_i + 1/3, the functions
+y_i = 2 s_i (b_3 - b_i), i = 1, 2, are smooth on the simplex and tend to 1
+at its edges, where b_i ~ -1/(2 s_i) is the Gaussian limit of a concentrated
+density. A tensor Chebyshev interpolant of y_1, y_2, built once per process
+from node solves (_start_fit), gives b to ~2e-5 on margins >= 0.02, so
+Newton ends in one update there. No solve reads a previous B.
+
 The eigenframe rule's node count follows from the eigenvalue spread of B
 alone (``_kernels.nodes_for_spread``). The closure operator M_Q and the
 fourth-moment contraction M4 : A are evaluated in the same eigenframe, from
@@ -17,6 +25,7 @@ closure-validate uses it for independent forward checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad as _quad1d
@@ -31,7 +40,13 @@ __all__ = [
 
 DEFAULT_TOL = 1e-11
 MAX_ITER = 50
-ALPHA_REF = 5.0  # initial guess B = ALPHA_REF * Q, exact at nematic equilibria
+ALPHA_REF = 5.0  # start B = ALPHA_REF * Q of the fit's node solves
+
+# the fitted start: degree, the s_1 below which a point is clamped to the
+# fit's edge, and the residual its node solves reach
+FIT_DEGREE = 24
+FIT_EDGE = 0.008
+FIT_TOL = 1e-13
 
 
 class PhysicalityError(ValueError):
@@ -54,13 +69,108 @@ class BatchClosureResult:
     spread: np.ndarray     # (N,) eigenvalue spread max(b) - min(b)
 
 
-def bingham_map_batch(q5, delta=0.0, tol=DEFAULT_TOL, b_warm5=None):
+# ---------------------------------------------------------------------------
+# the fitted start
+# ---------------------------------------------------------------------------
+
+# (u, v) of s = lambda + 1/3 as ratios of linear forms, using s1 + s2 + s3 = 1:
+# u = (2 s1 - 1/3 - FIT_EDGE) / (1/3 - FIT_EDGE) maps s1 in [FIT_EDGE, 1/3] and
+# v = (4 s2 - s1 - 1) / (1 - 3 s1) maps s2 in [s1, (1 - s1)/2] onto [-1, 1].
+# Columns: the two numerators, then the two denominators. v's denominator
+# carries 2^-40 (s1 + s2 + s3), so that it stays positive at Q = 0, where v is
+# 0/0, and moves v by a relative 2^-40 / (1 - 3 s1) elsewhere.
+_U_SLOPE = 2.0 / (1.0 / 3.0 - FIT_EDGE)
+_U_SHIFT = -(1.0 / 3.0 + FIT_EDGE) / (1.0 / 3.0 - FIT_EDGE)
+_FIT_MAP = np.array([[_U_SLOPE + _U_SHIFT, -2.0, 1.0, -2.0 + 2.0**-40],
+                     [_U_SHIFT, 3.0, 1.0, 1.0 + 2.0**-40],
+                     [_U_SHIFT, -1.0, 1.0, 1.0 + 2.0**-40]])
+# (b1 - b3, b2 - b3) -> trace-free b, times the -1/2 of b_i - b_3 = -y_i / (2 s_i)
+_TRACE_FREE = -0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0]]) / 3.0
+# z^k, k <= FIT_DEGREE, from z and z^2 by doubling: z^(m+j) = z^m z^j
+_DOUBLING = []
+_m = 2
+while _m < FIT_DEGREE:
+    _k = min(_m, FIT_DEGREE - _m)
+    _DOUBLING.append((_m, slice(1, _k + 1), slice(_m + 1, _m + _k + 1)))
+    _m += _k
+# points per block of the start: its power table z^k, (FIT_DEGREE + 1, 2,
+# block) complex, is 0.8 MB, below the moment kernel's arrays on a 64^2 grid
+_START_BLOCK = 1024
+
+
+@lru_cache(maxsize=None)
+def _start_fit():
+    """(coefficients, worst node residual) of the fitted start.
+
+    y1 and y2 are interpolated at the (FIT_DEGREE + 1)^2 tensor Chebyshev
+    points of the first kind in (u, v), which avoid the isotropic corner;
+    each node is solved cold by newton_batch to FIT_TOL with the rule for the
+    largest spread. coefficients[(c, k), j] multiplies T_j(u) T_k(v) in y_c.
+    Built once per process, on the first closure solve.
+    """
+    n = FIT_DEGREE + 1
+    theta = np.pi * (np.arange(n) + 0.5) / n
+    node = np.cos(theta)
+    s1, v = np.meshgrid(0.5 * ((1.0 / 3.0 - FIT_EDGE) * node + 1.0 / 3.0 + FIT_EDGE),
+                        node, indexing="ij")
+    s2 = s1 + 0.5 * (v + 1.0) * (0.5 * (1.0 - s1) - s1)
+    s = np.stack([s1, s2, 1.0 - s1 - s2], axis=-1).reshape(-1, 3)
+    w = s - 1.0 / 3.0
+    b, res = _kernels.newton_batch(
+        w, ALPHA_REF * w, _kernels.x_rule(_kernels.nodes_for_spread(_kernels.EXPONENT_BUDGET)),
+        tol=FIT_TOL, maxit=MAX_ITER)[:2]
+    if not np.all(res <= FIT_TOL):
+        raise RuntimeError(f"fitted start: a node solve ended at residual {res.max():.3e}")
+    y = (2.0 * s[:, :2] * (b[:, 2:] - b[:, :2])).reshape(n, n, 2)
+    # discrete orthogonality of T_0..T_{n-1} at the n first-kind points
+    t = np.cos(np.outer(np.arange(n), theta)) * (2.0 / n)
+    t[0] *= 0.5
+    coef = np.einsum("ja,abc,kb->ckj", t, y, t).reshape(2 * n, n)
+    return coef, float(res.max())
+
+
+def _fitted_start(w):
+    """Trace-free start b0 (N, 3) for the ascending eigenvalues w (N, 3) of Q,
+    in blocks of _START_BLOCK points.
+
+    A point with s1 below FIT_EDGE is evaluated at u = -1 with its own v, and
+    s is clamped to FIT_EDGE in 1/(2 s).
+    """
+    coef = _start_fit()[0]
+    b0 = np.empty_like(w)
+    for i in range(0, len(w), _START_BLOCK):
+        b0[i:i + _START_BLOCK] = _start_block(coef, w[i:i + _START_BLOCK])
+    return b0
+
+
+def _start_block(coef, w):
+    """_fitted_start of one block: T_k(x) = Re z^k with z = x + i sqrt(1 - x^2),
+    the powers from five multiplications."""
+    s = w + 1.0 / 3.0
+    h = s @ _FIT_MAP
+    x = h[:, :2] / h[:, 2:]
+    np.minimum(np.maximum(x, -1.0, out=x), 1.0, out=x)
+    x = x.T
+    z = np.empty((FIT_DEGREE + 1,) + x.shape, dtype=complex)
+    z[0] = 1.0
+    z[1].real = x
+    z[1].imag = np.sqrt(1.0 - x * x)
+    np.multiply(z[1], z[1], out=z[2])
+    for m, lo, hi in _DOUBLING:
+        np.multiply(z[lo], z[m], out=z[hi])
+    t = z.real
+    g = (coef @ t[:, 0]).reshape(2, FIT_DEGREE + 1, -1)
+    g *= t[:, 1]
+    y = np.add.reduce(g, axis=1).T
+    return (y / np.maximum(s[:, :2], FIT_EDGE)) @ _TRACE_FREE
+
+
+def bingham_map_batch(q5, delta=0.0, tol=DEFAULT_TOL):
     """Invert the moment map for a batch of qvecs (N, 5).
 
-    b_warm5 may carry lab-frame warm starts (N, 5) from a previous solve;
-    they are rotated into the current eigenframe of each Q. Raises
-    ValueError for tol below 1e-13, PhysicalityError for Q outside the
-    margin delta, and RuntimeError on non-convergence.
+    Every point starts from the fitted inverse map (_fitted_start) of its
+    eigenvalues. Raises ValueError for tol below 1e-13, PhysicalityError for
+    Q outside the margin delta, and RuntimeError on non-convergence.
     """
     if tol < 1e-13:
         raise ValueError("tol below 1e-13 is not resolvable by the quadrature")
@@ -74,16 +184,11 @@ def bingham_map_batch(q5, delta=0.0, tol=DEFAULT_TOL, b_warm5=None):
             f"delta={delta:.3e} at index {k}); eigenvalues must stay in "
             f"[-1/3 + delta, 2/3 - delta]")
 
-    if b_warm5 is not None:
-        bmat = to_matrix(np.asarray(b_warm5, dtype=float).reshape(-1, 5))
-        b0 = ((bmat @ rot) * rot).sum(axis=1)      # diag(rot^T B rot)
-    else:
-        b0 = ALPHA_REF * w
-    b0 = b0 - b0.mean(axis=1, keepdims=True)
-
-    # spread estimate for the node policy: current guess plus slack. The
-    # points whose solution leaves the range are solved again, from their b,
-    # with upgraded nodes (at most twice); iterations add up over attempts
+    b0 = _fitted_start(w)
+    # spread estimate for the node policy: the start's plus slack. The points
+    # whose solution leaves the range (those past the fit's edge) are solved
+    # again, from their b, with upgraded nodes (at most twice); iterations
+    # add up over attempts
     est = max(8.0, 1.3 * float((b0.max(1) - b0.min(1)).max()) + 6.0)
     b, res, iters, damped, lnz, second, pair = _kernels.newton_batch(
         w, b0, _kernels.x_rule(_kernels.nodes_for_spread(est)), tol=tol, maxit=MAX_ITER)

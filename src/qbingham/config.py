@@ -12,6 +12,7 @@ eigenframe rule from the eigenvalue spread of B.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 from .dynamics import ModelParams
@@ -80,6 +81,9 @@ def _check_number(errors, path, val, bound=None, integer=False):
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         errors.append(f"{path}: expected a number, got {type(val).__name__}")
         return None
+    if isinstance(val, float) and not math.isfinite(val):  # json reads NaN, Infinity
+        errors.append(f"{path}: expected a finite number, got {val}")
+        return None
     if integer and int(val) != val:
         errors.append(f"{path}: expected an integer")
         return None
@@ -118,7 +122,7 @@ def validate_config(doc):
     objects = {"": doc}
     for name in allowed:
         if name:
-            objects[name] = doc.get(name) or {}
+            objects[name] = doc.get(name, {})
             if not isinstance(objects[name], dict):
                 errors.append(f"{name}: expected an object")
                 objects[name] = {}

@@ -29,7 +29,7 @@ The discrete energy ledger of energy_report validates this choice.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -77,6 +77,9 @@ class ModelParams:
     delta: float
 
     def __post_init__(self):
+        bad = [f.name for f in fields(self) if not np.isfinite(getattr(self, f.name))]
+        if bad:
+            raise ValueError(", ".join(bad) + " must be finite")
         errs = []
         if not 0.0 < self.gamma < 1.0:
             errs.append("gamma must lie in (0,1)")
@@ -114,8 +117,8 @@ class HomState:
     """N homogeneous Q tensors under one imposed, trace-free velocity
     gradient: q5 (N, 5), the Deborah number de (N,) and the time t of each
     row, and the closure (bingham_map_batch result) of the N rows of q5. An
-    initial state is closed once, cold, where it is created, and
-    step_homogeneous closes every state it returns."""
+    initial state is closed once where it is created, and step_homogeneous
+    closes every state it returns."""
 
     q5: np.ndarray
     kappa: np.ndarray
@@ -170,11 +173,11 @@ def step_homogeneous(state: HomState, dt, params, tol=DEFAULT_TOL, _depth=0):
     dt[i] (dt is an (N,) array or a scalar for all rows) and its own De.
 
     k1 reads the state's closure, each later stage closes the N rows of its
-    Q from the previous stage's B in one solve, and the last act closes q1
-    from k4's B with the delta/2 margin. If that or a stage solve fails, dt
-    is halved for the whole batch (up to MAX_HALVINGS times), so a row that
-    did not fail takes two half steps as well. params gives alpha and delta;
-    De is the state's own.
+    Q in one solve, and the last act closes q1 with the delta/2 margin; each
+    solve starts from the closure's fitted start. If that or a stage solve
+    fails, dt is halved for the whole batch (up to MAX_HALVINGS times), so a
+    row that did not fail takes two half steps as well. params gives alpha
+    and delta; De is the state's own.
     """
     q0, kappa, de, res = state.q5, state.kappa, state.de, _closure_of(state)
     h = np.asarray(dt, dtype=float)[..., None]
@@ -182,11 +185,11 @@ def step_homogeneous(state: HomState, dt, params, tol=DEFAULT_TOL, _depth=0):
         ks = [homogeneous_rhs(q0, kappa, de, params, res)]
         for c in (0.5, 0.5, 1.0):
             q = q0 + c * h * ks[-1]
-            res = bingham_map_batch(q, tol=tol, b_warm5=res.B5)
+            res = bingham_map_batch(q, tol=tol)
             ks.append(homogeneous_rhs(q, kappa, de, params, res))
         k1, k2, k3, k4 = ks
         q1 = q0 + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        closure = bingham_map_batch(q1, delta=params.delta / 2.0, tol=tol, b_warm5=res.B5)
+        closure = bingham_map_batch(q1, delta=params.delta / 2.0, tol=tol)
     except (PhysicalityError, RuntimeError) as exc:
         # the new state or a stage left the delta/2 margin or the invertible set
         if _depth >= MAX_HALVINGS:
@@ -269,15 +272,13 @@ def _kappa_field(v, grid):
     return kap
 
 
-def mu_field(q5_field, grid, params, lam, b5=None):
+def mu_field(q5_field, grid, params, lam):
     """Molecular field mu = (B - alpha Q) + eps L(Q) and the closure batch.
 
     lam are the elastic symbols of the grid, as FieldSolver holds them.
     """
     n = grid.n
-    res = bingham_map_batch(
-        q5_field.reshape(-1, 5), delta=params.delta / 2.0,
-        b_warm5=None if b5 is None else b5.reshape(-1, 5))
+    res = bingham_map_batch(q5_field.reshape(-1, 5), delta=params.delta / 2.0)
     mu5 = res.B5.reshape(n, n, 5) - params.alpha * q5_field
     if params.epsilon != 0.0:
         mu5 = mu5 + params.epsilon * elastic_operator(q5_field, grid, lam)
@@ -290,14 +291,14 @@ def mu_field(q5_field, grid, params, lam, b5=None):
 
 @dataclass(frozen=True)
 class _History:
-    """The previous time level of the two-step scheme, with the B of its q5."""
+    """The previous time level of the two-step scheme: its fields, its
+    explicit terms and the step that left it."""
 
     q5: np.ndarray
     v: np.ndarray
     fq: np.ndarray
     fv: np.ndarray
     dt: float
-    b5: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -391,11 +392,11 @@ class FieldSolver:
         self.lam = elastic_symbols(grid, params.L1, params.L2)
         self.bulk_shield = _bulk_rate(phase_constants(params.alpha, params.L1, params.L2)) / 4.0
 
-    def close(self, state: FieldState, b_warm5=None):
+    def close(self, state: FieldState):
         """`state` with the terms of its (q5, v): mu_field's closure (delta/2
         margin), grad Q, grad v, M_Q(mu) and M4 : D."""
         grid, n = self.grid, self.grid.n
-        mu5, res = mu_field(state.q5, grid, self.params, self.lam, b_warm5)
+        mu5, res = mu_field(state.q5, grid, self.params, self.lam)
         rot = res.rotation.reshape(n, n, 3, 3)
         pair = res.pair.reshape(n, n, 3, 3)
         kap = _kappa_field(state.v, grid)
@@ -446,16 +447,15 @@ class FieldSolver:
         the axial split about k/|k| (L's eigenvalues elastic_symbols), then
         the 2/3 mask. Velocity solve: (a - (gamma/Re) Lap) v1 = r_v,
         then the mask and the Leray projection. The closure solve of q1
-        starts from (1 + omega) B(q0) - omega B(q_-1), and its delta/2 margin
-        check raises PhysicalityError.
+        starts from the closure's fitted start, and its delta/2 margin check
+        raises PhysicalityError.
         """
         grid, p = self.grid, self.params
         cbar = (2.0 / 15.0) * (1.0 + 3.0 * float(np.sqrt(qdot(state.q5, state.q5)).max()))
         fq, fv = self.rhs(state)
         s = (4.0 / p.de) * (self.bulk_shield + p.epsilon * cbar * self.lam)
-        b5 = _closure_of(state).res.B5
         # without history, dt_prev = inf gives omega = 0 and zero weight to it
-        hist = state.hist or _History(state.q5, state.v, fq, fv, np.inf, b5)
+        hist = state.hist or _History(state.q5, state.v, fq, fv, np.inf)
 
         w = dt / hist.dt
         a = (1.0 + 2.0 * w) / ((1.0 + w) * dt)
@@ -475,9 +475,9 @@ class FieldSolver:
                 f"t={state.t + dt:.5g}")
 
         new = FieldState(grid=grid, q5=q1, v=v1, t=state.t + dt,
-                         hist=_History(state.q5, state.v, fq, fv, dt, b5))
+                         hist=_History(state.q5, state.v, fq, fv, dt))
         try:
-            return self.close(new, (1.0 + w) * b5 - w * hist.b5)
+            return self.close(new)
         except PhysicalityError as exc:
             raise PhysicalityError(
                 f"field left the delta/2 physical margin at t={new.t:.5g}: {exc}") from exc

@@ -114,7 +114,7 @@ def homogeneous_trajectory(params, kappa, n0, t_final, de, dt, constants, errors
     and after every lockstep step.
 
     Every row starts on the uniaxial slow manifold, Q = S2 (n0 n0 - I/3) at
-    the equilibrium order parameter, closed cold, and takes
+    the equilibrium order parameter, closed once, and takes
     n_i = ceil(t_final / dt[i]) equal RK4 steps of t_final / n_i. The live
     rows (indices `rows` into de) are stepped as one batch with one
     step_homogeneous call, and a row leaves the batch once it has taken its

@@ -98,14 +98,16 @@ def _continuous_rhs(solver, q5, v, t):
 
 
 def _spectral_restrict(fine, coarse, field):
-    """Band-limit a fine-grid field onto a coarser grid (both rfft2)."""
+    """Band-limit a fine-grid field onto a coarser grid (both rfft2). The
+    forward transform is unnormalized and the inverse divides by the point
+    count, so the kept coefficients are scaled by (n_coarse / n_fine)^2."""
     fh = fine.fft(field)
     n, nc = fine.n, coarse.n
     half = nc // 2
     out = np.zeros((nc, nc // 2 + 1) + fh.shape[2:], dtype=complex)
     out[:half] = fh[:half, :half + 1]
     out[-half:] = fh[n - half:, :half + 1]
-    return coarse.ifft(out) * 1.0
+    return coarse.ifft(out * (nc / n) ** 2)
 
 
 def run_manufactured(params, n, dt, t_final, n_fine=None, ratios=None):

@@ -37,6 +37,16 @@ def test_malformed_config_exits_2(tmp_path):
         assert code == 2, doc
 
 
+def test_non_finite_config_exits_2(tmp_path, capsys):
+    # Python's json reads NaN and Infinity; an infinite seed used to raise
+    # OverflowError out of the validator
+    cfg = tmp_path / "inf.json"
+    cfg.write_text('{"experiment": "small-de", "seed": Infinity}')
+    assert cli.main(["small-de", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 2
+    assert "seed: expected a finite number, got inf" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("exc", [
     DivergenceError("divergence residual 1.00e+00 after projection"),
     RuntimeError("state locked into a limit cycle"),
@@ -93,6 +103,20 @@ def test_closure_validate_reports_wall_time(tmp_path):
                      "--quiet"]) == 0
     summary = json.loads((out / "closure_summary.json").read_text())
     assert summary["wall_seconds"] >= summary["total_solve_seconds"]
+
+
+def test_closure_validate_reports_newton_work(tmp_path):
+    # the summary's Newton counts roll up the per-sample columns; from the
+    # fitted start every sample takes at most one undamped update
+    out = tmp_path / "out"
+    assert cli.main(["closure-validate", "--seed", "3", "--out", str(out), "--quiet"]) == 0
+    summary = json.loads((out / "closure_summary.json").read_text())
+    rows = list(csv.DictReader(io.StringIO((out / "closure_samples.csv").read_text())))
+    iters = [int(r["iterations"]) for r in rows]
+    assert len(rows) == summary["samples"] == 1000
+    assert summary["iterations_mean"] == sum(iters) / len(iters)
+    assert summary["iterations_max"] == max(iters) == 1
+    assert summary["damped_fraction"] == sum(r["damped"] == "True" for r in rows) / 1000 == 0.0
 
 
 def test_csv_cells_are_plain_numbers(tmp_path):

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from qbingham import _kernels, closure
+from qbingham._kernels import x_rule
 from qbingham.closure import (
-    PhysicalityError, bingham_map_batch, m4_contract_frame, mq_apply_frame,
+    MAX_ITER, PhysicalityError, bingham_map_batch, m4_contract_frame, mq_apply_frame,
     spread_bound,
 )
 from qbingham.sphere import bingham_moments, build_quadrature
@@ -58,14 +65,17 @@ def test_round_trip_wide_eigenvalues():
 
 
 def test_uniqueness_from_different_starts(rng):
+    # Newton from b = 0 and from a far random start ends at the B of the
+    # fitted start
     q5 = random_physical(rng, 5, 0.08)
-    sols = []
-    for warm_scale in (None, 0.0, 12.0):
-        warm = None if warm_scale is None else warm_scale * random_qvec(rng, 5, scale=0.1)
-        res = bingham_map_batch(q5, delta=0.05, tol=1e-11, b_warm5=warm)
-        sols.append(res.B5)
-    assert np.abs(sols[0] - sols[1]).max() < 1e-9
-    assert np.abs(sols[0] - sols[2]).max() < 1e-9
+    res = bingham_map_batch(q5, delta=0.05, tol=1e-11)
+    nodes = x_rule(_kernels.nodes_for_spread(60.0))
+    for scale in (0.0, 12.0):
+        b0 = scale * rng.normal(scale=0.1, size=(5, 3))
+        b0 -= b0.mean(axis=1, keepdims=True)
+        b = _kernels.newton_batch(res.q_eigs, b0, nodes, tol=1e-11, maxit=MAX_ITER)[0]
+        b5 = from_matrix((res.rotation * b[:, None, :]) @ np.swapaxes(res.rotation, 1, 2))
+        assert np.abs(b5 - res.B5).max() < 1e-9
 
 
 def test_frame_sharing_commutator(rng):
@@ -226,9 +236,10 @@ def test_solves_respect_spread_bound(rng):
 
 
 def test_node_upgrade_resolves_only_points_past_the_estimate(monkeypatch):
-    # the S = 0.97 point ends far past the spread estimate of its cold start
-    # and is solved again with more nodes; the S = 0.3 point is not
-    from qbingham import _kernels
+    # the S = 0.99 point lies past the fitted start's edge (s1 = 0.0033 <
+    # FIT_EDGE), ends far past the spread estimate of its start and is solved
+    # again with more nodes; the S = 0.3 point is not
+    closure._start_fit()  # built once per process, before the calls counted here
     raw = _kernels.newton_batch
     calls = []
 
@@ -238,10 +249,60 @@ def test_node_upgrade_resolves_only_points_past_the_estimate(monkeypatch):
         return out
 
     monkeypatch.setattr(_kernels, "newton_batch", recorded)
-    q5 = np.stack([uniaxial(0.97, [0.0, 0.0, 1.0]), uniaxial(0.3, [1.0, 0.0, 0.0]),
+    q5 = np.stack([uniaxial(0.99, [0.0, 0.0, 1.0]), uniaxial(0.3, [1.0, 0.0, 0.0]),
                    from_matrix(np.diag([0.55, -0.3, -0.25]))])
     res = bingham_map_batch(q5)
     assert len(calls) >= 2 and calls[1].sum() > 0
     assert res.iterations.sum() == sum(int(it.sum()) for it in calls)
     assert len(calls[1]) < len(q5)
     assert np.all(res.residual <= 1e-11)
+
+
+# ---------------------------------------------------------------------------
+# the fitted start
+# ---------------------------------------------------------------------------
+
+def test_fit_is_built_by_the_first_solve_not_at_import():
+    code = ("import qbingham.cli, numpy as np\n"
+            "from qbingham import closure\n"
+            "before = closure._start_fit.cache_info().currsize\n"
+            "closure.bingham_map_batch(np.zeros(5))\n"
+            "closure.bingham_map_batch(np.zeros(5))\n"
+            "info = closure._start_fit.cache_info()\n"
+            "print(before, info.currsize, info.misses)")
+    env = {**os.environ, "PYTHONPATH": str(Path(closure.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout.split()
+    assert out == ["0", "1", "1"]
+
+
+def test_fit_node_solves_reach_fit_tolerance():
+    coef, worst = closure._start_fit()
+    assert worst <= 1e-13
+    assert coef.shape == (2 * (closure.FIT_DEGREE + 1), closure.FIT_DEGREE + 1)
+    assert closure._start_fit()[0] is coef  # built once
+
+
+def test_fitted_start_needs_at_most_one_update(rng):
+    # margin >= 0.02: one undamped update, or none where the start already
+    # meets the tolerance (next to isotropy)
+    q5 = random_physical(rng, 400, 0.02)
+    res = bingham_map_batch(q5, delta=0.02)
+    assert np.all(res.residual <= 1e-11)
+    assert res.iterations.max() == 1 and res.iterations.mean() > 0.9
+    assert not res.used_damping.any()
+
+
+@pytest.mark.parametrize("eigs", [
+    (0.0, 0.0, 0.0),                    # Q = 0: v is 0/0 on the u = 1 edge
+    (-0.2, -0.2, 0.4),                  # s1 = s2
+    (-0.3, 0.15, 0.15),                 # s2 = s3
+    (-0.331, -0.32, 0.651),             # s1 = 0.0023, below the fit's edge
+    (-1e-9, 0.0, 1e-9),                 # next to isotropy
+])
+def test_fitted_start_edge_cases(eigs):
+    w = np.array([eigs])
+    b0 = closure._fitted_start(w)
+    assert np.all(np.isfinite(b0)) and abs(b0.sum()) < 1e-12
+    res = bingham_map_batch(from_matrix(np.diag(eigs)))
+    assert res.residual[0] <= 1e-11

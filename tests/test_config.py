@@ -2,6 +2,7 @@
 a value just past its bound give, the structural errors, and the built-in
 config of every experiment. Messages are compared as sets: the validator
 reports every violation at once, in no promised order."""
+import json
 from dataclasses import fields
 
 import pytest
@@ -97,6 +98,31 @@ def test_wrong_type(path, bad):
         f"{path}: expected a number, got {type(bad).__name__}"}
 
 
+@pytest.mark.parametrize("path", [p for p, *_ in NUMBERS] + [f"params.{k}" for k, *_ in PARAMS])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+def test_non_finite(path, bad):
+    # json reads NaN and Infinity; no bound comparison rejects NaN, and an
+    # infinite integer key must not reach int()
+    assert _errors(_doc(path, bad)) == {f"{path}: expected a finite number, got {bad}"}
+
+
+def test_non_finite_from_json_text():
+    assert _errors(json.loads('{"experiment": "small-de", "t_final": NaN}')) == {
+        "t_final: expected a finite number, got nan"}
+    assert _errors(json.loads('{"experiment": "small-de", "params": {"de": NaN}}')) == {
+        "params.de: expected a finite number, got nan"}
+    assert _errors(json.loads('{"experiment": "small-de", "seed": Infinity}')) == {
+        "seed: expected a finite number, got inf"}
+
+
+@pytest.mark.parametrize("key", ["de", "delta", "alpha"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_model_params_reject_non_finite(key, bad):
+    with pytest.raises(ValueError, match=f"^{key} must be finite$"):
+        ModelParams(**{**vars(DEFAULTS["params"]), key: bad})
+
+
 @pytest.mark.parametrize("path", [p for p, integer, *_ in NUMBERS if integer])
 def test_non_integer(path):
     assert _errors(_doc(path, 8.5)) == {f"{path}: expected an integer"}
@@ -160,6 +186,14 @@ def test_de_list_order_unchecked_past_a_bad_element():
 @pytest.mark.parametrize("bad", [3, "x", [1]])
 def test_nested_must_be_objects(key, bad):
     assert _errors({"experiment": "field-run", key: bad}) == {f"{key}: expected an object"}
+
+
+@pytest.mark.parametrize("key", ["params", "quadrature", "grid"])
+@pytest.mark.parametrize("bad", [False, [], 0, None, ""])
+def test_falsy_nested_values_are_not_objects(key, bad):
+    assert _errors({"experiment": "field-run", key: bad}) == {f"{key}: expected an object"}
+    assert _as_dict(validate_config({"experiment": "field-run", key: {}})) == _as_dict(
+        default_config("field-run"))
 
 
 @pytest.mark.parametrize("key,allowed", [

@@ -21,7 +21,7 @@ N0 = np.array([0.0, 0.0, 1.0])
 
 def closed(q5, kappa, tol=DEFAULT_TOL, de=P.de):
     """An initial HomState of the rows q5 with Deborah numbers de, closed
-    once, cold."""
+    once."""
     q5 = np.reshape(q5, (-1, 5))
     return HomState(q5=q5, kappa=kappa, de=np.broadcast_to(de, len(q5)).astype(float),
                     t=np.zeros(len(q5)), closure=bingham_map_batch(q5, tol=tol))
@@ -189,17 +189,22 @@ def test_batch_equals_rows():
 
 
 def test_batch_of_one_is_the_single_state_step():
-    # two steps of one row reproduce the single-state RK4 step this batched
-    # step replaced (its q5 and B recorded from it on the same input)
+    # two steps of one row are two classical RK4 steps of that row, each
+    # stage closed by its own solve and the new state with the delta/2 margin
     q0 = uniaxial(0.5, np.array([np.cos(1.0), np.sin(1.0), 0.0])) + np.array(
         [0.02, -0.01, 0.015, 0.0, 0.01])
-    st = closed(q0, shear_kappa(1.0), de=0.3)
+    kappa, de, h = shear_kappa(1.0), np.array([0.3]), np.array([[0.02]])
+    st = closed(q0, kappa, de=0.3)
+    q, res = st.q5, st.closure
     for _ in range(2):
         st = step_homogeneous(st, np.array([0.02]), P)
-    q5 = [0.010234358101554207, 0.16584683416475166, 0.25269072720807007,
-          0.0030732248308637878, 0.0077993935237562415]
-    b5 = [0.07206060395594867, 1.1714002877812633, 1.7869700210316712,
-          -0.006280007430772173, 0.07578528499104822]
-    assert np.abs(st.q5[0] - q5).max() <= 1e-14
-    assert np.abs(st.closure.B5[0] - b5).max() <= 1e-14
+        ks = [homogeneous_rhs(q, kappa, de, P, res)]
+        for c in (0.5, 0.5, 1.0):
+            qc = q + c * h * ks[-1]
+            ks.append(homogeneous_rhs(qc, kappa, de, P, bingham_map_batch(qc)))
+        k1, k2, k3, k4 = ks
+        q = q + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        res = bingham_map_batch(q, delta=P.delta / 2.0)
+    assert np.abs(st.q5[0] - q[0]).max() <= 1e-14
+    assert np.abs(st.closure.B5[0] - res.B5[0]).max() <= 1e-14
     assert st.t[0] == 0.04

@@ -147,7 +147,7 @@ def test_each_state_carries_its_own_closure(monkeypatch):
     solver.run(states[0], 0.05, 3, callback=lambda k, st: states.append(st))
     monkeypatch.undo()
     for prev, st in zip(states, states[1:]):
-        assert st.hist.b5 is prev.closure.res.B5
+        assert st.hist.q5 is prev.q5
         cold = solver.close(st).closure
         assert np.abs(st.closure.res.B5 - cold.res.B5).max() <= 1e-9
         assert np.abs(st.closure.mu5 - cold.mu5).max() <= 1e-9

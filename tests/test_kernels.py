@@ -173,12 +173,26 @@ def _uniaxial_batch(order_params):
     return np.stack([uniaxial(s, n) for s in order_params])
 
 
+def _newton_from(q5, b_start):
+    """newton_batch on the eigenvalues of q5 from the eigenframe start b_start
+    (N, 3), made trace-free, with the rule for a spread of 60."""
+    w = np.linalg.eigvalsh(to_matrix(q5))
+    b0 = b_start - b_start.mean(axis=1, keepdims=True)
+    return _kernels.newton_batch(w, b0, x_rule(_kernels.nodes_for_spread(60.0)),
+                                 tol=DEFAULT_TOL, maxit=MAX_ITER)
+
+
+def _spectrum(res):
+    """Eigenvalues of each B of a bingham_map_batch result, ascending."""
+    return np.linalg.eigvalsh(to_matrix(res.B5))
+
+
 def test_warm_start_near_solution_skips_line_search(rng, lnz_rows):
     q5 = random_physical(rng, 64, 0.05)
-    b5 = bingham_map_batch(q5).B5
+    b = _spectrum(bingham_map_batch(q5))
     lnz_rows.clear()
-    res = bingham_map_batch(q5 + 1e-8 * rng.normal(size=q5.shape), b_warm5=b5)
-    assert np.all(res.residual <= 1e-11)
+    out = _newton_from(q5 + 1e-8 * rng.normal(size=q5.shape), b)
+    assert np.all(out[1] <= 1e-11)
     assert lnz_rows == []
 
 
@@ -186,37 +200,33 @@ def test_far_start_damps_and_converges(lnz_rows):
     q5 = _uniaxial_batch([0.6, 0.3, -0.2])
     cold = bingham_map_batch(q5)
     lnz_rows.clear()
-    res = bingham_map_batch(q5, b_warm5=-40.0 * q5)
-    assert res.used_damping.any()
+    out = _newton_from(q5, -40.0 * np.linalg.eigvalsh(to_matrix(q5)))
+    assert out[3].any()
     assert lnz_rows
-    assert np.all(res.residual <= 1e-11)
-    np.testing.assert_allclose(res.B5, cold.B5, rtol=0, atol=1e-9)
+    assert np.all(out[1] <= 1e-11)
+    np.testing.assert_allclose(out[0], _spectrum(cold), rtol=0, atol=1e-9)
 
 
 def test_line_search_evaluates_only_rows_that_need_it(rng, lnz_rows):
     near = random_physical(rng, 64, 0.05)
-    near_b5 = bingham_map_batch(near).B5
+    near_b = _spectrum(bingham_map_batch(near))
     far = _uniaxial_batch([0.6, 0.3, -0.2])
     q5 = np.concatenate([near + 1e-8 * rng.normal(size=near.shape), far])
-    warm = np.concatenate([near_b5, -40.0 * far])
+    start = np.concatenate([near_b, -40.0 * np.linalg.eigvalsh(to_matrix(far))])
     lnz_rows.clear()
-    res = bingham_map_batch(q5, b_warm5=warm)
-    assert np.all(res.residual <= 1e-11)
+    out = _newton_from(q5, start)
+    assert np.all(out[1] <= 1e-11)
     assert lnz_rows and max(lnz_rows) <= len(far)
-    assert not res.used_damping[:len(near)].any()
+    assert not out[3][:len(near)].any()
 
 
 def test_one_moment_evaluation_per_trial_point(moment_rows):
     # a damped batch: every start point, every Newton update and every
     # shortened step is evaluated once, and nothing else is
     q5 = _uniaxial_batch([0.6, 0.3, -0.2, 0.05])
-    w = np.linalg.eigvalsh(to_matrix(q5))
-    b0 = -40.0 * w
-    out = _kernels.newton_batch(w, b0 - b0.mean(axis=1, keepdims=True),
-                                x_rule(_kernels.nodes_for_spread(60.0)),
-                                tol=DEFAULT_TOL, maxit=MAX_ITER)
+    out = _newton_from(q5, -40.0 * np.linalg.eigvalsh(to_matrix(q5)))
     iters, damped = out[2], out[3]
     assert np.all(out[1] <= 1e-11) and damped.any()
     backtracked = sum(moment_rows["backtrack"])
     assert backtracked > 0
-    assert sum(moment_rows["all"]) == len(w) + int(iters.sum()) + backtracked
+    assert sum(moment_rows["all"]) == len(q5) + int(iters.sum()) + backtracked

@@ -192,7 +192,7 @@ def test_small_de_rows_catch_numerical_failures_only(monkeypatch):
 
 
 def test_small_de_steps_the_rows_in_lockstep(monkeypatch):
-    # one closure solve per RK stage for all live rows: 1 cold solve plus 4
+    # one closure solve per RK stage for all live rows: 1 initial solve plus 4
     # per lockstep step, and max(n_i) steps (30 at De = 0.1; one row after
     # another made 182 solves and 45 steps)
     params = ModelParams(alpha=7.0, epsilon=0.05, de=1.0, re=1.0, gamma=0.5,

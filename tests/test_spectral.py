@@ -4,6 +4,7 @@ import pytest
 from qbingham.dynamics import _modal_apply
 from qbingham.spectral import Grid2D, elastic_symbols
 from dense_ops import eigh_apply, elastic_eigh
+from mms_common import _spectral_restrict
 
 
 def test_grad_matches_analytic_derivatives():
@@ -53,3 +54,17 @@ def test_modal_apply_matches_the_dense_eigenbasis(rng, n, L1, L2):
         got = grid.fft(_modal_apply(grid, f, q))
         ref = grid.fft(eigh_apply(grid, vec, f_d, q))
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_spectral_restrict_keeps_a_band_limited_field():
+    # modes inside the 16^2 grid's 2/3 band (|k| <= 5) restrict from 48^2 to
+    # the same field sampled on 16^2
+    def field(grid):
+        w = 2.0 * np.pi / grid.length
+        x, y = w * grid.x, w * grid.y
+        return np.stack([0.3 + np.sin(x) * np.cos(2 * y), np.cos(5 * x - 3 * y),
+                         np.sin(4 * y + 1.0) * np.cos(x)], axis=-1)
+
+    fine, coarse = Grid2D(48, length=3.0), Grid2D(16, length=3.0)
+    got = _spectral_restrict(fine, coarse, field(fine))
+    assert np.abs(got - field(coarse)).max() <= 1e-13
