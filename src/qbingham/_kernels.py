@@ -69,9 +69,8 @@ def nodes_for_spread(spread):
     eigenvalue spread of b; it grows like sqrt(spread), capped at
     EXPONENT_BUDGET. Against 30-digit mpmath over 48 shapes of b per spread
     (every axis order) at spreads 2 to 300, the worst |error| is 2.8e-14 in
-    ln Z, 3.9e-15 in <m_i^2> and 8.1e-15 in <m_i^2 m_j^2>. Two nodes fewer
-    would do (1.1e-13, 1.6e-14, 8.2e-14), but solves that end past the
-    estimated spread would then need more Newton updates after the upgrade.
+    ln Z, 3.9e-15 in <m_i^2> and 8.1e-15 in <m_i^2 m_j^2>; two nodes fewer
+    would give 1.1e-13, 1.6e-14 and 8.2e-14.
     """
     s = min(max(2.0, float(spread)), EXPONENT_BUDGET)
     return int(5.4 * np.sqrt(s) + 9.0)

@@ -15,12 +15,13 @@ density. A tensor Chebyshev interpolant of y_1, y_2, built once per process
 from node solves (_start_fit), gives b to ~2e-5 on margins >= 0.02, so
 Newton ends in one update there. No solve reads a previous B.
 
-The eigenframe rule's node count follows from the eigenvalue spread of B
-alone (``_kernels.nodes_for_spread``). The closure operator M_Q and the
-fourth-moment contraction M4 : A are evaluated in the same eigenframe, from
-the pair moments <m_i^2 m_j^2> the solve returns; no dense fourth moment is
-formed. The full-sphere rule of ``sphere`` is never passed to the solver;
-closure-validate uses it for independent forward checks.
+Each solve is one Newton run on one eigenframe rule sized from the start's
+spread (``_kernels.nodes_for_spread``); a solve that ends past it raises.
+The closure operator M_Q and the fourth-moment contraction M4 : A are
+evaluated in the same eigenframe, from the pair moments <m_i^2 m_j^2> the
+solve returns; no dense fourth moment is formed. The full-sphere rule of
+``sphere`` is never passed to the solver; closure-validate uses it for
+independent forward checks.
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ DEFAULT_TOL = 1e-11
 MAX_ITER = 50
 ALPHA_REF = 5.0  # start B = ALPHA_REF * Q of the fit's node solves
 
-# the fitted start: degree, the s_1 below which a point is clamped to the
+# the fitted start: degree, the s_1 below which a point is evaluated at the
 # fit's edge, and the residual its node solves reach
 FIT_DEGREE = 24
 FIT_EDGE = 0.008
@@ -63,7 +64,7 @@ class BatchClosureResult:
     second: np.ndarray     # (N, 3) <m_i^2> in the eigenframe
     pair: np.ndarray       # (N, 3, 3) <m_i^2 m_j^2> in the eigenframe
     residual: np.ndarray   # (N,)
-    iterations: np.ndarray    # (N,) Newton updates, summed over node upgrades
+    iterations: np.ndarray    # (N,) Newton updates
     used_damping: np.ndarray  # (N,) a line search shortened some update
     B5: np.ndarray         # (N, 5) lab-frame qvecs of B
     spread: np.ndarray     # (N,) eigenvalue spread max(b) - min(b)
@@ -133,8 +134,8 @@ def _fitted_start(w):
     """Trace-free start b0 (N, 3) for the ascending eigenvalues w (N, 3) of Q,
     in blocks of _START_BLOCK points.
 
-    A point with s1 below FIT_EDGE is evaluated at u = -1 with its own v, and
-    s is clamped to FIT_EDGE in 1/(2 s).
+    A point with s1 below FIT_EDGE is evaluated at u = -1 with its own v,
+    where y is within 1% of its limit 1; 1/(2 s) is capped at EXPONENT_BUDGET.
     """
     coef = _start_fit()[0]
     b0 = np.empty_like(w)
@@ -162,7 +163,7 @@ def _start_block(coef, w):
     g = (coef @ t[:, 0]).reshape(2, FIT_DEGREE + 1, -1)
     g *= t[:, 1]
     y = np.add.reduce(g, axis=1).T
-    return (y / np.maximum(s[:, :2], FIT_EDGE)) @ _TRACE_FREE
+    return (y / np.maximum(s[:, :2], 0.5 / _kernels.EXPONENT_BUDGET)) @ _TRACE_FREE
 
 
 def bingham_map_batch(q5, delta=0.0, tol=DEFAULT_TOL):
@@ -170,7 +171,8 @@ def bingham_map_batch(q5, delta=0.0, tol=DEFAULT_TOL):
 
     Every point starts from the fitted inverse map (_fitted_start) of its
     eigenvalues. Raises ValueError for tol below 1e-13, PhysicalityError for
-    Q outside the margin delta, and RuntimeError on non-convergence.
+    Q outside the margin delta, and RuntimeError on non-convergence or a
+    spread past the one its rule was sized for.
     """
     if tol < 1e-13:
         raise ValueError("tol below 1e-13 is not resolvable by the quadrature")
@@ -185,31 +187,20 @@ def bingham_map_batch(q5, delta=0.0, tol=DEFAULT_TOL):
             f"[-1/3 + delta, 2/3 - delta]")
 
     b0 = _fitted_start(w)
-    # spread estimate for the node policy: the start's plus slack. The points
-    # whose solution leaves the range (those past the fit's edge) are solved
-    # again, from their b, with upgraded nodes (at most twice); iterations
-    # add up over attempts
+    # one x-rule for the batch, sized from the start's spread plus slack
     est = max(8.0, 1.3 * float((b0.max(1) - b0.min(1)).max()) + 6.0)
     b, res, iters, damped, lnz, second, pair = _kernels.newton_batch(
         w, b0, _kernels.x_rule(_kernels.nodes_for_spread(est)), tol=tol, maxit=MAX_ITER)
-    spread = b.max(axis=1) - b.min(axis=1)
-    for _retry in range(2):
-        redo = spread > est
-        if not redo.any() or not np.all(np.isfinite(res)):
-            break
-        est = 1.3 * spread.max()
-        out = _kernels.newton_batch(w[redo], b[redo], _kernels.x_rule(
-            _kernels.nodes_for_spread(est)), tol=tol, maxit=MAX_ITER)
-        b[redo], res[redo], lnz[redo], second[redo], pair[redo] = out[:2] + out[4:]
-        iters[redo] += out[2]
-        damped[redo] |= out[3]
-        spread = b.max(axis=1) - b.min(axis=1)
     if not np.all(res <= tol):
         k = int(np.argmax(res))
         raise RuntimeError(
             f"closure Newton failed to converge: worst residual {res[k]:.3e} "
             f"after {int(iters[k])} iterations (tol {tol:.1e}); "
             f"q eigenvalues {w[k]}")
+    spread = b.max(axis=1) - b.min(axis=1)
+    if spread.max() > est:
+        raise RuntimeError(f"closure solve ended at spread {spread.max():.3e}, past "
+                           f"the estimate {est:.3e} its x-rule was sized for")
     b5 = from_matrix((rot * b[:, None, :]) @ np.swapaxes(rot, 1, 2))
     return BatchClosureResult(rot, w, lnz, second, pair, res, iters, damped, b5, spread)
 

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .dynamics import ModelParams
+from .equilibrium import critical_alpha
 
 __all__ = ["ExperimentConfig", "ConfigError", "validate_config", "default_config",
            "EXPERIMENTS"]
@@ -99,7 +100,8 @@ def validate_config(doc):
     """Validate a parsed config dict; raises ConfigError listing all problems.
 
     The bounds of the model parameters are ModelParams' own; its ValueError
-    is reported as one "params" error.
+    is reported as one "params" error. params.alpha and each alphas[i] must
+    reach the nematic fold alpha*, below which no stable nematic root exists.
     """
     if not isinstance(doc, dict):
         raise ConfigError(["top level must be a JSON object"])
@@ -161,6 +163,12 @@ def validate_config(doc):
     de = values["de_list"]
     if None not in de and any(b >= a for a, b in zip(de, de[1:])):
         errors.append("de_list: must be strictly decreasing")
+    a_star = critical_alpha()[0]
+    alphas = [(f"alphas[{i}]", a) for i, a in enumerate(values["alphas"])]
+    if "params" in values:
+        alphas.append(("params.alpha", values["params"].alpha))
+    errors += [f"{path}: must be >= alpha* = {a_star:.6f} (the nematic fold)"
+               for path, a in alphas if a is not None and a < a_star]
 
     if errors:
         raise ConfigError(errors)

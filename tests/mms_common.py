@@ -111,9 +111,22 @@ def _spectral_restrict(fine, coarse, field):
 
 
 def run_manufactured(params, n, dt, t_final, n_fine=None, ratios=None):
-    """Integrate the forced system from the exact initial state; returns the
-    RMS error of Q plus that of v at t_final. With ratios, FieldSolver.step
-    takes the steps dt * ratios[k % len(ratios)] until t_final."""
+    """The RMS error of Q plus that of v at t_final of solve_manufactured."""
+    mms, state = solve_manufactured(params, n, dt, t_final, n_fine, ratios)
+    qe, ve = mms.exact(state.grid, state.t)
+    return rms_difference(state.q5 - qe, state.v - ve)
+
+
+def rms_difference(dq, dv):
+    return np.sqrt(np.mean(dq**2)) + np.sqrt(np.mean(dv**2))
+
+
+def solve_manufactured(params, n, dt, t_final, n_fine=None, ratios=None):
+    """Integrate the forced system on an n^2 grid from the exact initial
+    state; returns (the Manufactured solution, the state at t_final). With
+    n_fine the forcing is computed on an n_fine^2 grid and restricted. With
+    ratios, FieldSolver.step takes the steps dt * ratios[k % len(ratios)]
+    until t_final."""
     grid = Grid2D(n)
     mms = Manufactured(params)
     if n_fine is None:
@@ -134,7 +147,4 @@ def run_manufactured(params, n, dt, t_final, n_fine=None, ratios=None):
         while state.t < t_final - 1e-12:
             state = solver.step(state, dt * ratios[k % len(ratios)])
             k += 1
-    qe, ve = mms.exact(grid, state.t)
-    err_q = np.sqrt(np.mean((state.q5 - qe) ** 2))
-    err_v = np.sqrt(np.mean((state.v - ve) ** 2))
-    return err_q + err_v
+    return mms, state

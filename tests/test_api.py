@@ -53,6 +53,18 @@ def test_tracing_targets_resolve(monkeypatch):
         assert callable(_resolve(mod, qualname)), (module, qualname)
 
 
+def test_step_clock_hooks_resolve():
+    # qbench/run.py's step_clock times a workload's steps by replacing these
+    # attributes; the untraced benchmark fails if one moves or changes shape
+    from qbingham import dynamics, leslie, sphere
+    assert leslie.step_homogeneous is dynamics.step_homogeneous
+    assert "step_homogeneous" in leslie.homogeneous_trajectory.__code__.co_names
+    params = inspect.signature(dynamics.FieldSolver.__dict__["run"]).parameters
+    assert list(params) == ["self", "state", "dt", "n_steps", "callback"]
+    assert params["callback"].default is None
+    assert callable(sphere.bingham_moments)
+
+
 def test_relative_imports_are_exported():
     src = pathlib.Path(qbingham.__file__).parent
     drift = []

@@ -47,6 +47,22 @@ def test_non_finite_config_exits_2(tmp_path, capsys):
     assert "seed: expected a finite number, got inf" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment,doc,path", [
+    ("small-de", {"params": {"alpha": 5}}, "params.alpha"),
+    ("homogeneous-run", {"params": {"alpha": 6}}, "params.alpha"),
+    ("phase-table", {"alphas": [5, 7]}, "alphas[0]"),
+])
+def test_alpha_below_the_nematic_fold_exits_2(tmp_path, capsys, experiment, doc, path):
+    # no stable nematic root below alpha*: a configuration error, not the
+    # BranchNotPresentError (exit 3) the run would meet
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": experiment, **doc}))
+    assert cli.main([experiment, "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 2
+    assert f"{path}: must be >= alpha* = 6.731486 (the nematic fold)" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("exc", [
     DivergenceError("divergence residual 1.00e+00 after projection"),
     RuntimeError("state locked into a limit cycle"),

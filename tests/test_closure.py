@@ -235,27 +235,67 @@ def test_solves_respect_spread_bound(rng):
     assert res.spread.max() <= lam
 
 
-def test_node_upgrade_resolves_only_points_past_the_estimate(monkeypatch):
-    # the S = 0.99 point lies past the fitted start's edge (s1 = 0.0033 <
-    # FIT_EDGE), ends far past the spread estimate of its start and is solved
-    # again with more nodes; the S = 0.3 point is not
+def _record_solves(monkeypatch):
+    """Log of the closure's kernel use since the caller last reset it: the
+    spreads the x-rules were sized for and the number of newton_batch runs."""
     closure._start_fit()  # built once per process, before the calls counted here
-    raw = _kernels.newton_batch
-    calls = []
+    log = {"est": [], "runs": 0}
+    sized, run = _kernels.nodes_for_spread, _kernels.newton_batch
 
-    def recorded(*args, **kwargs):
-        out = raw(*args, **kwargs)
-        calls.append(out[2].copy())  # iterations per point of this call
-        return out
+    def nodes(spread):
+        log["est"].append(spread)
+        return sized(spread)
 
-    monkeypatch.setattr(_kernels, "newton_batch", recorded)
+    def newton(*args, **kwargs):
+        log["runs"] += 1
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "nodes_for_spread", nodes)
+    monkeypatch.setattr(_kernels, "newton_batch", newton)
+    return log
+
+
+def test_points_past_the_fit_edge_solve_in_one_run(monkeypatch):
+    # the S = 0.99 point lies past the fitted start's edge (s1 = 0.0033 <
+    # FIT_EDGE); its start still sizes the rule, so the batch is one run
+    log = _record_solves(monkeypatch)
     q5 = np.stack([uniaxial(0.99, [0.0, 0.0, 1.0]), uniaxial(0.3, [1.0, 0.0, 0.0]),
                    from_matrix(np.diag([0.55, -0.3, -0.25]))])
     res = bingham_map_batch(q5)
-    assert len(calls) >= 2 and calls[1].sum() > 0
-    assert res.iterations.sum() == sum(int(it.sum()) for it in calls)
-    assert len(calls[1]) < len(q5)
+    assert log["runs"] == 1
     assert np.all(res.residual <= 1e-11)
+    assert res.spread.max() <= log["est"][0]
+
+
+def test_one_run_per_solve_down_to_the_budget(monkeypatch):
+    # s1 log-spaced from 0.0017 (spread ~290, next to EXPONENT_BUDGET) to
+    # 0.05, s2 over its whole range [s1, (1 - s1)/2]: each solve is one run,
+    # converged, and ends inside the spread its rule was sized for
+    log = _record_solves(monkeypatch)
+    s1 = np.geomspace(0.0017, 0.05, 40)
+    for a in s1:
+        for s2 in np.linspace(a, 0.5 * (1.0 - a), 25):
+            log["runs"], log["est"] = 0, []
+            res = bingham_map_batch(from_matrix(np.diag([a, s2, 1.0 - a - s2]) - np.eye(3) / 3))
+            assert log["runs"] == 1
+            assert res.residual[0] <= 1e-11
+            assert res.spread[0] <= log["est"][0]
+
+
+def test_spread_past_the_estimate_raises(monkeypatch):
+    # a start that underestimates the spread sizes too small a rule; the
+    # solve must not return the under-resolved moments it converged to
+    fitted = closure._fitted_start
+    monkeypatch.setattr(closure, "_fitted_start", lambda w: 0.2 * fitted(w))
+    with pytest.raises(RuntimeError, match="past the estimate"):
+        bingham_map_batch(uniaxial(0.9, [0.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize("s1", [0.0008, 1e-5])
+def test_points_past_the_exponent_budget_raise(s1):
+    # 1/(2 s1) > EXPONENT_BUDGET: no rule resolves the solution
+    with pytest.raises(RuntimeError, match="failed to converge"):
+        bingham_map_batch(from_matrix(np.diag([s1, 0.3, 0.7 - s1]) - np.eye(3) / 3))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,9 @@ import pytest
 
 from qbingham.config import EXPERIMENTS, ConfigError, default_config, validate_config
 from qbingham.dynamics import ModelParams
+from qbingham.equilibrium import critical_alpha
+
+A_STAR = critical_alpha()[0]
 
 TOP_KEYS = ("experiment, grid, params, quadrature, seed, dt, steps, sample_every, alphas, "
             "samples, de_list, t_final, shear_rate, theta0, snapshot, q_amplitude, "
@@ -63,11 +66,11 @@ DEFAULTS = {
 
 def _doc(path, value):
     """A phase-table doc with the key at path set to value; list elements
-    follow a valid first element."""
+    follow a valid first element (above the nematic fold, for alphas)."""
     doc = {"experiment": "phase-table"}
     if "[" in path:
         key = path.split("[")[0]
-        doc[key] = [0.5, value]
+        doc[key] = [8.0, value]
     elif "." in path:
         outer, inner = path.split(".")
         doc[outer] = {inner: value}
@@ -166,9 +169,29 @@ def test_lists_must_be_non_empty(key, bad):
 
 def test_lists_report_each_element():
     assert _errors({"experiment": "small-de", "alphas": ["a", -1.0, 2.0]}) == {
-        "alphas[0]: expected a number, got str", "alphas[1]: must be > 0"}
+        "alphas[0]: expected a number, got str", "alphas[1]: must be > 0",
+        f"alphas[2]: must be >= alpha* = {A_STAR:.6f} (the nematic fold)"}
     cfg = validate_config({"experiment": "small-de", "alphas": [9, 7.5]})
     assert cfg.alphas == (9.0, 7.5) and all(type(a) is float for a in cfg.alphas)
+
+
+@pytest.mark.parametrize("doc,paths", [
+    ({"params": {"alpha": 5}}, ["params.alpha"]),
+    ({"params": {"alpha": 6.73}}, ["params.alpha"]),
+    ({"alphas": [5, 7]}, ["alphas[0]"]),
+    ({"alphas": [6, 8, 1.0], "params": {"alpha": 2.0}},
+     ["alphas[0]", "alphas[2]", "params.alpha"]),
+])
+def test_alpha_below_the_nematic_fold(doc, paths):
+    # no stable nematic root exists there; the runs used to fail numerically
+    assert _errors({"experiment": "phase-table", **doc}) == {
+        f"{p}: must be >= alpha* = {A_STAR:.6f} (the nematic fold)" for p in paths}
+
+
+def test_alpha_at_the_nematic_fold_accepted():
+    cfg = validate_config({"experiment": "phase-table", "alphas": [A_STAR],
+                           "params": {"alpha": A_STAR}})
+    assert cfg.alphas == (A_STAR,) and cfg.params.alpha == A_STAR
 
 
 @pytest.mark.parametrize("de_list", [[0.1, 0.2], [0.1, 0.1], [0.3, 0.1, 0.2]])
