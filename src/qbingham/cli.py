@@ -302,15 +302,14 @@ def _run_homogeneous(cfg, log):
     if errors:
         raise errors[0]
     log(f"homogeneous-run: {len(rows) - 1} steps, final angle {rows[-1][7]:.5f}")
-    sampled = rows[::cfg.sample_every] if cfg.sample_every > 1 else rows
     return {
         "hom_series.csv": _csv_bytes(
             ["t", "q11", "q22", "q12", "q13", "q23", "biaxiality",
-             "angle", "nx", "ny", "nz"], sampled),
+             "angle", "nx", "ny", "nz"], rows[::cfg.sample_every]),
     }, True
 
 
-def _field_common(cfg, log, audit):
+def _field_common(cfg, log, sample_every):
     from .dynamics import FieldSolver, energy_report, smooth_random_state
     from .spectral import Grid2D
 
@@ -325,7 +324,7 @@ def _field_common(cfg, log, audit):
     series = [energy_report(state, p)]
 
     def sample(k, st):
-        if audit or k % cfg.sample_every == 0:
+        if k % sample_every == 0:
             series.append(energy_report(st, p))
 
     t0 = time.perf_counter()
@@ -344,7 +343,7 @@ def _field_common(cfg, log, audit):
 
 
 def _run_field(cfg, log):
-    state, series, outputs, dt, wall = _field_common(cfg, log, audit=False)
+    state, series, outputs, dt, wall = _field_common(cfg, log, cfg.sample_every)
     if cfg.snapshot:
         outputs["field_final.qbf"], outputs["field_final.qbf.json"] = (
             _snapshot_bytes(state, cfg.params))
@@ -360,7 +359,7 @@ def _run_field(cfg, log):
 
 
 def _run_energy_audit(cfg, log):
-    state, series, outputs, dt, wall = _field_common(cfg, log, audit=True)
+    state, series, outputs, dt, wall = _field_common(cfg, log, 1)
     e = np.array([r.total for r in series])
     d = np.array([r.dissipation for r in series])
     t = np.array([r.t for r in series])

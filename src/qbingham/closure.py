@@ -61,7 +61,6 @@ class BatchClosureResult:
     rotation: np.ndarray   # (N, 3, 3) eigenvector columns shared by Q and B
     q_eigs: np.ndarray     # (N, 3) eigenvalues of Q, ascending
     log_z: np.ndarray      # (N,)
-    second: np.ndarray     # (N, 3) <m_i^2> in the eigenframe
     pair: np.ndarray       # (N, 3, 3) <m_i^2 m_j^2> in the eigenframe
     residual: np.ndarray   # (N,)
     iterations: np.ndarray    # (N,) Newton updates
@@ -189,7 +188,7 @@ def bingham_map_batch(q5, delta=0.0, tol=DEFAULT_TOL):
     b0 = _fitted_start(w)
     # one x-rule for the batch, sized from the start's spread plus slack
     est = max(8.0, 1.3 * float((b0.max(1) - b0.min(1)).max()) + 6.0)
-    b, res, iters, damped, lnz, second, pair = _kernels.newton_batch(
+    b, res, iters, damped, lnz, _, pair = _kernels.newton_batch(
         w, b0, _kernels.x_rule(_kernels.nodes_for_spread(est)), tol=tol, maxit=MAX_ITER)
     if not np.all(res <= tol):
         k = int(np.argmax(res))
@@ -202,7 +201,7 @@ def bingham_map_batch(q5, delta=0.0, tol=DEFAULT_TOL):
         raise RuntimeError(f"closure solve ended at spread {spread.max():.3e}, past "
                            f"the estimate {est:.3e} its x-rule was sized for")
     b5 = from_matrix((rot * b[:, None, :]) @ np.swapaxes(rot, 1, 2))
-    return BatchClosureResult(rot, w, lnz, second, pair, res, iters, damped, b5, spread)
+    return BatchClosureResult(rot, w, lnz, pair, res, iters, damped, b5, spread)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 Configs are declarative JSON. Each key is declared once, by the
 ExperimentConfig field it sets (see _key): its path ("grid.n" is the key n of
-the nested "grid" object), default, kind and lower bound. Unknown keys
-anywhere are rejected (a typo like "l2" for "L2" must fail loudly, not
-silently default) and every violation is reported at once with its key path.
+the nested "grid" object), default, kind and lower bound. Each experiment
+accepts seed and the key paths _READS declares it reads, and rejects any
+other key (a typo like "l2" for "L2", or dt, which small-de never reads, must
+fail loudly, not silently default); every violation is reported with its path.
 
 The "quadrature" object sets only the full-sphere reference rule of
 closure-validate's forward checks; the closure solver sizes its own
@@ -21,10 +22,19 @@ from .equilibrium import critical_alpha
 __all__ = ["ExperimentConfig", "ConfigError", "validate_config", "default_config",
            "EXPERIMENTS"]
 
-EXPERIMENTS = (
-    "phase-table", "closure-validate", "homogeneous-run", "field-run",
-    "small-de", "energy-audit",
-)
+# the key paths each experiment reads ("params": every key of it); all accept
+# seed too, which --seed sets on every subcommand and the manifest records
+_FIELD = "grid.n grid.length dt steps q_amplitude v_amplitude params"
+_HOM = "t_final shear_rate theta0 params.alpha params.delta"
+_READS = {
+    "phase-table": "alphas params.L1 params.L2",
+    "closure-validate": "samples quadrature.n_polar quadrature.n_azimuthal params.delta",
+    "homogeneous-run": "dt sample_every params.de " + _HOM,
+    "field-run": "sample_every snapshot " + _FIELD,
+    "small-de": "de_list " + _HOM,
+    "energy-audit": _FIELD,
+}
+EXPERIMENTS = tuple(_READS)
 
 _PARAM_DEFAULTS = {
     "alpha": 7.0, "epsilon": 0.05, "de": 1.0, "re": 1.0, "gamma": 0.5,
@@ -99,9 +109,11 @@ def _check_number(errors, path, val, bound=None, integer=False):
 def validate_config(doc):
     """Validate a parsed config dict; raises ConfigError listing all problems.
 
-    The bounds of the model parameters are ModelParams' own; its ValueError
-    is reported as one "params" error. params.alpha and each alphas[i] must
-    reach the nematic fold alpha*, below which no stable nematic root exists.
+    A key the experiment does not read is unknown; an unknown experiment
+    allows the keys of all. The bounds of the model parameters are
+    ModelParams' own; its ValueError is reported as one "params" error.
+    params.alpha and each alphas[i] must reach the nematic fold alpha*, below
+    which no stable nematic root exists; de_list needs 2 values for a slope.
     """
     if not isinstance(doc, dict):
         raise ConfigError(["top level must be a JSON object"])
@@ -113,31 +125,29 @@ def validate_config(doc):
         errors.append(f"experiment: unknown kind {exp!r}")
 
     # the names each object allows ("" is the top level), and the objects
-    allowed = {"": {"experiment"}}
-    for k in _KEYS.values():
-        head, _, name = k["path"].rpartition(".")
+    allowed = {"": {"experiment", "seed"}}
+    for path in (_READS[exp] if exp in EXPERIMENTS else " ".join(_READS.values())).split():
+        head, _, name = path.rpartition(".")
         allowed[""].add(head or name)
         if head:
             allowed.setdefault(head, set()).add(name)
-        elif isinstance(k["default"], dict):
-            allowed[name] = set(k["default"])
-    objects = {"": doc}
-    for name in allowed:
-        if name:
-            objects[name] = doc.get(name, {})
-            if not isinstance(objects[name], dict):
-                errors.append(f"{name}: expected an object")
-                objects[name] = {}
-    for name, obj in objects.items():
-        prefix = f"{name}." if name else ""
-        errors += [f"{prefix}{k}: unknown key (allowed: {', '.join(sorted(allowed[name]))})"
-                   for k in obj if k not in allowed[name]]
+        elif name == "params":
+            allowed[name] = set(_PARAM_DEFAULTS)
+    objects = {}
+    for name, names in allowed.items():
+        obj = doc.get(name, {}) if name else doc
+        if not isinstance(obj, dict):
+            errors.append(f"{name}: expected an object")
+            obj = {}
+        errors += [f"{name}.{k}: unknown key (allowed: {', '.join(sorted(names))})"
+                   .removeprefix(".") for k in obj if k not in names]
+        objects[name] = {k: v for k, v in obj.items() if k in names}
 
     values = {}
     for fname, k in _KEYS.items():
         path, default, kind, bound = k["path"], k["default"], k["kind"], k["bound"]
         head, _, name = path.rpartition(".")
-        val = objects[head].get(name, default)
+        val = objects.get(head, {}).get(name, default)
         if kind in (int, float):
             values[fname] = (val if val is None and default is None
                              else _check_number(errors, path, val, bound, kind is int))
@@ -153,7 +163,7 @@ def validate_config(doc):
             values[fname] = val
         else:
             nums = {n: _check_number(errors, f"{path}.{n}", v)
-                    for n, v in {**default, **objects[name]}.items() if n in default}
+                    for n, v in {**default, **objects.get(name, {})}.items() if n in default}
             if None not in nums.values():
                 try:
                     values[fname] = kind(**nums)
@@ -161,7 +171,9 @@ def validate_config(doc):
                     errors.append(f"{path}: {exc}")
 
     de = values["de_list"]
-    if None not in de and any(b >= a for a, b in zip(de, de[1:])):
+    if len(de) == 1:
+        errors.append("de_list: expected at least 2 values to fit a slope")
+    elif None not in de and any(b >= a for a, b in zip(de, de[1:])):
         errors.append("de_list: must be strictly decreasing")
     a_star = critical_alpha()[0]
     alphas = [(f"alphas[{i}]", a) for i, a in enumerate(values["alphas"])]
@@ -177,6 +189,4 @@ def validate_config(doc):
 
 def default_config(experiment, **overrides):
     """Built-in config for one experiment kind, fully validated."""
-    doc = {"experiment": experiment}
-    doc.update(overrides)
-    return validate_config(doc)
+    return validate_config({"experiment": experiment, **overrides})

@@ -16,6 +16,7 @@ material constants derive from eta_1.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +93,7 @@ def solve_eta(alpha, branch="stable"):
         f"alpha* < alpha < {ISOTROPIC_SPINODAL}")
 
 
+@functools.cache
 def critical_alpha():
     """Fold point (alpha*, eta*) where the two nematic roots coalesce.
 

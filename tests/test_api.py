@@ -185,10 +185,37 @@ def test_every_config_field_is_a_key_a_runner_reads():
     assert not [f.name for f in keys if "path" not in f.metadata]
     read = set()
     for path in [SRC / "cli.py"] + sorted(QBENCH.glob("*.py")):
-        read |= {node.attr for node in ast.walk(ast.parse(path.read_text()))
-                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                 and node.value.id == "cfg"}
+        read |= _cfg_reads(ast.parse(path.read_text()))
     assert not [f.name for f in keys if f.name not in read]
+
+    # per experiment, the fields its runner reads (following calls into cli
+    # helpers, and run_experiment, which records seed) are exactly those of
+    # the key paths config declares it reads, and seed
+    from qbingham import cli
+    from qbingham.config import _READS
+    defs = {node.name: node for node in ast.parse((SRC / "cli.py").read_text()).body
+            if isinstance(node, ast.FunctionDef)}
+    for experiment, runner in cli._RUNNERS.items():
+        reads = _READS[experiment].split()
+        declared = {f.name for f in keys if f.name == "seed" or any(
+            p == f.metadata["path"] or p.startswith(f.metadata["path"] + ".") for p in reads)}
+        read, todo = set(), [runner.__name__, "run_experiment"]
+        seen = set(todo)
+        while todo:
+            fn = defs[todo.pop()]
+            read |= _cfg_reads(fn)
+            calls = {node.func.id for node in ast.walk(fn) if isinstance(node, ast.Call)
+                     and isinstance(node.func, ast.Name) and node.func.id in defs}
+            todo += calls - seen
+            seen |= calls
+        assert read - {"experiment", "raw"} == declared, experiment
+
+
+def _cfg_reads(tree):
+    """The attribute names read off a name cfg anywhere in tree."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "cfg"}
 
 
 def test_step_homogeneous_positional_layout():

@@ -4,7 +4,7 @@ import io
 import json
 import re
 import struct
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import pytest
 
@@ -235,16 +235,100 @@ def test_small_de_uses_theta0(tmp_path):
 
 
 def test_config_reports_every_error_at_once(tmp_path):
-    doc = {"experiment": "small-de", "params": {"l2": 0.5, "L2": -0.6},
+    doc = {"experiment": "small-de", "params": {"l2": 0.5, "delta": 0.5},
            "grid": {"size": 32}, "de_list": [0.1, 0.2]}
     with pytest.raises(ConfigError) as info:
         validate_config(doc)
     errors = info.value.errors
     assert len(errors) == 4, errors
-    for part in ("params.l2: unknown key", "grid.size: unknown key",
-                 "L1 + 2 L2 must be positive", "de_list: must be strictly decreasing"):
+    for part in ("params.l2: unknown key", "grid: unknown key",
+                 "delta must lie in (0, 1/3)", "de_list: must be strictly decreasing"):
         assert sum(part in e for e in errors) == 1, (part, errors)
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(doc))
     assert cli.main(["small-de", "--config", str(cfg), "--out",
                      str(tmp_path / "out"), "--quiet"]) == 2
+
+
+@pytest.mark.parametrize("experiment,doc,message", [
+    ("small-de", {"dt": 0.01}, "dt: unknown key (allowed: "),
+    ("energy-audit", {"snapshot": False}, "snapshot: unknown key (allowed: "),
+    ("phase-table", {"params": {"alpha": 8.0}}, "params.alpha: unknown key (allowed: L1, L2)"),
+    ("small-de", {"de_list": [0.2], "t_final": 0.2},
+     "de_list: expected at least 2 values to fit a slope"),
+])
+def test_config_error_exits_2_before_running(tmp_path, capsys, experiment, doc, message):
+    # a key the experiment never reads would change nothing (small-de steps
+    # each De at its own dt, energy-audit writes no snapshot), so it is
+    # rejected like a typo; one De gives no slope, so small-de would run and
+    # then always exit 3
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": experiment, **doc}))
+    out = tmp_path / "out"
+    assert cli.main([experiment, "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+# a tiny config of every experiment, and a valid value other than the tiny
+# one for every config field and params sub-field
+_TINY = {
+    "phase-table": {"alphas": [8.0]},
+    "closure-validate": {"samples": 8, "quadrature": {"n_polar": 16, "n_azimuthal": 32}},
+    "homogeneous-run": {"t_final": 0.1},
+    "field-run": {"grid": {"n": 8}, "dt": 0.05, "steps": 2},
+    "small-de": {"de_list": [0.2, 0.1], "t_final": 0.05},
+    "energy-audit": {"grid": {"n": 8}, "dt": 0.05, "steps": 2},
+}
+_CHANGED = {
+    "seed": 5, "dt": 0.02, "steps": 3, "sample_every": 2, "alphas": (9.0,), "samples": 5,
+    "de_list": (0.3, 0.15), "t_final": 0.08, "shear_rate": 0.5, "theta0": 0.3,
+    "snapshot": False, "q_amplitude": 0.3, "v_amplitude": 0.2, "n_polar": 12,
+    "n_azimuthal": 24, "grid_n": 12, "grid_length": 5.0,
+    "params.alpha": 8.0, "params.epsilon": 0.1, "params.de": 0.5, "params.re": 2.0,
+    "params.gamma": 0.3, "params.L1": 2.0, "params.L2": 0.2, "params.delta": 0.05,
+}
+_TIMING_KEYS = {"wall_seconds", "total_solve_seconds", "mean_solve_ms"}
+
+
+def _artifacts(cfg):
+    """The runner's artifacts, with the timing keys of its JSON summaries dropped."""
+    outputs, _ok = cli._RUNNERS[cfg.experiment](cfg, lambda msg: None)
+    for name, data in outputs.items():
+        obj = json.loads(data) if name.endswith(".json") else None
+        if isinstance(obj, dict) and _TIMING_KEYS & set(obj):
+            outputs[name] = {k: v for k, v in obj.items() if k not in _TIMING_KEYS}
+    return outputs
+
+
+@pytest.mark.parametrize("experiment,rejected", [
+    ("phase-table", 21), ("closure-validate", 20), ("homogeneous-run", 16),
+    ("field-run", 8), ("small-de", 18), ("energy-audit", 10),
+])
+def test_keys_an_experiment_rejects_change_no_artifact(experiment, rejected):
+    # every field and params sub-field whose key validate_config rejects for
+    # this experiment (93 of the 150 pairs) is changed in turn: no artifact
+    # moves, so no rejected key had an effect
+    doc = {"experiment": experiment, **_TINY[experiment]}
+    cfg = validate_config(doc)
+    base = _artifacts(cfg)
+    assert base
+    key_paths = {f.name: f.metadata["path"] for f in fields(cfg) if f.metadata}
+    changed = []
+    for name, value in _CHANGED.items():
+        field, _, sub = name.partition(".")
+        path = name if sub else key_paths[field]
+        head, _, key = path.rpartition(".")
+        v = list(value) if isinstance(value, tuple) else value
+        try:
+            validate_config({**doc, head: {**doc.get(head, {}), key: v}} if head
+                            else {**doc, key: v})
+        except ConfigError as exc:
+            assert len(exc.errors) == 1 and "unknown key" in exc.errors[0], exc.errors
+        else:
+            continue  # a key the experiment reads
+        new = (replace(cfg, params=replace(cfg.params, **{sub: value})) if sub
+               else replace(cfg, **{field: value}))
+        assert _artifacts(new) == base, path
+        changed.append(path)
+    assert len(changed) == rejected, changed

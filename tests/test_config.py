@@ -1,9 +1,10 @@
-"""Config catalogue: for every key, the error a wrong type, a non-integer and
-a value just past its bound give, the structural errors, and the built-in
+"""Config catalogue: the keys each experiment accepts; for every key, the
+error a wrong type, a non-integer and a value just past its bound give (in an
+experiment that reads the key), the structural errors, and the built-in
 config of every experiment. Messages are compared as sets: the validator
 reports every violation at once, in no promised order."""
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -16,7 +17,35 @@ A_STAR = critical_alpha()[0]
 TOP_KEYS = ("experiment, grid, params, quadrature, seed, dt, steps, sample_every, alphas, "
             "samples, de_list, t_final, shear_rate, theta0, snapshot, q_amplitude, "
             "v_amplitude")
+# the top-level keys of every experiment, which an unknown experiment allows
 ALLOWED = ", ".join(sorted(TOP_KEYS.split(", ")))
+
+# the key paths each experiment accepts, seed and those it reads: 57 of the
+# 150 (experiment, key path) pairs
+_PARAMS = {f"params.{k}" for k in ("alpha", "epsilon", "de", "re", "gamma", "L1", "L2",
+                                   "delta")}
+_FIELD = {"grid.n", "grid.length", "dt", "steps", "q_amplitude", "v_amplitude", *_PARAMS}
+READS = {
+    "phase-table": {"seed", "alphas", "params.L1", "params.L2"},
+    "closure-validate": {"seed", "samples", "quadrature.n_polar", "quadrature.n_azimuthal",
+                         "params.delta"},
+    "homogeneous-run": {"seed", "dt", "sample_every", "t_final", "shear_rate", "theta0",
+                        "params.alpha", "params.de", "params.delta"},
+    "field-run": {"seed", "sample_every", "snapshot", *_FIELD},
+    "small-de": {"seed", "de_list", "t_final", "shear_rate", "theta0", "params.alpha",
+                 "params.delta"},
+    "energy-audit": {"seed", *_FIELD},
+}
+
+# a valid value, other than the default, for every key path
+VALID = {
+    "seed": 3, "dt": 0.05, "steps": 7, "sample_every": 2, "alphas": [8], "samples": 9,
+    "de_list": [0.3, 0.1], "t_final": 1, "shear_rate": -2, "theta0": 0, "snapshot": False,
+    "q_amplitude": 0.25, "v_amplitude": 0, "quadrature.n_polar": 16,
+    "quadrature.n_azimuthal": 32, "grid.n": 32, "grid.length": 3, "params.alpha": 8,
+    "params.epsilon": 0.1, "params.de": 0.5, "params.re": 2, "params.gamma": 0.25,
+    "params.L1": 2, "params.L2": 0, "params.delta": 0.05,
+}
 
 # (key path, integer, value just past the bound, its message); None: unbounded
 NUMBERS = [
@@ -64,10 +93,19 @@ DEFAULTS = {
 }
 
 
-def _doc(path, value):
-    """A phase-table doc with the key at path set to value; list elements
-    follow a valid first element (above the nematic fold, for alphas)."""
-    doc = {"experiment": "phase-table"}
+def _reader(path):
+    """The first experiment that reads the key at path (an object's name
+    stands for its keys; an element alphas[i] for its list)."""
+    key = path.split("[")[0]
+    return next(e for e in EXPERIMENTS
+                if any(p == key or p.startswith(key + ".") for p in READS[e]))
+
+
+def _doc(path, value, experiment=None):
+    """A doc of experiment (by default one that reads the key at path) with
+    that key set to value; list elements follow a valid first element (above
+    the nematic fold, for alphas)."""
+    doc = {"experiment": experiment or _reader(path)}
     if "[" in path:
         key = path.split("[")[0]
         doc[key] = [8.0, value]
@@ -77,6 +115,17 @@ def _doc(path, value):
     else:
         doc[path] = value
     return doc
+
+
+def _unknown(experiment, path):
+    """The error of a key at path that experiment does not read."""
+    head, _, name = path.rpartition(".")
+    reads = READS[experiment] | {"experiment"}
+    if head and any(p.startswith(head + ".") for p in reads):
+        allowed = {p.split(".")[1] for p in reads if p.startswith(head + ".")}
+        return f"{path}: unknown key (allowed: {', '.join(sorted(allowed))})"
+    allowed = {p.split(".")[0] for p in reads}
+    return f"{head or name}: unknown key (allowed: {', '.join(sorted(allowed))})"
 
 
 def _errors(doc):
@@ -92,6 +141,19 @@ def _as_dict(cfg):
 def _field(path):
     return {"quadrature.n_polar": "n_polar", "quadrature.n_azimuthal": "n_azimuthal",
             "grid.n": "grid_n", "grid.length": "grid_length"}.get(path, path)
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_each_experiment_accepts_exactly_the_keys_it_reads(experiment):
+    # a key the experiment never reads is rejected like a typo, with its
+    # path, and its value goes unchecked
+    assert sorted(VALID) == sorted(set().union(*READS.values()))
+    for path, value in VALID.items():
+        if path in READS[experiment]:
+            validate_config(_doc(path, value, experiment))
+        else:
+            assert _errors(_doc(path, "x", experiment)) == {_unknown(experiment, path)}, path
+    assert sum(map(len, READS.values())) == 57 and len(VALID) * len(EXPERIMENTS) == 150
 
 
 @pytest.mark.parametrize("path", [p for p, *_ in NUMBERS] + [f"params.{k}" for k, *_ in PARAMS])
@@ -113,7 +175,7 @@ def test_non_finite(path, bad):
 def test_non_finite_from_json_text():
     assert _errors(json.loads('{"experiment": "small-de", "t_final": NaN}')) == {
         "t_final: expected a finite number, got nan"}
-    assert _errors(json.loads('{"experiment": "small-de", "params": {"de": NaN}}')) == {
+    assert _errors(json.loads('{"experiment": "homogeneous-run", "params": {"de": NaN}}')) == {
         "params.de: expected a finite number, got nan"}
     assert _errors(json.loads('{"experiment": "small-de", "seed": Infinity}')) == {
         "seed: expected a finite number, got inf"}
@@ -163,15 +225,15 @@ def test_dt_null_accepted_steps_null_rejected():
 @pytest.mark.parametrize("key", ["alphas", "de_list"])
 @pytest.mark.parametrize("bad", [[], "x", 3.0, None])
 def test_lists_must_be_non_empty(key, bad):
-    assert _errors({"experiment": "small-de", key: bad}) == {
+    assert _errors({"experiment": _reader(key), key: bad}) == {
         f"{key}: expected a non-empty list of numbers"}
 
 
 def test_lists_report_each_element():
-    assert _errors({"experiment": "small-de", "alphas": ["a", -1.0, 2.0]}) == {
+    assert _errors({"experiment": "phase-table", "alphas": ["a", -1.0, 2.0]}) == {
         "alphas[0]: expected a number, got str", "alphas[1]: must be > 0",
         f"alphas[2]: must be >= alpha* = {A_STAR:.6f} (the nematic fold)"}
-    cfg = validate_config({"experiment": "small-de", "alphas": [9, 7.5]})
+    cfg = validate_config({"experiment": "phase-table", "alphas": [9, 7.5]})
     assert cfg.alphas == (9.0, 7.5) and all(type(a) is float for a in cfg.alphas)
 
 
@@ -179,19 +241,19 @@ def test_lists_report_each_element():
     ({"params": {"alpha": 5}}, ["params.alpha"]),
     ({"params": {"alpha": 6.73}}, ["params.alpha"]),
     ({"alphas": [5, 7]}, ["alphas[0]"]),
-    ({"alphas": [6, 8, 1.0], "params": {"alpha": 2.0}},
-     ["alphas[0]", "alphas[2]", "params.alpha"]),
+    ({"alphas": [6, 8, 1.0]}, ["alphas[0]", "alphas[2]"]),
 ])
 def test_alpha_below_the_nematic_fold(doc, paths):
     # no stable nematic root exists there; the runs used to fail numerically
-    assert _errors({"experiment": "phase-table", **doc}) == {
+    assert _errors({"experiment": _reader(paths[0]), **doc}) == {
         f"{p}: must be >= alpha* = {A_STAR:.6f} (the nematic fold)" for p in paths}
 
 
 def test_alpha_at_the_nematic_fold_accepted():
-    cfg = validate_config({"experiment": "phase-table", "alphas": [A_STAR],
-                           "params": {"alpha": A_STAR}})
-    assert cfg.alphas == (A_STAR,) and cfg.params.alpha == A_STAR
+    assert validate_config({"experiment": "phase-table", "alphas": [A_STAR]}).alphas == (
+        A_STAR,)
+    cfg = validate_config({"experiment": "small-de", "params": {"alpha": A_STAR}})
+    assert cfg.params.alpha == A_STAR
 
 
 @pytest.mark.parametrize("de_list", [[0.1, 0.2], [0.1, 0.1], [0.3, 0.1, 0.2]])
@@ -208,15 +270,16 @@ def test_de_list_order_unchecked_past_a_bad_element():
 @pytest.mark.parametrize("key", ["params", "quadrature", "grid"])
 @pytest.mark.parametrize("bad", [3, "x", [1]])
 def test_nested_must_be_objects(key, bad):
-    assert _errors({"experiment": "field-run", key: bad}) == {f"{key}: expected an object"}
+    assert _errors({"experiment": _reader(key), key: bad}) == {f"{key}: expected an object"}
 
 
 @pytest.mark.parametrize("key", ["params", "quadrature", "grid"])
 @pytest.mark.parametrize("bad", [False, [], 0, None, ""])
 def test_falsy_nested_values_are_not_objects(key, bad):
-    assert _errors({"experiment": "field-run", key: bad}) == {f"{key}: expected an object"}
-    assert _as_dict(validate_config({"experiment": "field-run", key: {}})) == _as_dict(
-        default_config("field-run"))
+    experiment = _reader(key)
+    assert _errors({"experiment": experiment, key: bad}) == {f"{key}: expected an object"}
+    assert _as_dict(validate_config({"experiment": experiment, key: {}})) == _as_dict(
+        default_config(experiment))
 
 
 @pytest.mark.parametrize("key,allowed", [
@@ -225,14 +288,18 @@ def test_falsy_nested_values_are_not_objects(key, bad):
     ("grid", "length, n"),
 ])
 def test_unknown_nested_keys(key, allowed):
-    assert _errors({"experiment": "field-run", key: {"zz": 1, "aa": 2}}) == {
+    experiment = "closure-validate" if key == "quadrature" else "field-run"
+    assert _errors({"experiment": experiment, key: {"zz": 1, "aa": 2}}) == {
         f"{key}.zz: unknown key (allowed: {allowed})",
         f"{key}.aa: unknown key (allowed: {allowed})"}
 
 
 def test_unknown_top_key():
     assert _errors({"experiment": "field-run", "step": 3}) == {
-        f"step: unknown key (allowed: {ALLOWED})"}
+        "step: unknown key (allowed: dt, experiment, grid, params, q_amplitude, "
+        "sample_every, seed, snapshot, steps, v_amplitude)"}
+    assert _errors({"experiment": "nope", "step": 3}) == {
+        "experiment: unknown kind 'nope'", f"step: unknown key (allowed: {ALLOWED})"}
 
 
 @pytest.mark.parametrize("bad", [1, "yes", None])
@@ -267,24 +334,24 @@ def test_every_error_of_a_doc_at_once():
 
 
 def test_overrides_reach_their_fields():
-    doc = {"experiment": "field-run", "seed": 3, "params": {"de": 0.5, "L2": 0.0},
-           "quadrature": {"n_polar": 16}, "grid": {"n": 32, "length": 3},
-           "dt": 0.05, "steps": 7, "sample_every": 2, "alphas": [8], "samples": 9,
-           "de_list": [0.3, 0.1], "t_final": 1, "shear_rate": -2, "theta0": 0,
-           "snapshot": False, "q_amplitude": 0.25, "v_amplitude": 0}
-    cfg = validate_config(doc)
-    assert cfg.raw is doc
-    assert _as_dict(cfg) == {
-        "experiment": "field-run", "seed": 3,
-        "params": ModelParams(alpha=7.0, epsilon=0.05, de=0.5, re=1.0, gamma=0.5,
-                              L1=1.0, L2=0.0, delta=0.1),
-        "n_polar": 16, "n_azimuthal": 128, "grid_n": 32, "grid_length": 3.0,
-        "dt": 0.05, "steps": 7, "sample_every": 2, "alphas": (8.0,), "samples": 9,
-        "de_list": (0.3, 0.1), "t_final": 1.0, "shear_rate": -2.0, "theta0": 0.0,
-        "snapshot": False, "q_amplitude": 0.25, "v_amplitude": 0.0}
+    # each experiment's keys, all set at once, reach their fields; every other
+    # field keeps its default
     floats = ("grid_length", "dt", "t_final", "shear_rate", "theta0", "q_amplitude",
               "v_amplitude")
-    assert all(type(getattr(cfg, f)) is float for f in floats)
+    for experiment in EXPERIMENTS:
+        doc = {"experiment": experiment}
+        for path in READS[experiment]:
+            head, _, name = path.rpartition(".")
+            (doc.setdefault(head, {}) if head else doc)[name] = VALID[path]
+        cfg = validate_config(doc)
+        assert cfg.raw is doc
+        params = {k.split(".")[1]: float(VALID[k])
+                  for k in READS[experiment] if k.startswith("params.")}
+        want = {**DEFAULTS, "params": replace(DEFAULTS["params"], **params)}
+        want.update({_field(p): tuple(map(float, VALID[p])) if p in ("alphas", "de_list")
+                     else VALID[p] for p in READS[experiment] if not p.startswith("params.")})
+        assert _as_dict(cfg) == {"experiment": experiment, **want}
+        assert all(type(getattr(cfg, f)) is float for f in floats if getattr(cfg, f) is not None)
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)

@@ -122,6 +122,11 @@ def test_critical_alpha_tangency_and_root_count():
     assert abs(a_star - a0 / (a2 - a4)) < 1e-6
 
 
+def test_critical_alpha_is_computed_once():
+    # a constant of the model, read by every validate_config and solve_eta call
+    assert critical_alpha() is critical_alpha()
+
+
 def test_phase_constants_invariants():
     for alpha in _alphas():
         pc = phase_constants(alpha, 1.0, 0.5)
