@@ -159,8 +159,7 @@ _PHASE_POSITIVE = ("ineq_a", "ineq_b", "diss_1", "diss_2", "diss_form_bound", "d
 
 def _run_phase_table(cfg, log):
     from .equilibrium import crit_residual, leslie_dissipation_bound, phase_constants
-    header = None
-    rows = []
+    recs = []
     for a in cfg.alphas:
         pc = phase_constants(a, cfg.params.L1, cfg.params.L2)
         d = pc.as_dict()
@@ -183,17 +182,13 @@ def _run_phase_table(cfg, log):
         ok = (all(d[k] <= tol for k, tol in _PHASE_TOLERANCES.items())
               and all(d[k] > 0 for k in _PHASE_POSITIVE))
         d["pass"] = ok
-        if header is None:
-            header = list(d)
-        rows.append([d[k] for k in header])
+        recs.append(d)
         log(f"alpha={a:g}: eta={pc.eta:.6f} S2={pc.S2:.6f} zeta={pc.zeta:.6f} "
             f"pass={ok}")
-    recs = [dict(zip(header, r)) for r in rows]
-    failed = [r for r in recs if not r["pass"]]
     return {
-        "phase_table.csv": _csv_bytes(header, rows),
+        "phase_table.csv": _csv_bytes(list(recs[0]), [list(r.values()) for r in recs]),
         "phase_table.json": _json_bytes(recs),
-    }, not failed
+    }, all(r["pass"] for r in recs)
 
 
 def _sample_physical(rng, n, margin):

@@ -8,11 +8,11 @@ eta = alpha S_2(eta), so the positive roots are the eta at which the map
 takes the value alpha. On eta > 0 this map is unimodal: it falls from
 lim_{eta->0} eta / S_2(eta) = 15/2 to the fold value alpha* at eta* and then
 grows without bound (Liu, Zhang & Zhang, Comm. Math. Sci. 3, 2005). Hence
-for alpha > alpha* the stable nematic root eta_1 is the one root of
-eta - alpha S_2(eta) in [eta*, alpha], and for alpha* < alpha < 15/2 the
-unstable root eta_2 is the one root of 1 - alpha S_2(eta) / eta in
-[0, eta*]; each is a single bracket for scipy's brentq. All Leslie/Frank
-material constants derive from eta_1.
+for alpha >= alpha* the stable nematic root eta_1 is the one root of
+eta - alpha S_2(eta) in [eta*, alpha], a single bracket for scipy's brentq.
+The model expands about Q_0 = S_2(eta_1) (nn - I/3), and all Leslie/Frank
+material constants derive from eta_1; the isotropic root eta = 0 and the
+unstable root in (0, eta*) are not solved for.
 """
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from ._kernels import x_rule
 from .sphere import a_integrals
 
 __all__ = [
@@ -31,11 +30,9 @@ __all__ = [
     "leslie_dissipation_bound",
 ]
 
-ISOTROPIC_SPINODAL = 7.5  # lim_{eta->0} eta / S_2(eta); eta_2 > 0 exists below it
-
 
 class BranchNotPresentError(ValueError):
-    """Requested equilibrium branch does not exist at this alpha."""
+    """No stable nematic root at this alpha (alpha < alpha*)."""
 
 
 def crit_residual(eta, alpha):
@@ -52,45 +49,21 @@ def crit_residual(eta, alpha):
     return 3.0 - (3.0 + 2.0 * eta + 4.0 * eta**2 / alpha) * h
 
 
-def _s2_over_eta(eta):
-    """S_2(eta) / eta without cancellation as eta -> 0: as int (3 x^2 - 1) dx
-    = 0 on [-1, 1], 3 A_2 - A_0 is the integral of (3 x^2 - 1) expm1(eta x^2),
-    and expm1(eta x^2) / eta tends to x^2. 16 Gauss points reach rounding on
-    eta <= eta* (eta_2 within 3e-15 of 40-digit mpmath for alpha in [7, 7.5)).
+def solve_eta(alpha):
+    """The stable nematic root eta_1 of eta = alpha S_2(eta), in [eta*, alpha].
+
+    It exists for alpha >= alpha*; below the fold (including alpha <= 0)
+    BranchNotPresentError is raised. The bracket ends at eta = alpha, so
+    beyond the exponent budget (alpha > 300) a_integrals' OverflowError
+    propagates.
     """
-    x2, _, w, _ = x_rule(16)
-    g = x2 if eta == 0.0 else np.expm1(eta * x2) / eta
-    return float(w @ ((3.0 * x2 - 1.0) * g) / (2.0 * (w @ np.exp(eta * x2))))
-
-
-def solve_eta(alpha, branch="stable"):
-    """Solve eta = alpha S_2(eta) on the requested branch.
-
-    branch: "isotropic" (eta = 0, every alpha), "stable" (eta_1 in
-    [eta*, alpha], alpha >= alpha*) or "unstable" (eta_2 in (0, eta*),
-    alpha* < alpha < 15/2). A missing branch raises BranchNotPresentError.
-    The stable bracket ends at eta = alpha, so beyond the exponent budget
-    (alpha > 300) a_integrals' OverflowError propagates. eta_2 is the root
-    of 1 - alpha S_2(eta) / eta on [0, eta*]; that form stays accurate as
-    alpha -> 15/2, where eta_2 tends to 0.
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if branch == "isotropic":
-        return 0.0
-    if branch not in ("stable", "unstable"):
-        raise ValueError(f"unknown branch {branch!r}")
     a_star, eta_star = critical_alpha()
-    if branch == "stable" and alpha >= a_star:
-        return float(brentq(lambda e: e - alpha * order_parameters(e)[0],
-                            eta_star, alpha, xtol=1e-15))
-    if branch == "unstable" and a_star < alpha < ISOTROPIC_SPINODAL:
-        return float(brentq(lambda e: 1.0 - alpha * _s2_over_eta(e),
-                            0.0, eta_star, xtol=1e-15))
-    raise BranchNotPresentError(
-        f"no {branch} nematic root at alpha={alpha:.6g}; the stable root "
-        f"needs alpha >= alpha* = {a_star:.6f}, the unstable one "
-        f"alpha* < alpha < {ISOTROPIC_SPINODAL}")
+    if alpha < a_star:
+        raise BranchNotPresentError(
+            f"no stable nematic root at alpha={alpha:.6g}; it needs "
+            f"alpha >= alpha* = {a_star:.6f}")
+    return float(brentq(lambda e: e - alpha * order_parameters(e)[0],
+                        eta_star, alpha, xtol=1e-15))
 
 
 @functools.cache
@@ -164,7 +137,7 @@ def phase_constants(alpha, L1=1.0, L2=0.0):
     """All equilibrium constants on the stable branch at interaction alpha."""
     if L1 <= 0 or L1 + 2.0 * L2 <= 0:
         raise ValueError("elastic coefficients need L1 > 0 and L1 + 2 L2 > 0")
-    eta = solve_eta(alpha, "stable")
+    eta = solve_eta(alpha)
     a0, a2, a4, a6 = a_integrals(eta)
     s2, s4 = order_parameters(eta)
 

@@ -76,14 +76,12 @@ def leslie_angle(zeta):
     return float(0.5 * np.arccos(1.0 / zeta))
 
 
-def extract_director(rotation, prev=None):
+def extract_director(rotation, prev):
     """Principal eigenvectors n (..., 3) of Q from its eigenframes (rotation
     (..., 3, 3): the eigenvector columns for ascending eigenvalues, a
-    closure's rotation), each sign-aligned with its row of prev when given."""
+    closure's rotation), each sign-aligned with its row of prev."""
     n = rotation[..., 2]
-    if prev is not None:
-        n = np.where(((n * prev).sum(-1) < 0.0)[..., None], -n, n)
-    return n
+    return np.where(((n * prev).sum(-1) < 0.0)[..., None], -n, n)
 
 
 def angle_between(a, b):

@@ -31,15 +31,13 @@ class SphereQuadrature:
 
     nodes: np.ndarray    # (M, 3) unit vectors
     weights: np.ndarray  # (M,)
-    n_polar: int
-    n_azimuthal: int
-    exact_degree: int    # spherical polynomials up to this degree are exact
 
 
 def build_quadrature(n_polar=64, n_azimuthal=128):
     """Product Gauss-Legendre x trapezoid rule on the sphere; the polar rule
     is the eigenframe solver's refined half rule (_kernels._legendre_half),
-    mirrored."""
+    mirrored. Spherical polynomials of degree below min(2 n_polar,
+    n_azimuthal) are integrated exactly."""
     if n_polar < 8 or n_azimuthal < 16:
         raise ValueError("quadrature needs n_polar >= 8, n_azimuthal >= 16")
     x, wx = (np.asarray(v, dtype=float) for v in _legendre_half(int(n_polar)))
@@ -53,8 +51,7 @@ def build_quadrature(n_polar=64, n_azimuthal=128):
     mz = np.outer(x, np.ones_like(phi))
     nodes = np.stack([mx.ravel(), my.ravel(), mz.ravel()], axis=1)
     weights = np.outer(wx * (2.0 * np.pi / int(n_azimuthal)), np.ones_like(phi)).ravel()
-    degree = int(min(2 * n_polar - 1, n_azimuthal - 1))
-    return SphereQuadrature(nodes, weights, int(n_polar), int(n_azimuthal), degree)
+    return SphereQuadrature(nodes, weights)
 
 
 @dataclass(frozen=True)
@@ -64,13 +61,6 @@ class BinghamMoments:
     Z: float
     q_of_b: np.ndarray      # qvec of int (mm - I/3) f dm
     M4: np.ndarray          # (3, 3, 3, 3) int mmmm f dm
-
-
-def _as_qvec(B):
-    B = np.asarray(B, dtype=float)
-    if B.shape == (3, 3):
-        return from_matrix(B)
-    return B
 
 
 def _check_budget(Bmat):
@@ -84,12 +74,13 @@ def _check_budget(Bmat):
 
 
 def bingham_moments(B, quad):
-    """Z, traceless second moment and dense M4 of the Bingham density of B.
+    """Z, traceless second moment and dense M4 of the Bingham density of
+    the qvec B.
 
     The exponent is shifted by its maximum before exp, so the weights never
     overflow inside the exponent budget.
     """
-    Bmat = to_matrix(_as_qvec(B))
+    Bmat = to_matrix(B)
     _check_budget(Bmat)
     m = quad.nodes
     qf = np.einsum("ni,ij,nj->n", m, Bmat, m)

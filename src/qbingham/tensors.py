@@ -6,8 +6,9 @@ A tensor is stored by its five independent components
 
 so symmetry and tracelessness are structural, never a numerical property.
 All functions accept batched arrays with the component axis last. There
-are no tensor classes: a qvec is a plain ndarray, and fourth moments
-elsewhere in the package are dense (3, 3, 3, 3) ndarrays, not packed.
+are no tensor classes: a qvec is a plain ndarray. The closure keeps the
+fourth moment as its pair moments <m_i^2 m_j^2> in the eigenframe; only
+``sphere``'s full-sphere reference forms a dense (3, 3, 3, 3) M4.
 Eigendecompositions go to LAPACK: ``eig_sym3`` for the eigenframe,
 ``eigenvalue_margin`` for the eigenvalues alone. ``axial_parts`` splits Q
 relative to a unit vector n into its parts on nn - I/3, on the pair
@@ -109,13 +110,11 @@ def eig_sym3(mats):
     """Eigendecomposition of symmetric 3x3 matrices, shape (3, 3) or (..., 3, 3).
 
     LAPACK ``syevd`` through ``np.linalg.eigh``, backward stable also at
-    repeated eigenvalues. The third eigenvector is multiplied by the sign of
-    det(R), which makes every frame right-handed. Returns (w, R) with w
-    ascending and R the matrix of eigenvector columns.
+    repeated eigenvalues. Returns (w, R) with w ascending and R the
+    orthogonal matrix of eigenvector columns; the sign of each column, and
+    so the handedness of the frame, is LAPACK's.
     """
-    w, R = np.linalg.eigh(np.asarray(mats, dtype=float))
-    R[..., 2] *= np.sign(np.linalg.det(R))[..., None]
-    return w, R
+    return np.linalg.eigh(np.asarray(mats, dtype=float))
 
 
 def eigenvalue_margin(q):

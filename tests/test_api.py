@@ -120,16 +120,22 @@ DEFAULTS_WITHOUT_CALLER = {
 
 
 def _defaulted(fn, bound):
-    """(positional parameter names, defaulted public parameter names) of a
-    def; a method's self (or a classmethod's cls) is dropped when bound."""
+    """(positional parameter names, {defaulted public parameter name: its
+    default's node}) of a def; a method's self (or a classmethod's cls) is
+    dropped when bound."""
     a = fn.args
     pos = [p.arg for p in a.posonlyargs + a.args]
     static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
     if bound and not static:
         pos = pos[1:]
-    named = pos[len(pos) - len(a.defaults):] if a.defaults else []
-    named += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
-    return pos, [p for p in named if not p.startswith("_")]
+    named = dict(zip(pos[len(pos) - len(a.defaults):], a.defaults))
+    named.update((p.arg, d) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+    return pos, {p: d for p, d in named.items() if not p.startswith("_")}
+
+
+def _is_default(arg, default):
+    """Whether a call's argument is the literal the parameter defaults to."""
+    return isinstance(default, ast.Constant) and ast.dump(arg) == ast.dump(default)
 
 
 def _exported_defs():
@@ -154,8 +160,9 @@ def test_every_default_has_a_caller():
     # every defaulted parameter of an exported function or method (cli
     # exempt; underscore parameters are not options) is passed, by keyword or
     # by position, by some call in the package or the benchmark outside the
-    # function's own body; an option no caller sets is a constant. The
-    # allowlist must name only parameters that are still without a caller
+    # function's own body; an option no caller sets is a constant, and a call
+    # that passes the default's own literal does not set it. The allowlist
+    # must name only parameters that are still without a caller
     files = sorted(SRC.glob("*.py")) + sorted(QBENCH.glob("*.py"))
     calls = [(path.name, node) for path in files
              for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Call)]
@@ -169,7 +176,10 @@ def test_every_default_has_a_caller():
                 continue
             n_pos = next((i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)),
                          len(call.args))
-            passed |= set(pos[:n_pos]) | {k.arg for k in call.keywords if k.arg}
+            given = list(zip(pos, call.args[:n_pos])) + [
+                (k.arg, k.value) for k in call.keywords if k.arg]
+            passed |= {p for p, arg in given
+                       if p not in defaulted or not _is_default(arg, defaulted[p])}
         unpassed |= {(module, qualname, p) for p in defaulted if p not in passed}
     assert unpassed == set(DEFAULTS_WITHOUT_CALLER), unpassed ^ set(DEFAULTS_WITHOUT_CALLER)
 

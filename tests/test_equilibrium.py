@@ -30,13 +30,14 @@ def _s2_mp(mp, e):
 
 
 def test_isotropic_branch_always_root():
+    # eta = 0 solves the critical-point equation at every alpha; phase-table's
+    # independent gate crit_residual must see it as a root
     for a in (1.0, 5.0, 8.0, 30.0):
-        assert solve_eta(a, "isotropic") == 0.0
         assert abs(crit_residual(0.0, a)) < 1e-14
 
 
 def test_stable_branch_at_eight():
-    eta1 = solve_eta(8.0, "stable")
+    eta1 = solve_eta(8.0)
     assert abs(eta1 - GOLDEN_ETA1_AT_8) < 1e-9
     assert abs(crit_residual(eta1, 8.0)) < 1e-10
     _, eta_star = critical_alpha()
@@ -48,30 +49,16 @@ def test_stable_branch_against_adaptive_oracle():
     mp.mp.dps = 30
     for alpha in (7.0, 10.0):
         ref = float(mp.findroot(lambda e: e - alpha * _s2_mp(mp, e), 5.0))
-        assert abs(solve_eta(alpha, "stable") - ref) < 1e-9
+        assert abs(solve_eta(alpha) - ref) < 1e-9
 
 
-@pytest.mark.parametrize("branch,alpha,bound", [
-    ("stable", 7.0, 5e-12), ("stable", 20.0, 5e-12), ("stable", 60.0, 5e-12),
-    ("unstable", 7.0, 1e-10), ("unstable", 7.4, 1e-10), ("unstable", 7.49, 1e-10),
-])
-def test_branches_against_mpmath(branch, alpha, bound):
-    # the unstable root tends to 0 as alpha -> 15/2, where S_2 cancels
+@pytest.mark.parametrize("alpha", [7.0, 20.0, 60.0])
+def test_stable_root_against_mpmath(alpha):
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 30
-    eta = solve_eta(alpha, branch)
+    eta = solve_eta(alpha)
     ref = mp.findroot(lambda e: e - alpha * _s2_mp(mp, e), eta)
-    assert abs(eta - float(ref)) < bound
-
-
-@pytest.mark.parametrize("alpha", [7.49, 7.4999, 7.49999999])
-def test_unstable_branch_near_isotropic_spinodal(alpha):
-    # eta_2 -> 0 as alpha -> 15/2; at 40 digits S_2 keeps 30 after cancelling
-    mp = pytest.importorskip("mpmath")
-    eta = solve_eta(alpha, "unstable")
-    with mp.workdps(40):
-        ref = mp.findroot(lambda e: 1 - alpha * _s2_mp(mp, e) / e, mp.mpf(eta))
-    assert abs(eta - float(ref)) <= 1e-13
+    assert abs(eta - float(ref)) < 5e-12
 
 
 def test_beyond_exponent_budget_overflows():
@@ -80,24 +67,15 @@ def test_beyond_exponent_budget_overflows():
 
 
 def test_branch_absent_below_critical():
-    with pytest.raises(BranchNotPresentError):
-        solve_eta(5.0, "stable")
-
-
-def test_unstable_branch_window():
-    a_star, eta_star = critical_alpha()
-    eta2 = solve_eta(7.0, "unstable")
-    assert 0.0 < eta2 < eta_star
-    assert abs(crit_residual(eta2, 7.0)) < 1e-10
-    # beyond the isotropic spinodal the positive eta_2 root is gone
-    with pytest.raises(BranchNotPresentError):
-        solve_eta(8.0, "unstable")
+    for alpha in (5.0, 0.0, -1.0):
+        with pytest.raises(BranchNotPresentError):
+            solve_eta(alpha)
 
 
 def test_eta_increases_with_alpha():
     a_star, _ = critical_alpha()
     grid = np.linspace(a_star + 0.2, 20.0, 30)
-    etas = [solve_eta(a, "stable") for a in grid]
+    etas = [solve_eta(a) for a in grid]
     assert all(b > a for a, b in zip(etas, etas[1:]))
     s2s = [order_parameters(e)[0] for e in etas]
     assert all(b > a for a, b in zip(s2s, s2s[1:]))
@@ -113,10 +91,16 @@ def test_critical_alpha_tangency_and_root_count():
     dg = (crit_residual(eta_star + h, a_star) - crit_residual(eta_star - h, a_star)) / (2 * h)
     assert abs(g0) < 1e-10
     assert abs(dg) < 1e-6
-    # root-count flip across the fold
+    # root-count flip across the fold: g(eta) = eta - alpha S_2(eta) is
+    # S_2 (eta / S_2 - alpha) with eta / S_2 >= alpha* on eta > 0, so g has no
+    # positive root below the fold; just above it g(eta*) < 0 while g > 0 as
+    # eta -> 0 (alpha < 15/2) and at eta = alpha, so a root lies either side
+    s2_star = order_parameters(eta_star)[0]
+    assert eta_star - (a_star - 1e-4) * s2_star > 0
+    assert eta_star - (a_star + 1e-4) * s2_star < 0
     with pytest.raises(BranchNotPresentError):
         solve_eta(a_star - 1e-4)
-    assert solve_eta(a_star + 1e-4, "unstable") < eta_star < solve_eta(a_star + 1e-4)
+    assert solve_eta(a_star + 1e-4) > eta_star
     # consistency with the A-integral identity at eta*
     a0, a2, a4, _ = a_integrals(eta_star)
     assert abs(a_star - a0 / (a2 - a4)) < 1e-6

@@ -9,7 +9,7 @@ from qbingham import _kernels
 from qbingham._kernels import x_rule
 from qbingham.closure import DEFAULT_TOL, MAX_ITER, bingham_map_batch
 from qbingham.sphere import bingham_moments, build_quadrature
-from qbingham.tensors import to_matrix, uniaxial
+from qbingham.tensors import from_matrix, to_matrix, uniaxial
 from conftest import random_physical
 
 # eigenframe shapes of b (before scaling by the spread and centring): with
@@ -98,7 +98,7 @@ def test_moments_match_full_sphere_rule(rng):
     b -= b.mean(axis=1, keepdims=True)                # bingham_moments drops tr B
     lnz, second, pair = _kernels._moments_batch_np(b, *x_rule(_kernels.nodes_for_spread(20.0)))
     for i, row in enumerate(b):
-        mo = bingham_moments(np.diag(row), quad)
+        mo = bingham_moments(from_matrix(np.diag(row)), quad)
         assert abs(lnz[i] - np.log(mo.Z)) <= 1e-13
         np.testing.assert_allclose(second[i], np.diag(to_matrix(mo.q_of_b)) + 1 / 3,
                                    rtol=0, atol=1e-13)

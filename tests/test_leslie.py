@@ -102,19 +102,21 @@ def frame(q5):
 def test_extract_director(rng):
     n = rng.normal(size=3)
     n /= np.linalg.norm(n)
-    d = extract_director(frame(uniaxial(0.5, n)))
-    assert abs(abs(d @ n) - 1.0) < 1e-12
-    # sign continuity
-    d2 = extract_director(frame(uniaxial(0.5, -n)), prev=d)
+    d = extract_director(frame(uniaxial(0.5, n)), n)
+    assert abs(d @ n - 1.0) < 1e-12
+    # sign continuity, from either sign of the frame's column
+    d2 = extract_director(frame(uniaxial(0.5, -n)), d)
+    assert d2 @ d > 0.99
+    d2 = extract_director(-frame(uniaxial(0.5, -n)), d)
     assert d2 @ d > 0.99
     # small biaxial perturbation moves the director at first order only
     pert = random_qvec(rng, scale=1.0)
     eps = 1e-4
-    d3 = extract_director(frame(uniaxial(0.5, n) + eps * pert))
+    d3 = extract_director(frame(uniaxial(0.5, n) + eps * pert), n)
     assert angle_between(d3, n) < 10 * eps
     # argmax eigenvector on a random physical tensor
     q = random_qvec(rng, scale=0.2)
-    dv = extract_director(frame(q))
+    dv = extract_director(frame(q), n)
     w, r = np.linalg.eigh(to_matrix(q))
     assert abs(abs(dv @ r[:, 2]) - 1.0) < 1e-10
 
