@@ -12,8 +12,9 @@ Q's eigenvalues sorted and s_i = lambda_i + 1/3, the functions
 y_i = 2 s_i (b_3 - b_i), i = 1, 2, are smooth on the simplex and tend to 1
 at its edges, where b_i ~ -1/(2 s_i) is the Gaussian limit of a concentrated
 density. A tensor Chebyshev interpolant of y_1, y_2, built once per process
-from node solves (_start_fit), gives b to ~2e-5 on margins >= 0.02, so
-Newton ends in one update there. No solve reads a previous B.
+from node solves (_start_fit), meets DEFAULT_TOL on margins >= 0.02 (worst
+start residual ~1e-12), so a solve there is one moment evaluation and no
+Newton update. No solve reads a previous B.
 
 Each solve is one Newton run on one eigenframe rule sized from the start's
 spread (``_kernels.nodes_for_spread``); a solve that ends past it raises.
@@ -41,11 +42,10 @@ __all__ = [
 
 DEFAULT_TOL = 1e-11
 MAX_ITER = 50
-ALPHA_REF = 5.0  # start B = ALPHA_REF * Q of the fit's node solves
 
 # the fitted start: degree, the s_1 below which a point is evaluated at the
 # fit's edge, and the residual its node solves reach
-FIT_DEGREE = 24
+FIT_DEGREE = 56
 FIT_EDGE = 0.008
 FIT_TOL = 1e-13
 
@@ -93,8 +93,9 @@ while _m < FIT_DEGREE:
     _k = min(_m, FIT_DEGREE - _m)
     _DOUBLING.append((_m, slice(1, _k + 1), slice(_m + 1, _m + _k + 1)))
     _m += _k
-# points per block of the start: its power table z^k, (FIT_DEGREE + 1, 2,
-# block) complex, is 0.8 MB, below the moment kernel's arrays on a 64^2 grid
+# points per block of the start and of its node solves: the power table z^k,
+# (FIT_DEGREE + 1, 2, block) complex, is ~1.8 MB, below the moment kernel's
+# arrays on a 64^2 grid
 _START_BLOCK = 1024
 
 
@@ -104,9 +105,11 @@ def _start_fit():
 
     y1 and y2 are interpolated at the (FIT_DEGREE + 1)^2 tensor Chebyshev
     points of the first kind in (u, v), which avoid the isotropic corner;
-    each node is solved cold by newton_batch to FIT_TOL with the rule for the
-    largest spread. coefficients[(c, k), j] multiplies T_j(u) T_k(v) in y_c.
-    Built once per process, on the first closure solve.
+    the nodes are solved cold by newton_batch to FIT_TOL in blocks of
+    _START_BLOCK from the Gaussian limit b = -1/(2 s), each block on the
+    rule for the spread of its smallest s1. coefficients[(c, k), j]
+    multiplies T_j(u) T_k(v) in y_c. Built once per process, on the first
+    closure solve.
     """
     n = FIT_DEGREE + 1
     theta = np.pi * (np.arange(n) + 0.5) / n
@@ -116,16 +119,23 @@ def _start_fit():
     s2 = s1 + 0.5 * (v + 1.0) * (0.5 * (1.0 - s1) - s1)
     s = np.stack([s1, s2, 1.0 - s1 - s2], axis=-1).reshape(-1, 3)
     w = s - 1.0 / 3.0
-    b, res = _kernels.newton_batch(
-        w, ALPHA_REF * w, _kernels.x_rule(_kernels.nodes_for_spread(_kernels.EXPONENT_BUDGET)),
-        tol=FIT_TOL, maxit=MAX_ITER)[:2]
+    b = -0.5 / s
+    b -= b.mean(axis=1, keepdims=True)
+    res = np.empty(len(w))
+    for i in range(0, len(w), _START_BLOCK):
+        blk = slice(i, i + _START_BLOCK)
+        # a node's spread is at most 1.19 / (2 s1), inside bingham_map_batch's slack
+        nodes = _kernels.x_rule(_kernels.nodes_for_spread(1.3 / (2.0 * s[blk, 0].min()) + 6.0))
+        b[blk], res[blk] = _kernels.newton_batch(
+            w[blk], b[blk], nodes, tol=FIT_TOL, maxit=MAX_ITER)[:2]
     if not np.all(res <= FIT_TOL):
         raise RuntimeError(f"fitted start: a node solve ended at residual {res.max():.3e}")
     y = (2.0 * s[:, :2] * (b[:, 2:] - b[:, :2])).reshape(n, n, 2)
-    # discrete orthogonality of T_0..T_{n-1} at the n first-kind points
+    # discrete orthogonality of T_0..T_{n-1} at the n first-kind points:
+    # coefficients of y_c are t y_c(u, v)^T t^T, rows k in v, columns j in u
     t = np.cos(np.outer(np.arange(n), theta)) * (2.0 / n)
     t[0] *= 0.5
-    coef = np.einsum("ja,abc,kb->ckj", t, y, t).reshape(2 * n, n)
+    coef = (t @ y.transpose(2, 1, 0) @ t.T).reshape(2 * n, n)
     return coef, float(res.max())
 
 
@@ -145,7 +155,7 @@ def _fitted_start(w):
 
 def _start_block(coef, w):
     """_fitted_start of one block: T_k(x) = Re z^k with z = x + i sqrt(1 - x^2),
-    the powers from five multiplications."""
+    the powers from six multiplications."""
     s = w + 1.0 / 3.0
     h = s @ _FIT_MAP
     x = h[:, :2] / h[:, 2:]

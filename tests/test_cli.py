@@ -122,8 +122,8 @@ def test_closure_validate_reports_wall_time(tmp_path):
 
 
 def test_closure_validate_reports_newton_work(tmp_path):
-    # the summary's Newton counts roll up the per-sample columns; from the
-    # fitted start every sample takes at most one undamped update
+    # the summary's Newton counts roll up the per-sample columns; at the
+    # default margin 0.1 every sample's fitted start meets the tolerance
     out = tmp_path / "out"
     assert cli.main(["closure-validate", "--seed", "3", "--out", str(out), "--quiet"]) == 0
     summary = json.loads((out / "closure_summary.json").read_text())
@@ -131,7 +131,7 @@ def test_closure_validate_reports_newton_work(tmp_path):
     iters = [int(r["iterations"]) for r in rows]
     assert len(rows) == summary["samples"] == 1000
     assert summary["iterations_mean"] == sum(iters) / len(iters)
-    assert summary["iterations_max"] == max(iters) == 1
+    assert summary["iterations_max"] == max(iters) == 0
     assert summary["damped_fraction"] == sum(r["damped"] == "True" for r in rows) / 1000 == 0.0
 
 

@@ -265,6 +265,7 @@ def test_points_past_the_fit_edge_solve_in_one_run(monkeypatch):
     assert log["runs"] == 1
     assert np.all(res.residual <= 1e-11)
     assert res.spread.max() <= log["est"][0]
+    assert res.iterations[0] >= 1  # the update path still runs past the edge
 
 
 def test_one_run_per_solve_down_to_the_budget(monkeypatch):
@@ -323,14 +324,38 @@ def test_fit_node_solves_reach_fit_tolerance():
     assert closure._start_fit()[0] is coef  # built once
 
 
-def test_fitted_start_needs_at_most_one_update(rng):
-    # margin >= 0.02: one undamped update, or none where the start already
-    # meets the tolerance (next to isotropy)
+def test_fitted_start_meets_the_tolerance(rng):
+    # margin >= 0.02: the start's residual is already below the tolerance,
+    # so no point takes a Newton update
     q5 = random_physical(rng, 400, 0.02)
     res = bingham_map_batch(q5, delta=0.02)
+    assert np.all(res.iterations == 0)
     assert np.all(res.residual <= 1e-11)
-    assert res.iterations.max() == 1 and res.iterations.mean() > 0.9
     assert not res.used_damping.any()
+
+
+def test_one_moment_evaluation_per_solve_inside_the_fit(rng, monkeypatch):
+    closure._start_fit()  # built once per process, before the calls counted here
+    calls = []
+    moments = _kernels._moments_batch_np
+
+    def counted(b, *nodes):
+        calls.append(len(b))
+        return moments(b, *nodes)
+
+    monkeypatch.setattr(_kernels, "_moments_batch_np", counted)
+    res = bingham_map_batch(random_physical(rng, 400, 0.02), delta=0.02)
+    assert calls == [400]
+    assert np.all(res.residual <= 1e-11)
+
+
+def test_fitted_start_residual_on_held_out_points():
+    # a seed not used to choose FIT_DEGREE: every start residual of 4000
+    # points with margin >= 0.02 is below the closure tolerance
+    q5 = random_physical(np.random.default_rng(20), 4000, 0.02)
+    res = bingham_map_batch(q5, delta=0.02)
+    assert res.iterations.max() == 0  # so residual is the start's own
+    assert res.residual.max() <= 1e-11
 
 
 @pytest.mark.parametrize("eigs", [
