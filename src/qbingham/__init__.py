@@ -13,8 +13,7 @@ from .tensors import (
     biaxiality, eig_sym3, from_matrix, qdot, qnorm, to_matrix, uniaxial,
 )
 from .sphere import (
-    BinghamMoments, SphereQuadrature, a_integrals, bingham_moments,
-    build_quadrature,
+    SphereQuadrature, a_integrals, bingham_moments, build_quadrature,
 )
 from .closure import (
     BatchClosureResult, PhysicalityError, bingham_map_batch, spread_bound,

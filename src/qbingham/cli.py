@@ -38,6 +38,8 @@ class OutputLockedError(RuntimeError):
 
 def _fmt(x):
     """Shortest round-trip text for CSV cells."""
+    if type(x) is float:
+        return repr(x)
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
     if isinstance(x, (np.integer,)):
@@ -220,7 +222,7 @@ def _random_rotations(rng, n):
 def _run_closure_validate(cfg, log):
     from .closure import bingham_map_batch, spread_bound
     from .sphere import build_quadrature, bingham_moments
-    from .tensors import from_matrix, to_matrix, qnorm
+    from .tensors import from_matrix, qnorm
 
     t_start = time.perf_counter()
     rng = np.random.default_rng(cfg.seed)
@@ -239,17 +241,10 @@ def _run_closure_validate(cfg, log):
     # independent forward check through the full-sphere quadrature
     quad = build_quadrature(cfg.n_polar, cfg.n_azimuthal)
     check_idx = rng.choice(cfg.samples, size=min(cfg.samples, 64), replace=False)
-    fwd_err = 0.0
-    for i in check_idx:
-        mo = bingham_moments(res.B5[i], quad)
-        fwd_err = max(fwd_err, float(qnorm(mo.q_of_b - q5[i])))
+    fwd_err = float(qnorm(bingham_moments(res.B5[check_idx], quad) - q5[check_idx]).max())
 
-    rows = []
-    for i in range(cfg.samples):
-        rows.append([
-            *eigs[i], float(res.residual[i]), int(res.iterations[i]),
-            bool(res.used_damping[i]), float(res.spread[i]),
-        ])
+    rows = zip(*eigs.T.tolist(), res.residual.tolist(), res.iterations.tolist(),
+               res.used_damping.tolist(), res.spread.tolist())
     summary = {
         "samples": cfg.samples,
         "margin": margin,

@@ -9,7 +9,10 @@ fail loudly, not silently default); every violation is reported with its path.
 
 The "quadrature" object sets only the full-sphere reference rule of
 closure-validate's forward checks; the closure solver sizes its own
-eigenframe rule from the eigenvalue spread of B.
+eigenframe rule from the eigenvalue spread of B. The rule must be exact to
+the degree the margin params.delta needs (_FORWARD_SIZING): below it the
+forward check missed its 1e-10 gate on every input set tried, so the run
+would exit 3.
 """
 from __future__ import annotations
 
@@ -35,6 +38,14 @@ _READS = {
     "energy-audit": _FIELD,
 }
 EXPERIMENTS = tuple(_READS)
+
+# (margin, degree): closure-validate's forward check at margin params.delta
+# needs a full-sphere rule exact below the degree of the narrowest row whose
+# margin is >= delta. On every coarser rule the check failed (> 1e-10) for
+# each of 64 input sets, in a sweep over margins 0.3 to 0.002 (CHANGES.md).
+_FORWARD_SIZING = ((0.3, 16), (0.25, 20), (0.2, 22), (0.15, 24), (0.1, 28), (0.07, 30),
+                   (0.05, 32), (0.035, 34), (0.02, 36), (0.015, 40), (0.01, 42),
+                   (0.007, 44), (0.002, 48))
 
 _PARAM_DEFAULTS = {
     "alpha": 7.0, "epsilon": 0.05, "de": 1.0, "re": 1.0, "gamma": 0.5,
@@ -182,9 +193,30 @@ def validate_config(doc):
     errors += [f"{path}: must be >= alpha* = {a_star:.6f} (the nematic fold)"
                for path, a in alphas if a is not None and a < a_star]
 
+    rule = values["n_polar"], values["n_azimuthal"]
+    if exp == "closure-validate" and None not in rule and "params" in values:
+        errors += _forward_rule_errors(*rule, values["params"].delta)
+
     if errors:
         raise ConfigError(errors)
     return ExperimentConfig(experiment=exp, raw=doc, **values)
+
+
+def _forward_rule_errors(n_polar, n_azimuthal, delta):
+    """The error of a full-sphere rule too coarse for the forward check at
+    margin delta. The Bingham integrands are even in m, so the rule is exact
+    below degree 2 n_polar in the polar angle and below n_azimuthal in the
+    azimuth, or 2 n_azimuthal when that is odd (no node is then the antipode
+    of another, and each latitude pair samples 2 n_azimuthal azimuths)."""
+    degree = min(2 * n_polar, n_azimuthal * (1 + n_azimuthal % 2))
+    need = next((d for m, d in reversed(_FORWARD_SIZING) if m >= delta), 16)
+    if degree >= need:
+        return []
+    half = need // 2
+    return [f"quadrature.n_polar, quadrature.n_azimuthal: the {n_polar} x {n_azimuthal} "
+            f"rule integrates degree < {degree} exactly, but the forward check at "
+            f"params.delta = {delta:g} needs degree < {need} (n_polar >= {half} and "
+            f"n_azimuthal >= {need}, or odd and >= {half})"]
 
 
 def default_config(experiment, **overrides):

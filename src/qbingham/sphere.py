@@ -1,14 +1,14 @@
-"""Quadrature on the unit sphere and moments of Bingham densities.
+"""Quadrature on the unit sphere and second moments of Bingham densities.
 
 The density is f_B(m) = exp(B : mm) / Z on S^2. ``bingham_moments``
-evaluates the partition function, the traceless second moment and the
-dense fourth moment M4 in one pass of a tensor-product rule: Gauss-Legendre
-in cos(theta) times a uniform (trapezoid) rule in the azimuth, which is
-spectrally accurate for these smooth periodic integrands. It is the
-full-sphere reference that the eigenframe solver in ``closure`` is checked
-against (closure-validate's forward checks); it computes no sixth moment,
-since no operator of the model needs one. ``a_integrals`` gives the
-axisymmetric integrals behind the equilibrium constants.
+evaluates the traceless second moments of a batch of B with a tensor-product
+rule: Gauss-Legendre in cos(theta) times a uniform (trapezoid) rule in the
+azimuth, which is spectrally accurate for these smooth periodic integrands.
+It is the full-sphere reference that the eigenframe solver in ``closure`` is
+checked against (closure-validate's forward checks), and it computes only
+what that check reads: no partition function, and no fourth moment, which
+the solver takes from its own eigenframe pair moments. ``a_integrals`` gives
+the axisymmetric integrals behind the equilibrium constants.
 """
 from __future__ import annotations
 
@@ -20,8 +20,7 @@ from .tensors import from_matrix, to_matrix
 from ._kernels import EXPONENT_BUDGET, _legendre_half, x_rule
 
 __all__ = [
-    "SphereQuadrature", "BinghamMoments", "build_quadrature",
-    "bingham_moments", "a_integrals",
+    "SphereQuadrature", "build_quadrature", "bingham_moments", "a_integrals",
 ]
 
 
@@ -37,7 +36,8 @@ def build_quadrature(n_polar=64, n_azimuthal=128):
     """Product Gauss-Legendre x trapezoid rule on the sphere; the polar rule
     is the eigenframe solver's refined half rule (_kernels._legendre_half),
     mirrored. Spherical polynomials of degree below min(2 n_polar,
-    n_azimuthal) are integrated exactly."""
+    n_azimuthal) are integrated exactly; even ones, as the Bingham integrands
+    are, below min(2 n_polar, 2 n_azimuthal) when n_azimuthal is odd."""
     if n_polar < 8 or n_azimuthal < 16:
         raise ValueError("quadrature needs n_polar >= 8, n_azimuthal >= 16")
     x, wx = (np.asarray(v, dtype=float) for v in _legendre_half(int(n_polar)))
@@ -54,45 +54,42 @@ def build_quadrature(n_polar=64, n_azimuthal=128):
     return SphereQuadrature(nodes, weights)
 
 
-@dataclass(frozen=True)
-class BinghamMoments:
-    """Partition function and moments of one Bingham density."""
-
-    Z: float
-    q_of_b: np.ndarray      # qvec of int (mm - I/3) f dm
-    M4: np.ndarray          # (3, 3, 3, 3) int mmmm f dm
-
-
-def _check_budget(Bmat):
-    w = np.linalg.eigvalsh(Bmat)
-    spread = float(w[..., 2] - w[..., 0])
-    if spread > EXPONENT_BUDGET:
-        raise OverflowError(
-            f"eigenvalue spread of B is {spread:.1f}, beyond the exponent "
-            f"budget {EXPONENT_BUDGET:.0f}")
-    return spread
+# B per block: at 64 x 128 nodes the (8, M) exponent block is 0.5 MB
+_BLOCK = 8
 
 
 def bingham_moments(B, quad):
-    """Z, traceless second moment and dense M4 of the Bingham density of
-    the qvec B.
+    """Traceless second moments (K, 5) of the Bingham densities of the
+    qvecs B (K, 5).
 
-    The exponent is shifted by its maximum before exp, so the weights never
-    overflow inside the exponent budget.
+    The exponents B : mm of a block of B are one GEMM against the (M, 9)
+    table of node outer products, shifted by each row's maximum before exp,
+    so the weights never overflow inside the exponent budget. Every block is
+    full (zero B pad the last one), so the GEMMs have one shape and a row's
+    moments are the same to the bit in any batch, alone included.
     """
     Bmat = to_matrix(B)
-    _check_budget(Bmat)
+    w = np.linalg.eigvalsh(Bmat)
+    spread = w[:, 2] - w[:, 0]
+    worst = int(np.argmax(spread))
+    if spread[worst] > EXPONENT_BUDGET:
+        raise OverflowError(
+            f"eigenvalue spread of B[{worst}] is {spread[worst]:.1f}, beyond the "
+            f"exponent budget {EXPONENT_BUDGET:.0f}")
     m = quad.nodes
-    qf = np.einsum("ni,ij,nj->n", m, Bmat, m)
-    shift = qf.max()
-    ew = quad.weights * np.exp(qf - shift)
-    z0 = ew.sum()
-    f = ew / z0
-    log_z = float(np.log(z0) + shift)
-    mm = (m[:, :, None] * m[:, None, :]).reshape(-1, 9)   # (N, 9) outer products
-    second = np.einsum("n,ni,nj->ij", f, m, m)
-    m4 = ((f[:, None] * mm).T @ mm).reshape(3, 3, 3, 3)    # one GEMM
-    return BinghamMoments(float(np.exp(log_z)), from_matrix(second - np.eye(3) / 3.0), m4)
+    mm = (m[:, :, None] * m[:, None, :]).reshape(-1, 9)   # (M, 9) outer products
+    k = len(Bmat)
+    b9 = np.zeros((-(-k // _BLOCK) * _BLOCK, 9))
+    b9[:k] = Bmat.reshape(k, 9)
+    second = np.empty_like(b9)
+    e = np.empty((_BLOCK, len(m)))
+    for lo in range(0, len(b9), _BLOCK):
+        np.matmul(b9[lo:lo + _BLOCK], mm.T, out=e)
+        e -= e.max(axis=1, keepdims=True)
+        np.exp(e, out=e)
+        e *= quad.weights
+        second[lo:lo + _BLOCK] = (e @ mm) / e.sum(axis=1, keepdims=True)
+    return from_matrix(second[:k].reshape(k, 3, 3) - np.eye(3) / 3.0)
 
 
 # ---------------------------------------------------------------------------

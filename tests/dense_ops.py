@@ -1,7 +1,10 @@
 """Dense reference operators that the tests check the package against.
 
-apply_mq is the closure operator M_Q from full-sphere moments; the eigenframe
-contractions of ``closure`` must agree with it. The rest are the operators
+full_sphere_moments is the oracle of the Bingham moments: Z, the traceless
+second moment and the dense fourth moment M4 of one B, each by a plain sum
+over the nodes of a full-sphere rule. apply_mq is the closure operator M_Q
+from those moments; the eigenframe contractions of ``closure`` must agree
+with it. The rest are the operators
 linearized at the uniaxial equilibrium Q0 = S2 (nn - I/3): the moment-map
 linearization acts on Q by three scalar coefficients xi_i and its inverse by
 psi_i; H_n = (inverse) - alpha annihilates in-plane director rotations and is
@@ -18,15 +21,45 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from qbingham._kernels import EXPONENT_BUDGET
 from qbingham.equilibrium import PhaseConstants
 from qbingham.tensors import from_matrix, to_matrix
 
 _I3 = np.eye(3)
 
 
+@dataclass(frozen=True)
+class FullSphereMoments:
+    """Partition function and moments of one Bingham density."""
+
+    Z: float
+    q_of_b: np.ndarray      # qvec of int (mm - I/3) f dm
+    M4: np.ndarray          # (3, 3, 3, 3) int mmmm f dm
+
+
+def full_sphere_moments(B, quad):
+    """Z, traceless second moment and dense M4 of the Bingham density of the
+    qvec B on the rule quad, the exponent shifted by its maximum."""
+    Bmat = to_matrix(B)
+    w = np.linalg.eigvalsh(Bmat)
+    if w[2] - w[0] > EXPONENT_BUDGET:
+        raise OverflowError(f"eigenvalue spread of B is {w[2] - w[0]:.1f}")
+    m = quad.nodes
+    qf = np.einsum("ni,ij,nj->n", m, Bmat, m)
+    shift = qf.max()
+    ew = quad.weights * np.exp(qf - shift)
+    z0 = ew.sum()
+    f = ew / z0
+    mm = (m[:, :, None] * m[:, None, :]).reshape(-1, 9)
+    second = np.einsum("n,ni,nj->ij", f, m, m)
+    m4 = ((f[:, None] * mm).T @ mm).reshape(3, 3, 3, 3)
+    return FullSphereMoments(float(np.exp(np.log(z0) + shift)), from_matrix(second - _I3 / 3.0),
+                             m4)
+
+
 def apply_mq(moments, A):
     """M_Q(A) = (1/3) A + Q . A - A : M4 for an arbitrary 3x3 matrix A, from
-    a BinghamMoments."""
+    a FullSphereMoments."""
     A = np.asarray(A, dtype=float)
     Qm = to_matrix(moments.q_of_b)
     sym = 0.5 * (A + np.swapaxes(A, -1, -2))

@@ -6,13 +6,17 @@ import re
 import struct
 from dataclasses import asdict, fields, replace
 
+import numpy as np
 import pytest
 
-from qbingham import cli
+from qbingham import cli, closure, sphere
 from qbingham.closure import PhysicalityError
 from qbingham.config import ConfigError, default_config, validate_config
 from qbingham.dynamics import DivergenceError, FieldSolver, smooth_random_state
 from qbingham.spectral import Grid2D
+from qbingham.sphere import bingham_moments
+from qbingham.tensors import qnorm
+from dense_ops import full_sphere_moments
 
 
 def _raise(exc):
@@ -133,6 +137,57 @@ def test_closure_validate_reports_newton_work(tmp_path):
     assert summary["iterations_mean"] == sum(iters) / len(iters)
     assert summary["iterations_max"] == max(iters) == 0
     assert summary["damped_fraction"] == sum(r["damped"] == "True" for r in rows) / 1000 == 0.0
+
+
+def _closure_validate_recorded(monkeypatch, doc):
+    """closure-validate's summary, the q5 it solved for, the solve and the
+    (B, quad) of every sphere.bingham_moments call."""
+    solve, calls = {}, []
+    map_batch, moments = closure.bingham_map_batch, sphere.bingham_moments
+
+    def recorded_map(q5, **kw):
+        solve["q5"], solve["res"] = q5, map_batch(q5, **kw)
+        return solve["res"]
+
+    def recorded_moments(B, quad):
+        calls.append((B, quad))
+        return moments(B, quad)
+    monkeypatch.setattr(closure, "bingham_map_batch", recorded_map)
+    monkeypatch.setattr(sphere, "bingham_moments", recorded_moments)
+    outputs, ok = cli._RUNNERS["closure-validate"](validate_config(doc), lambda msg: None)
+    assert ok
+    return json.loads(outputs["closure_summary.json"]), solve["q5"], solve["res"], calls
+
+
+def test_closure_validate_checks_forward_in_one_call(monkeypatch):
+    # the 64 checked samples are one batch: one call, 64 distinct solved B
+    summary, _, res, calls = _closure_validate_recorded(
+        monkeypatch, {"experiment": "closure-validate", "samples": 100})
+    assert len(calls) == 1
+    (B, quad), = calls
+    assert B.shape == (64, 5) == (summary["independent_forward_checked"], 5)
+    rows = [np.flatnonzero((res.B5 == b).all(axis=1)) for b in B]
+    assert all(len(r) == 1 for r in rows) and len({int(r[0]) for r in rows}) == 64
+    assert len(quad.weights) == 64 * 128
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.02])
+def test_closure_validate_forward_error_matches_per_point_loop(monkeypatch, delta):
+    # the batch gives each check the bits of a call on it alone; the dense
+    # oracle sums the nodes in another order, and its forward error differs
+    # by at most 1.9e-15 over seeds 0-5 at both margins
+    summary, q5, res, calls = _closure_validate_recorded(
+        monkeypatch, {"experiment": "closure-validate", "samples": 64,
+                      "params": {"delta": delta}})
+    (B, quad), = calls
+    idx = [int(np.flatnonzero((res.B5 == b).all(axis=1))[0]) for b in B]
+    fwd = summary["independent_forward_max_err"]
+    loop = max(float(qnorm(bingham_moments(res.B5[i][None], quad)[0] - q5[i]))
+               for i in idx)
+    assert abs(fwd - loop) <= 1e-15
+    oracle = max(float(qnorm(full_sphere_moments(res.B5[i], quad).q_of_b - q5[i]))
+                 for i in idx)
+    assert abs(fwd - oracle) <= 5e-15
 
 
 def test_csv_cells_are_plain_numbers(tmp_path):
@@ -256,12 +311,15 @@ def test_config_reports_every_error_at_once(tmp_path):
     ("phase-table", {"params": {"alpha": 8.0}}, "params.alpha: unknown key (allowed: L1, L2)"),
     ("small-de", {"de_list": [0.2], "t_final": 0.2},
      "de_list: expected at least 2 values to fit a slope"),
+    ("closure-validate", {"quadrature": {"n_polar": 8, "n_azimuthal": 16}},
+     "quadrature.n_polar, quadrature.n_azimuthal: the 8 x 16 rule integrates degree < 16"),
 ])
 def test_config_error_exits_2_before_running(tmp_path, capsys, experiment, doc, message):
     # a key the experiment never reads would change nothing (small-de steps
     # each De at its own dt, energy-audit writes no snapshot), so it is
     # rejected like a typo; one De gives no slope, so small-de would run and
-    # then always exit 3
+    # then always exit 3, as closure-validate would on a rule too coarse for
+    # its forward check
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"experiment": experiment, **doc}))
     out = tmp_path / "out"
@@ -274,7 +332,7 @@ def test_config_error_exits_2_before_running(tmp_path, capsys, experiment, doc, 
 # one for every config field and params sub-field
 _TINY = {
     "phase-table": {"alphas": [8.0]},
-    "closure-validate": {"samples": 8, "quadrature": {"n_polar": 16, "n_azimuthal": 32}},
+    "closure-validate": {"samples": 8, "quadrature": {"n_polar": 32, "n_azimuthal": 64}},
     "homogeneous-run": {"t_final": 0.1},
     "field-run": {"grid": {"n": 8}, "dt": 0.05, "steps": 2},
     "small-de": {"de_list": [0.2, 0.1], "t_final": 0.05},
@@ -283,8 +341,8 @@ _TINY = {
 _CHANGED = {
     "seed": 5, "dt": 0.02, "steps": 3, "sample_every": 2, "alphas": (9.0,), "samples": 5,
     "de_list": (0.3, 0.15), "t_final": 0.08, "shear_rate": 0.5, "theta0": 0.3,
-    "snapshot": False, "q_amplitude": 0.3, "v_amplitude": 0.2, "n_polar": 12,
-    "n_azimuthal": 24, "grid_n": 12, "grid_length": 5.0,
+    "snapshot": False, "q_amplitude": 0.3, "v_amplitude": 0.2, "n_polar": 24,
+    "n_azimuthal": 48, "grid_n": 12, "grid_length": 5.0,
     "params.alpha": 8.0, "params.epsilon": 0.1, "params.de": 0.5, "params.re": 2.0,
     "params.gamma": 0.3, "params.L1": 2.0, "params.L2": 0.2, "params.delta": 0.05,
 }

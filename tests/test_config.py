@@ -8,7 +8,9 @@ from dataclasses import fields, replace
 
 import pytest
 
-from qbingham.config import EXPERIMENTS, ConfigError, default_config, validate_config
+from qbingham.config import (
+    _FORWARD_SIZING, EXPERIMENTS, ConfigError, default_config, validate_config,
+)
 from qbingham.dynamics import ModelParams
 from qbingham.equilibrium import critical_alpha
 
@@ -41,8 +43,8 @@ READS = {
 VALID = {
     "seed": 3, "dt": 0.05, "steps": 7, "sample_every": 2, "alphas": [8], "samples": 9,
     "de_list": [0.3, 0.1], "t_final": 1, "shear_rate": -2, "theta0": 0, "snapshot": False,
-    "q_amplitude": 0.25, "v_amplitude": 0, "quadrature.n_polar": 16,
-    "quadrature.n_azimuthal": 32, "grid.n": 32, "grid.length": 3, "params.alpha": 8,
+    "q_amplitude": 0.25, "v_amplitude": 0, "quadrature.n_polar": 32,
+    "quadrature.n_azimuthal": 64, "grid.n": 32, "grid.length": 3, "params.alpha": 8,
     "params.epsilon": 0.1, "params.de": 0.5, "params.re": 2, "params.gamma": 0.25,
     "params.L1": 2, "params.L2": 0, "params.delta": 0.05,
 }
@@ -212,7 +214,67 @@ def test_params_past_the_bound(key, past, msg):
     ("quadrature.n_polar", 8), ("quadrature.n_azimuthal", 16), ("grid.n", 8),
 ])
 def test_inclusive_bound_accepted(path, lo):
-    assert _as_dict(validate_config(_doc(path, lo)))[_field(path)] == lo
+    # the forward check's rule sizing admits the smallest rule only at the
+    # widest margins
+    doc = _doc(path, lo)
+    if path.startswith("quadrature."):
+        doc["params"] = {"delta": 0.3}
+    assert _as_dict(validate_config(doc))[_field(path)] == lo
+
+
+def _rule(n_polar, n_azimuthal, delta):
+    return {"experiment": "closure-validate", "params": {"delta": delta},
+            "quadrature": {"n_polar": n_polar, "n_azimuthal": n_azimuthal}}
+
+
+def test_forward_rule_too_coarse_for_the_margin():
+    # 8 x 16 passes the key bounds, but its forward check reads 1.8e-4 at
+    # the default margin against the 1e-10 gate
+    assert _errors(_rule(8, 16, 0.1)) == {
+        "quadrature.n_polar, quadrature.n_azimuthal: the 8 x 16 rule integrates "
+        "degree < 16 exactly, but the forward check at params.delta = 0.1 needs "
+        "degree < 28 (n_polar >= 14 and n_azimuthal >= 28, or odd and >= 14)"}
+
+
+def _too_coarse(doc):
+    """The degree a rejected rule was told it needs."""
+    (msg,) = _errors(doc)
+    q = doc["quadrature"]
+    assert msg.startswith("quadrature.n_polar, quadrature.n_azimuthal: the "
+                          f"{q['n_polar']} x {q['n_azimuthal']} rule integrates"), msg
+    return int(msg.split("needs degree < ")[1].split()[0])
+
+
+@pytest.mark.parametrize("delta,need", _FORWARD_SIZING)
+def test_forward_rule_sizing(delta, need):
+    # at each sized margin the smallest rule of the needed degree and the
+    # default 64 x 128 are accepted, and one polar or azimuthal step less is
+    # not (at 0.3 the key bounds are the sizing)
+    validate_config(_rule(need // 2, need, delta))
+    validate_config(_rule(64, 128, delta))
+    if need > 16:
+        assert _too_coarse(_rule(need // 2 - 1, 128, delta)) == need
+        assert _too_coarse(_rule(64, need - 2, delta)) == need
+
+
+@pytest.mark.parametrize("delta,need", [
+    (1 / 3 - 1e-9, 16), (0.12, 24), (0.02, 36), (0.0199, 36), (0.0149, 40), (0.001, 48),
+    (1e-6, 48)])
+def test_forward_rule_sizing_between_margins(delta, need):
+    # a margin takes the row of the narrowest sized margin at or above it;
+    # qbench's 64 x 128 at margin 0.02 stays accepted
+    validate_config(_rule(need // 2, need, delta))
+    validate_config(_rule(64, 128, delta))
+    if need > 16:
+        assert _too_coarse(_rule(64, need - 2, delta)) == need
+
+
+def test_odd_azimuthal_count_resolves_twice_its_degree():
+    # at margin 0.02 (degree 36) 19 azimuths resolve the even integrands
+    # like 38, while 17 (34) and 18 do not
+    validate_config(_rule(64, 19, 0.02))
+    for n_azimuthal in (17, 18, 34):
+        assert _too_coarse(_rule(64, n_azimuthal, 0.02)) == 36
 
 
 def test_dt_null_accepted_steps_null_rejected():

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from qbingham.equilibrium import phase_constants
-from qbingham.sphere import bingham_moments, build_quadrature
+from qbingham.sphere import build_quadrature
 from qbingham.tensors import to_matrix, uniaxial
 from conftest import haar_rotations, random_qvec
 from dense_ops import (
     DirectorContext, apply_hn, apply_j, apply_mq, apply_qn, apply_qn_inverse,
-    coercivity_constant, in_space_basis, out_space_basis, project_in,
+    coercivity_constant, full_sphere_moments, in_space_basis, out_space_basis, project_in,
     project_out, relaxation_rates,
 )
 
@@ -27,7 +27,7 @@ def _in_elem(rng, n=N_VEC):
 
 
 def test_context_m4_matches_quadrature():
-    mo = bingham_moments(uniaxial(PC.eta, N_VEC), QUAD)
+    mo = full_sphere_moments(uniaxial(PC.eta, N_VEC), QUAD)
     assert np.abs(CTX.M4 - mo.M4).max() < 1e-10
 
 
@@ -191,7 +191,7 @@ def test_j_in_space_eigenvalue(rng):
 
 
 def test_j_equals_mq_on_out_space(rng):
-    mo = bingham_moments(uniaxial(PC.eta, N_VEC), QUAD)
+    mo = full_sphere_moments(uniaxial(PC.eta, N_VEC), QUAD)
     for _ in range(5):
         a = project_out(N_VEC, to_matrix(random_qvec(rng)))
         j = apply_j(CTX, a)

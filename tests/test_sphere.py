@@ -5,7 +5,7 @@ from qbingham.sphere import a_integrals, bingham_moments, build_quadrature
 from qbingham.equilibrium import order_parameters
 from qbingham.tensors import eig_sym3, from_matrix, qnorm, to_matrix, uniaxial
 from conftest import haar_rotations, random_qvec, sym_traceless
-from dense_ops import QBASIS, from_basis_coeffs, to_basis_coeffs
+from dense_ops import QBASIS, from_basis_coeffs, full_sphere_moments, to_basis_coeffs
 
 QUAD = build_quadrature(64, 128)
 
@@ -77,10 +77,15 @@ def test_rejects_undersized_rule():
 # Bingham moments
 # ---------------------------------------------------------------------------
 
+def _q(b, quad=QUAD):
+    """bingham_moments of the one qvec b."""
+    return bingham_moments(np.asarray(b)[None], quad)[0]
+
+
 def test_isotropic_moments():
-    mo = bingham_moments(np.zeros(5), QUAD)
+    mo = full_sphere_moments(np.zeros(5), QUAD)
     assert abs(mo.Z - 4.0 * np.pi) < 1e-12
-    assert qnorm(mo.q_of_b) < 1e-14
+    assert qnorm(_q(np.zeros(5))) < 1e-14
     iso = (np.einsum("ij,kl->ijkl", np.eye(3), np.eye(3))
            + np.einsum("ik,jl->ijkl", np.eye(3), np.eye(3))
            + np.einsum("il,jk->ijkl", np.eye(3), np.eye(3))) / 15.0
@@ -90,9 +95,9 @@ def test_isotropic_moments():
 def test_axisymmetric_moments_match_closed_form():
     eta = 4.0
     n = np.array([0.0, 1.0, 0.0])
-    mo = bingham_moments(uniaxial(eta, n), QUAD)
+    b = uniaxial(eta, n)
     s2, s4 = order_parameters(eta)
-    np.testing.assert_allclose(to_matrix(mo.q_of_b),
+    np.testing.assert_allclose(to_matrix(_q(b)),
                                s2 * (np.outer(n, n) - np.eye(3) / 3.0), atol=1e-12)
     # closed-form fourth moment of an axisymmetric density
     nn = np.outer(n, n)
@@ -105,32 +110,32 @@ def test_axisymmetric_moments_match_closed_form():
     closed = (s4 * np.einsum("i,j,k,l->ijkl", n, n, n, n)
               + (s2 - s4) / 7.0 * nd
               + (s4 / 35.0 - 2.0 * s2 / 21.0 + 1.0 / 15.0) * dd)
-    np.testing.assert_allclose(mo.M4, closed, atol=1e-12)
+    np.testing.assert_allclose(full_sphere_moments(b, QUAD).M4, closed, atol=1e-12)
 
 
 def test_refinement_agreement(rng):
     fine = build_quadrature(256, 512)
     for _ in range(4):
         b = random_qvec(rng, scale=4.0)  # eigenvalues within ~10
-        mo = bingham_moments(b, QUAD)
-        mof = bingham_moments(b, fine)
+        mo = full_sphere_moments(b, QUAD)
+        mof = full_sphere_moments(b, fine)
         assert abs(mo.Z - mof.Z) / mof.Z < 1e-10
-        assert qnorm(mo.q_of_b - mof.q_of_b) < 1e-10
+        assert qnorm(_q(b) - _q(b, fine)) < 1e-10
         assert np.abs(mo.M4 - mof.M4).max() < 1e-10
 
 
 def test_partial_trace_identities(rng):
     for scale in [2.0, 8.0]:
         b = random_qvec(rng, scale=scale)
-        mo = bingham_moments(b, QUAD)
-        second = to_matrix(mo.q_of_b) + np.eye(3) / 3.0
-        assert np.abs(np.einsum("ijkk->ij", mo.M4) - second).max() < 1e-10
-        assert abs(np.einsum("iijj", mo.M4) - 1.0) < 1e-12
+        m4 = full_sphere_moments(b, QUAD).M4
+        second = to_matrix(_q(b)) + np.eye(3) / 3.0
+        assert np.abs(np.einsum("ijkk->ij", m4) - second).max() < 1e-10
+        assert abs(np.einsum("iijj", m4) - 1.0) < 1e-12
 
 
 def test_moment_normalization():
     b = random_qvec(np.random.default_rng(7), scale=5.0)
-    mo = bingham_moments(b, QUAD)
+    mo = full_sphere_moments(b, QUAD)
     # M4 double-traced against the identity gives int f = 1
     assert abs(np.einsum("ijij", mo.M4) - 1.0) < 1e-12
 
@@ -139,24 +144,24 @@ def test_rotation_equivariance(rng):
     b = random_qvec(rng, scale=3.0)
     rot = haar_rotations(rng, 1)[0]
     bm = to_matrix(b)
-    mo1 = bingham_moments(from_matrix(rot @ bm @ rot.T), QUAD)
-    mo0 = bingham_moments(b, QUAD)
-    q_rot = rot @ to_matrix(mo0.q_of_b) @ rot.T
-    assert np.abs(to_matrix(mo1.q_of_b) - q_rot).max() < 1e-10
-    m4_rot = np.einsum("ai,bj,ck,dl,ijkl->abcd", rot, rot, rot, rot, mo0.M4)
-    assert np.abs(mo1.M4 - m4_rot).max() < 1e-10
+    b_rot = from_matrix(rot @ bm @ rot.T)
+    q_rot = rot @ to_matrix(_q(b)) @ rot.T
+    assert np.abs(to_matrix(_q(b_rot)) - q_rot).max() < 1e-10
+    m4_rot = np.einsum("ai,bj,ck,dl,ijkl->abcd", rot, rot, rot, rot,
+                       full_sphere_moments(b, QUAD).M4)
+    assert np.abs(full_sphere_moments(b_rot, QUAD).M4 - m4_rot).max() < 1e-10
 
 
 def test_q_of_b_is_gradient_of_log_partition(rng):
     b = random_qvec(rng, scale=2.0)
     c0 = to_basis_coeffs(b)
-    q5 = bingham_moments(b, QUAD).q_of_b
+    q5 = _q(b)
     h = 1e-5
     for a in range(5):
         dc = np.zeros(5)
         dc[a] = h
-        fp = np.log(bingham_moments(from_basis_coeffs(c0 + dc), QUAD).Z)
-        fm = np.log(bingham_moments(from_basis_coeffs(c0 - dc), QUAD).Z)
+        fp = np.log(full_sphere_moments(from_basis_coeffs(c0 + dc), QUAD).Z)
+        fm = np.log(full_sphere_moments(from_basis_coeffs(c0 - dc), QUAD).Z)
         grad_a = (fp - fm) / (2.0 * h)
         proj = float(np.einsum("ij,ij->", to_matrix(q5), QBASIS[a]))
         assert abs(grad_a - proj) < 1e-6
@@ -164,7 +169,7 @@ def test_q_of_b_is_gradient_of_log_partition(rng):
 
 def test_log_partition_convexity(rng):
     def log_z(b):
-        return np.log(bingham_moments(b, QUAD).Z)
+        return np.log(full_sphere_moments(b, QUAD).Z)
 
     for _ in range(10):
         b1 = random_qvec(rng, scale=3.0)
@@ -175,7 +180,28 @@ def test_log_partition_convexity(rng):
 
 def test_overflow_guard():
     with pytest.raises(OverflowError):
-        bingham_moments(uniaxial(500.0, [0, 0, 1.0]), QUAD)
+        _q(uniaxial(500.0, [0, 0, 1.0]))
+
+
+@pytest.mark.parametrize("k", [1, 7, 8, 9, 64])
+def test_batch_matches_per_row_calls(rng, k):
+    # k below, at and past the block of 8 B, and closure-validate's 64
+    b = random_qvec(rng, n=k, scale=6.0)
+    b[k // 2] = 0.0
+    batch = bingham_moments(b, QUAD)
+    assert batch.shape == (k, 5)
+    rows = np.array([_q(row) for row in b])
+    np.testing.assert_allclose(batch, rows, rtol=0, atol=1e-15)
+    oracle = np.array([full_sphere_moments(row, QUAD).q_of_b for row in b])
+    np.testing.assert_allclose(batch, oracle, rtol=0, atol=1e-14)
+
+
+def test_batch_overflow_names_the_worst_point(rng):
+    b = random_qvec(rng, scale=2.0, n=12)
+    b[9] = uniaxial(400.0, [0, 0, 1.0])
+    b[3] = uniaxial(350.0, [1.0, 0, 0])
+    with pytest.raises(OverflowError, match=r"B\[9\] is 400\.0"):
+        bingham_moments(b, QUAD)
 
 
 # ---------------------------------------------------------------------------
