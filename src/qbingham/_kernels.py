@@ -8,7 +8,9 @@ kappa) (Abramowitz & Stegun 9.6.19; Mardia & Jupp, Directional Statistics,
 2000, section 9.4). As m1^2 = u (1 + c) / 2 and m2^2 = u (1 - c) / 2, ln Z,
 every <m_i^2> and every <m_i^2 m_j^2> is a 1-D integral in x of these three
 weights times polynomials in x^2: a Gauss-Legendre rule in x, folded onto
-x >= 0, with scipy's scaled Bessel functions, batched over points.
+x >= 0, batched over points. I0 and I1 come from their power series in
+kappa^2 / 4 (A&S 9.6.10), summed together, with e^{-kappa} left in the
+exponent as the scaled functions I0e and I1e would carry it.
 """
 from __future__ import annotations
 
@@ -16,12 +18,16 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import i0e, i1e
 
 __all__ = ["x_rule", "nodes_for_spread", "newton_batch", "EXPONENT_BUDGET"]
 
 # hard cap on the eigenvalue spread of B fed to the exponential
 EXPONENT_BUDGET = 300.0
+# the largest |a| = |b1 - b2| / 2, and so kappa, whose Bessel weights are
+# evaluated: four times what a point inside the budget reaches, so that the
+# line search sees the true ln Z of a trial step past the budget, while the
+# series (at most e^kappa) stays far below overflow at e^709
+_KAPPA_MAX = 2.0 * EXPONENT_BUDGET
 
 
 def _legendre_half(n):
@@ -76,27 +82,81 @@ def nodes_for_spread(spread):
     return int(5.4 * np.sqrt(s) + 9.0)
 
 
+def _series_terms(kappa):
+    """Last index n of the series of _bessel_series kept for arguments up to
+    kappa. The dropped terms T_k = t^k / (k!)^2 of S0 fall by at most
+    r = t / (n+1)^2 < 1/2 each, so their sum, at most 2 r T_n, is below
+    2^-53 of S0; S1's terms are S0's over k + 1, which weighs its tail less."""
+    t = 0.25 * kappa * kappa
+    n, term, total = 0, 1.0, 1.0
+    while True:
+        r = t / ((n + 1) * (n + 1))
+        if r < 0.5 and term * r < 2.0**-54 * total:
+            return n
+        n += 1
+        term *= r
+        total += term
+
+
+@lru_cache(maxsize=None)
+def _series_factors(n):
+    """(n, 2, 1, 1) factors 1 / k^2 and 1 / (k (k + 1)), for k = n down to 1."""
+    k = np.arange(n, 0, -1, dtype=float)
+    return 1.0 / np.stack([k * k, k * (k + 1)], axis=1)[:, :, None, None]
+
+
+def _bessel_series(t, n):
+    """S0 = I0(kappa) and S1 = 2 I1(kappa) / kappa, stacked (2, P, N), for
+    t = kappa^2 / 4 of shape (P, N): the power series of A&S 9.6.10 to the
+    term t^n, summed by Horner's rule in ratio form, s <- 1 + s t / k^2 and
+    s <- 1 + s t / (k (k + 1)). Every partial sum is at most S0 <= e^kappa."""
+    fac = _series_factors(max(1, n))
+    ser = t * fac[0]
+    ser += 1.0
+    for f in fac[1:]:
+        ser *= t
+        ser *= f
+        ser += 1.0
+    return ser
+
+
 def _moments_batch_np(b, x2, u, w, table):
-    """ln Z, second moments <m_i^2>, pair moments <m_i^2 m_j^2> per point."""
+    """ln Z, second moments <m_i^2>, pair moments <m_i^2 m_j^2> per point.
+
+    The phi weights are e^{u s} times I0, I1 and I0 - I1 / kappa, with
+    s = (b1 + b2) / 2, from one _bessel_series sized for the batch's largest
+    kappa. A row with |a| past _KAPPA_MAX, which only a trial step far past
+    the exponent budget reaches, is not evaluated: its ln Z is inf, so the
+    line search backtracks it.
+    """
+    ha = 0.25 * (b[:, 0] - b[:, 1])                  # a / 2
+    # kappa <= |a| as u <= 1; a NaN row does not size the series
+    amax = float(np.fmax.reduce(np.abs(ha), initial=0.0))
+    far = None
+    if amax > 0.5 * _KAPPA_MAX:
+        far = np.abs(ha) > 0.5 * _KAPPA_MAX
+        b = np.where(far[:, None], 0.0, b)
+        ha = 0.25 * (b[:, 0] - b[:, 1])
+        amax = float(np.fmax.reduce(np.abs(ha), initial=0.0))
     top = b.max(axis=1)
-    a = 0.5 * (b[:, 0] - b[:, 1])
-    # I1(kappa) / kappa -> 1/2 at kappa = 0, reached through a tiny floor
-    kap = np.maximum(np.multiply.outer(np.abs(a), u), 1e-300)
-    # e^{u s} I_k(u a) = e^{u max(b1, b2)} I_k(kappa) e^{-kappa}, with x^2 + u = 1
+    hk = np.multiply.outer(ha, u)                     # kappa / 2, signed as a
+    ser = _bessel_series(hk * hk, _series_terms(2.0 * amax))
+    # e^{b3 x^2 + s u - top}, the density outside the phi integral (x^2 + u = 1)
     ew = np.exp(np.multiply.outer(b[:, 2] - top, x2)
-                + np.multiply.outer(np.maximum(b[:, 0], b[:, 1]) - top, u))
+                + np.multiply.outer(0.5 * (b[:, 0] + b[:, 1]) - top, u))
     ew *= w
-    e0 = i0e(kap)
-    e0 *= ew
-    e1 = i1e(kap)
-    e1 *= ew
-    e2 = e1 / kap
+    ser *= ew
+    e0, e2 = ser
+    e1 = hk * e2                                      # I1 = (kappa / 2) S1
+    e2 *= 0.5
     np.subtract(e0, e2, out=e2)
-    e1 *= np.sign(a)[:, None]
     z = e0.sum(axis=1)
     mom = e0 @ table[0] + e1 @ table[1] + e2 @ table[2]
     mom /= z[:, None]
-    return np.log(z) + top, mom[:, :3], mom[:, 3:].reshape(-1, 3, 3)
+    lnz = np.log(z) + top
+    if far is not None:
+        lnz[far] = np.inf
+    return lnz, mom[:, :3], mom[:, 3:].reshape(-1, 3, 3)
 
 
 def newton_batch(q_eigs, b_init, nodes, tol, maxit):

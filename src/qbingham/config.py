@@ -12,7 +12,10 @@ closure-validate's forward checks; the closure solver sizes its own
 eigenframe rule from the eigenvalue spread of B. The rule must be exact to
 the degree the margin params.delta needs (_FORWARD_SIZING): below it the
 forward check missed its 1e-10 gate on every input set tried, so the run
-would exit 3.
+would exit 3. A margin below the sizing's narrowest, 0.002, is rejected: at
+0.001 every input set tried had a solve past the exponent budget. The default
+64 x 65 rule is exact below degree 128, as 64 x 128 would be: its odd
+azimuth count serves the even integrands like twice as many.
 """
 from __future__ import annotations
 
@@ -78,7 +81,7 @@ class ExperimentConfig:
     seed: int = _key("seed", 0, int, (">=", 0))
     params: ModelParams = _key("params", _PARAM_DEFAULTS, ModelParams)
     n_polar: int = _key("quadrature.n_polar", 64, int, (">=", 8))
-    n_azimuthal: int = _key("quadrature.n_azimuthal", 128, int, (">=", 16))
+    n_azimuthal: int = _key("quadrature.n_azimuthal", 65, int, (">=", 16))
     grid_n: int = _key("grid.n", 128, int, (">=", 8))
     grid_length: float = _key("grid.length", 6.283185307179586, float, (">", 0))
     dt: float | None = _key("dt", None, float, (">", 0))
@@ -194,8 +197,15 @@ def validate_config(doc):
                for path, a in alphas if a is not None and a < a_star]
 
     rule = values["n_polar"], values["n_azimuthal"]
-    if exp == "closure-validate" and None not in rule and "params" in values:
-        errors += _forward_rule_errors(*rule, values["params"].delta)
+    if exp == "closure-validate" and "params" in values:
+        delta, narrowest = values["params"].delta, _FORWARD_SIZING[-1][0]
+        if delta < narrowest:
+            errors.append(
+                f"params.delta: closure-validate needs >= {narrowest:g}, the narrowest "
+                f"margin its forward check was sized at; nearer the boundary a solve "
+                f"needs an eigenvalue spread of B past the exponent budget and fails")
+        elif None not in rule:
+            errors += _forward_rule_errors(*rule, delta)
 
     if errors:
         raise ConfigError(errors)

@@ -567,14 +567,22 @@ def smooth_random_state(grid, params, seed, q_amplitude=0.5, v_amplitude=0.1):
     s_base = min(constants.S2, 0.75 * (2.0 - 3.0 * params.delta) / 2.0)
     base = from_matrix(s_base * (np.outer(n0, n0) - np.eye(3) / 3.0))
     pert = _band_limited(rng, grid, 5)
-    amp = q_amplitude
-    for _ in range(60):
-        q5 = base + amp * pert
-        worst = float(eigenvalue_margin(q5).min())
-        if worst >= params.delta:
-            break
-        amp *= 0.8
-    else:
+    # the field's margin at amplitude A is concave in A (lambda_min is
+    # concave, lambda_max convex) and, pert having zero grid mean, at most
+    # the margin of base: so the rungs q_amplitude 0.8^k, k < 60, that fit
+    # form a suffix of the ladder, and bisection finds its first rung
+    amps = [q_amplitude]
+    for _ in range(59):
+        amps.append(amps[-1] * 0.8)
+    lo, hi, q5 = -1, len(amps), None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        trial = base + amps[mid] * pert
+        if float(eigenvalue_margin(trial).min()) >= params.delta:
+            hi, q5 = mid, trial
+        else:
+            lo = mid
+    if q5 is None:
         raise RuntimeError("could not fit initial data inside the margin")
 
     psi_w = _band_limited(rng, grid, 2)

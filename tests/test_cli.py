@@ -168,7 +168,7 @@ def test_closure_validate_checks_forward_in_one_call(monkeypatch):
     assert B.shape == (64, 5) == (summary["independent_forward_checked"], 5)
     rows = [np.flatnonzero((res.B5 == b).all(axis=1)) for b in B]
     assert all(len(r) == 1 for r in rows) and len({int(r[0]) for r in rows}) == 64
-    assert len(quad.weights) == 64 * 128
+    assert len(quad.weights) == 64 * 65
 
 
 @pytest.mark.parametrize("delta", [0.1, 0.02])

@@ -85,7 +85,7 @@ DEFAULTS = {
     "seed": 0,
     "params": ModelParams(alpha=7.0, epsilon=0.05, de=1.0, re=1.0, gamma=0.5,
                           L1=1.0, L2=0.5, delta=0.1),
-    "n_polar": 64, "n_azimuthal": 128,
+    "n_polar": 64, "n_azimuthal": 65,
     "grid_n": 128, "grid_length": 6.283185307179586,
     "dt": None, "steps": 2000, "sample_every": 1,
     "alphas": (7.0, 8.0, 10.0), "samples": 1000,
@@ -248,25 +248,39 @@ def _too_coarse(doc):
 @pytest.mark.parametrize("delta,need", _FORWARD_SIZING)
 def test_forward_rule_sizing(delta, need):
     # at each sized margin the smallest rule of the needed degree and the
-    # default 64 x 128 are accepted, and one polar or azimuthal step less is
+    # default 64 x 65 are accepted, and one polar or azimuthal step less is
     # not (at 0.3 the key bounds are the sizing)
     validate_config(_rule(need // 2, need, delta))
-    validate_config(_rule(64, 128, delta))
+    validate_config(_rule(64, 65, delta))
     if need > 16:
         assert _too_coarse(_rule(need // 2 - 1, 128, delta)) == need
         assert _too_coarse(_rule(64, need - 2, delta)) == need
 
 
 @pytest.mark.parametrize("delta,need", [
-    (1 / 3 - 1e-9, 16), (0.12, 24), (0.02, 36), (0.0199, 36), (0.0149, 40), (0.001, 48),
-    (1e-6, 48)])
+    (1 / 3 - 1e-9, 16), (0.12, 24), (0.02, 36), (0.0199, 36), (0.0149, 40)])
 def test_forward_rule_sizing_between_margins(delta, need):
     # a margin takes the row of the narrowest sized margin at or above it;
-    # qbench's 64 x 128 at margin 0.02 stays accepted
+    # the default 64 x 65 stays accepted
     validate_config(_rule(need // 2, need, delta))
-    validate_config(_rule(64, 128, delta))
+    validate_config(_rule(64, 65, delta))
     if need > 16:
         assert _too_coarse(_rule(64, need - 2, delta)) == need
+
+
+@pytest.mark.parametrize("delta", [0.001, 1e-6])
+def test_closure_validate_margin_below_the_sizing_rejected(delta):
+    # at 0.001 a solve passes the exponent budget on every input set; 0.002,
+    # the narrowest sized margin, is accepted with the default rule
+    assert _errors({"experiment": "closure-validate", "params": {"delta": delta}}) == {
+        "params.delta: closure-validate needs >= 0.002, the narrowest margin its "
+        "forward check was sized at; nearer the boundary a solve needs an "
+        "eigenvalue spread of B past the exponent budget and fails"}
+    assert validate_config({"experiment": "closure-validate",
+                            "params": {"delta": 0.002}}).params.delta == 0.002
+    # the margin is closure-validate's alone
+    assert validate_config({"experiment": "field-run",
+                            "params": {"delta": delta}}).params.delta == delta
 
 
 def test_odd_azimuthal_count_resolves_twice_its_degree():

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from qbingham import closure, dynamics
 from qbingham.config import default_config
 from qbingham.dynamics import DivergenceError, FieldSolver, smooth_random_state
 from qbingham.spectral import Grid2D
-from qbingham.tensors import eigenvalue_margin, qdot, to_matrix, uniaxial
+from qbingham.tensors import eigenvalue_margin, from_matrix, qdot, to_matrix, uniaxial
 from mms_common import _spectral_restrict, rms_difference, run_manufactured, solve_manufactured
 
 PARAMS = default_config("field-run").params
@@ -86,6 +87,38 @@ def test_elastic_symbols_built_once(monkeypatch):
     dynamics.energy_report(state, PARAMS)
     solver.run(state, 0.05, 3, callback=lambda k, st: dynamics.energy_report(st, PARAMS))
     assert len(calls) == 1
+
+
+def _amplitude_scan_q5(grid, params, seed, q_amplitude=0.5):
+    """smooth_random_state's q5 by a linear scan down the ladder
+    q_amplitude 0.8^k, k < 60: the first rung inside the margin, or None."""
+    rng = np.random.default_rng(seed)
+    s2 = dynamics.phase_constants(params.alpha, params.L1, params.L2).S2
+    s_base = min(s2, 0.75 * (2.0 - 3.0 * params.delta) / 2.0)
+    base = from_matrix(s_base * (np.diag([0.0, 0.0, 1.0]) - np.eye(3) / 3.0))
+    pert = dynamics._band_limited(rng, grid, 5)
+    amp = q_amplitude
+    for _ in range(60):
+        q5 = base + amp * pert
+        if float(eigenvalue_margin(q5).min()) >= params.delta:
+            return q5
+        amp *= 0.8
+    return None
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_initial_amplitude_is_the_first_rung_that_fits(n):
+    grid = Grid2D(n)
+    for seed in range(8):
+        q5 = smooth_random_state(grid, PARAMS, seed).q5
+        assert np.array_equal(q5, _amplitude_scan_q5(grid, PARAMS, seed)), seed
+
+
+def test_initial_data_outside_every_rung_raises():
+    params = dataclasses.replace(PARAMS, delta=0.3)
+    assert _amplitude_scan_q5(Grid2D(16), params, 0) is None
+    with pytest.raises(RuntimeError, match="could not fit initial data"):
+        smooth_random_state(Grid2D(16), params, 0)
 
 
 def _band_limited(grid, rng, modes=4):

@@ -107,6 +107,58 @@ def test_moments_match_full_sphere_rule(rng):
         np.testing.assert_allclose(pair[i], np.einsum("iijj->ij", mo.M4), rtol=0, atol=1e-13)
 
 
+KAPPAS = np.concatenate([[0.0], np.geomspace(1e-3, 150.0, 40)])
+
+
+@pytest.mark.parametrize("sizing", ["each", "largest"])
+def test_bessel_series_against_mpmath(sizing):
+    # S0 e^-kappa = I0e(kappa) and (kappa / 2) S1 e^-kappa = I1e(kappa), with
+    # each kappa's own term count or the count of the largest, as a batch has
+    t = (0.5 * KAPPAS)[None, :] ** 2
+    if sizing == "each":
+        ser = np.concatenate([_kernels._bessel_series(t[:, [i]], _kernels._series_terms(k))
+                              for i, k in enumerate(KAPPAS)], axis=2)[:, 0]
+    else:
+        ser = _kernels._bessel_series(t, _kernels._series_terms(KAPPAS.max()))[:, 0]
+    with mp.workdps(30):
+        ref = np.array([[float(mp.besseli(j, k) * mp.exp(-k)) for k in KAPPAS] for j in (0, 1)])
+    got = np.stack([ser[0], 0.5 * KAPPAS * ser[1]]) * np.exp(-KAPPAS)
+    np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.035, 1.2, 12.0, 150.0, 600.0])
+def test_series_terms_drop_a_tail_below_unit_roundoff(kappa):
+    # the terms past t^n, summed in mpmath, are below 2^-53 of the kept ones
+    # in S0 and in S1 (up to 2 _KAPPA_MAX, the largest kappa a batch sizes for)
+    n = _kernels._series_terms(kappa)
+    with mp.workdps(40):
+        t = mp.mpf(kappa) ** 2 / 4
+        terms = [t**k / mp.factorial(k) ** 2 for k in range(n + 400)]
+        for s in (terms, [c / (k + 1) for k, c in enumerate(terms)]):
+            assert sum(s[n + 1:]) < mp.mpf(2) ** -53 * sum(s[:n + 1]), (kappa, n)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 64])
+def test_equal_b1_b2_gives_equal_moments_bitwise(rng, rows):
+    # a = 0 makes kappa = 0 exactly and the I1 weight vanish
+    b = rng.uniform(-10.0, 10.0, size=(rows, 3))
+    b[:, 1] = b[:, 0]
+    _, second, pair = _kernels._moments_batch_np(b, *x_rule(_kernels.nodes_for_spread(20.0)))
+    assert np.array_equal(second[:, 0], second[:, 1])
+
+
+def test_row_far_past_the_budget_is_not_evaluated():
+    # |a| past _KAPPA_MAX gives ln Z = inf, which the line search backtracks;
+    # the other rows are evaluated as without it
+    nodes = x_rule(_kernels.nodes_for_spread(60.0))
+    b = np.array([[1.0, -2.0, 1.0], [400.0, -900.0, 500.0], [-30.0, 10.0, 20.0]])
+    lnz, second, pair = _kernels._moments_batch_np(b, *nodes)
+    assert lnz[1] == np.inf and np.all(np.isfinite(lnz[[0, 2]]))
+    alone = _kernels._moments_batch_np(b[[0, 2]], *nodes)
+    for got, want in zip((lnz[[0, 2]], second[[0, 2]], pair[[0, 2]]), alone):
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+
 def _lnz_reference(b, dps=30):
     """ln Z of diagonal b from a 1-D mpmath integral in x = m3.
 
