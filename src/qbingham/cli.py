@@ -22,8 +22,7 @@ import time
 
 import numpy as np
 
-__all__ = ["main", "run_experiment", "write_snapshot", "read_snapshot",
-           "OutputLockedError"]
+__all__ = ["main", "run_experiment", "read_snapshot", "OutputLockedError"]
 
 SNAPSHOT_MAGIC = b"QBF1"
 
@@ -111,13 +110,6 @@ def _snapshot_bytes(state, params):
     side = {"params": asdict(params), "t": float(state.t),
             "grid": {"n": n, "length": float(state.grid.length)}}
     return head + body, _json_bytes(side)
-
-
-def write_snapshot(path, state, params):
-    """Write a field snapshot to path and its sidecar to path + ".json"."""
-    data, side = _snapshot_bytes(state, params)
-    _write_atomic(path, data)
-    _write_atomic(path + ".json", side)
 
 
 def read_snapshot(path):
@@ -410,7 +402,6 @@ _RUNNERS = {
 def run_experiment(cfg, out_dir, quiet=False):
     """Run one experiment; returns the process exit code."""
     from . import __version__
-    import scipy
 
     def log(msg):
         if not quiet:
@@ -438,7 +429,6 @@ def run_experiment(cfg, out_dir, quiet=False):
             "versions": {
                 "qbingham": __version__,
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
                 "python": sys.version.split()[0],
             },
             "wall_time_s": wall,

@@ -9,7 +9,7 @@ takes the value alpha. On eta > 0 this map is unimodal: it falls from
 lim_{eta->0} eta / S_2(eta) = 15/2 to the fold value alpha* at eta* and then
 grows without bound (Liu, Zhang & Zhang, Comm. Math. Sci. 3, 2005). Hence
 for alpha >= alpha* the stable nematic root eta_1 is the one root of
-eta - alpha S_2(eta) in [eta*, alpha], a single bracket for scipy's brentq.
+eta - alpha S_2(eta) in [eta*, alpha], a single bracket for bisection.
 The model expands about Q_0 = S_2(eta_1) (nn - I/3), and all Leslie/Frank
 material constants derive from eta_1; the isotropic root eta = 0 and the
 unstable root in (0, eta*) are not solved for.
@@ -20,7 +20,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .sphere import a_integrals
 
@@ -35,6 +34,33 @@ class BranchNotPresentError(ValueError):
     """No stable nematic root at this alpha (alpha < alpha*)."""
 
 
+def _bisect(f, lo, hi):
+    """A root of f in [lo, hi], halving the bracket until its midpoint is
+    one of its ends. f(lo) and f(hi) are evaluated first, so an error at
+    either end (a_integrals' OverflowError) raises before any halving, and
+    an end where f is exactly 0 is returned. Raises ValueError when f does
+    not change sign over the bracket.
+    """
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if not (f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo):
+        raise ValueError(f"no sign change of f over [{lo!r}, {hi!r}]")
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+
+
 def crit_residual(eta, alpha):
     """Residual of the critical-point equation, scaled to O(1).
 
@@ -45,7 +71,7 @@ def crit_residual(eta, alpha):
     solver does not use it, so it is an independent check of a root.
     """
     eta = float(eta)
-    h = 0.5 * a_integrals(eta)[0] * (np.exp(-eta) if eta < 700 else 0.0)
+    h = 0.5 * a_integrals(eta)[0] * np.exp(-eta)
     return 3.0 - (3.0 + 2.0 * eta + 4.0 * eta**2 / alpha) * h
 
 
@@ -62,8 +88,8 @@ def solve_eta(alpha):
         raise BranchNotPresentError(
             f"no stable nematic root at alpha={alpha:.6g}; it needs "
             f"alpha >= alpha* = {a_star:.6f}")
-    return float(brentq(lambda e: e - alpha * order_parameters(e)[0],
-                        eta_star, alpha, xtol=1e-15))
+    return float(_bisect(lambda e: e - alpha * order_parameters(e)[0],
+                         eta_star, alpha))
 
 
 @functools.cache
@@ -78,7 +104,7 @@ def critical_alpha():
         a0, a2, a4, _ = a_integrals(e)
         return (3.0 * a2 - a0) / (2.0 * a0) - 1.5 * e * (a0 * a4 - a2 * a2) / a0**2
 
-    eta = float(brentq(slope_defect, 0.5, 5.0, xtol=1e-15))
+    eta = float(_bisect(slope_defect, 0.5, 5.0))
     return eta / order_parameters(eta)[0], eta
 
 

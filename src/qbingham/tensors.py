@@ -8,7 +8,7 @@ so symmetry and tracelessness are structural, never a numerical property.
 All functions accept batched arrays with the component axis last. There
 are no tensor classes: a qvec is a plain ndarray. The closure keeps the
 fourth moment as its pair moments <m_i^2 m_j^2> in the eigenframe; only
-``sphere``'s full-sphere reference forms a dense (3, 3, 3, 3) M4.
+the tests' full-sphere reference forms a dense (3, 3, 3, 3) M4.
 Eigendecompositions go to LAPACK: ``eig_sym3`` for the eigenframe,
 ``eigenvalue_margin`` for the eigenvalues alone. ``axial_parts`` splits Q
 relative to a unit vector n into its parts on nn - I/3, on the pair

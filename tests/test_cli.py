@@ -2,9 +2,13 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 from dataclasses import asdict, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,6 +119,28 @@ def test_run_summary_reports_halvings(tmp_path, monkeypatch):
     assert t == states[-1].t
 
 
+def test_runs_import_no_scipy_and_report_only_runtime_versions(tmp_path):
+    # numpy is the one runtime dependency: a fresh process that runs
+    # phase-table at its defaults and a small closure-validate (the Lambda
+    # bound, the nematic root and fold, the closure) loads no scipy module
+    cfg = tmp_path / "closure.json"
+    cfg.write_text(json.dumps({"experiment": "closure-validate", "samples": 16}))
+    code = ("import sys\n"
+            "from qbingham import cli\n"
+            f"assert cli.main(['phase-table', '--out', {str(tmp_path / 'phase')!r}, "
+            "'--quiet']) == 0\n"
+            f"assert cli.main(['closure-validate', '--config', {str(cfg)!r}, "
+            f"'--out', {str(tmp_path / 'closure')!r}, '--quiet']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.strip() == "[]"
+    for name in ("phase", "closure"):
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert set(manifest["versions"]) == {"qbingham", "numpy", "python"}
+
+
 def test_closure_validate_reports_wall_time(tmp_path):
     cfg = tmp_path / "closure.json"
     cfg.write_text(json.dumps({"experiment": "closure-validate", "samples": 16}))
@@ -208,13 +234,20 @@ def test_csv_cells_are_plain_numbers(tmp_path):
                     float(cell)
 
 
+def _write_snapshot(path, state, params):
+    """The snapshot and its sidecar, as field-run writes them."""
+    data, side = cli._snapshot_bytes(state, params)
+    path.write_bytes(data)
+    path.with_name(path.name + ".json").write_bytes(side)
+
+
 def test_snapshot_round_trip(tmp_path):
     params = default_config("field-run").params
     grid = Grid2D(16, length=5.0)
     state = replace(smooth_random_state(grid, params, seed=3), t=0.75)
-    path = str(tmp_path / "field.qbf")
-    cli.write_snapshot(path, state, params)
-    q5, v, t, length = cli.read_snapshot(path)
+    path = tmp_path / "field.qbf"
+    _write_snapshot(path, state, params)
+    q5, v, t, length = cli.read_snapshot(str(path))
     assert q5.tobytes() == state.q5.tobytes()
     assert v.tobytes() == state.v.tobytes()
     assert (t, length) == (0.75, 5.0)
@@ -226,7 +259,7 @@ def test_snapshot_rejects_bad_magic_and_truncation(tmp_path):
     params = default_config("field-run").params
     state = smooth_random_state(Grid2D(16), params, seed=0)
     path = tmp_path / "field.qbf"
-    cli.write_snapshot(str(path), state, params)
+    _write_snapshot(path, state, params)
     raw = path.read_bytes()
     four_q = raw[:12] + struct.pack("<Q", 4) + raw[20:]
     for name, data, msg in (("magic.qbf", b"QBF0" + raw[4:], "not a qbingham"),

@@ -221,6 +221,18 @@ def test_spread_bound_patch_areas():
     assert abs(spread_bound(delta) - lam_ref) / lam_ref < 2e-3
 
 
+@pytest.mark.parametrize("delta", [0.3, 0.1, 0.02, 0.002, 1e-4])
+def test_spread_bound_against_mpmath(delta):
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    d = mp.mpf(delta)
+    a, b = mp.sqrt(d / 8), mp.sqrt(d / 4)
+    meas_u = mp.quad(lambda x: 4 * mp.asin(b / mp.sqrt(1 - x * x)), [-a, 0, a])
+    meas_v = 4 * mp.pi * (1 - mp.sqrt(d / 2))
+    ref = float(4 / d * mp.log(2 * meas_v / (d * meas_u)))
+    assert abs(spread_bound(delta) - ref) <= 1e-14 * ref
+
+
 def test_spread_bound_domain():
     with pytest.raises(ValueError):
         spread_bound(0.0)

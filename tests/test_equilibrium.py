@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qbingham.equilibrium import (
-    BranchNotPresentError, crit_residual, critical_alpha, order_parameters,
+    BranchNotPresentError, _bisect, crit_residual, critical_alpha, order_parameters,
     phase_constants, solve_eta,
 )
 from qbingham.sphere import a_integrals
@@ -52,7 +52,8 @@ def test_stable_branch_against_adaptive_oracle():
         assert abs(solve_eta(alpha) - ref) < 1e-9
 
 
-@pytest.mark.parametrize("alpha", [7.0, 20.0, 60.0])
+@pytest.mark.parametrize("alpha", [
+    pytest.param(critical_alpha()[0] + 1e-4, id="fold+1e-4"), 7.0, 20.0, 60.0, 299.0])
 def test_stable_root_against_mpmath(alpha):
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 30
@@ -104,6 +105,43 @@ def test_critical_alpha_tangency_and_root_count():
     # consistency with the A-integral identity at eta*
     a0, a2, a4, _ = a_integrals(eta_star)
     assert abs(a_star - a0 / (a2 - a4)) < 1e-6
+
+
+def test_fold_against_mpmath():
+    # eta* is the root of S_2 - eta S_2', with S_2' = 3 (A_0 A_4 - A_2^2) / (2 A_0^2)
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+
+    def a(e, k):
+        return mp.quad(lambda x: x**k * mp.e**(e * x * x), [0, 1])
+
+    def s2(e):
+        return (3 * a(e, 2) - a(e, 0)) / (2 * a(e, 0))
+
+    def slope_defect(e):
+        a0, a2, a4 = a(e, 0), a(e, 2), a(e, 4)
+        return s2(e) - 1.5 * e * (a0 * a4 - a2 * a2) / a0**2
+
+    a_star, eta_star = critical_alpha()
+    eta_ref = mp.findroot(slope_defect, eta_star)
+    assert abs(eta_star - float(eta_ref)) < 1e-12
+    assert abs(a_star - float(eta_ref / s2(eta_ref))) < 1e-12
+
+
+def test_stable_root_at_the_fold_is_eta_star():
+    # alpha = alpha* is a valid config value; there the bracket's lower end
+    # eta* is itself the root
+    a_star, eta_star = critical_alpha()
+    assert solve_eta(a_star) == eta_star
+
+
+def test_bisect_contract():
+    with pytest.raises(ValueError, match="no sign change"):
+        _bisect(lambda x: x * x + 1.0, -1.0, 1.0)
+    assert _bisect(lambda x: x - 2.0, 2.0, 5.0) == 2.0
+    assert _bisect(lambda x: x - 5.0, 2.0, 5.0) == 5.0
+    root = _bisect(lambda x: x * x - 2.0, 0.0, 2.0)
+    assert abs(root - np.sqrt(2.0)) <= np.spacing(np.sqrt(2.0))
 
 
 def test_critical_alpha_is_computed_once():
