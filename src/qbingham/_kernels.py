@@ -11,6 +11,8 @@ weights times polynomials in x^2: a Gauss-Legendre rule in x, folded onto
 x >= 0, batched over points. I0 and I1 come from their power series in
 kappa^2 / 4 (A&S 9.6.10), summed together, with e^{-kappa} left in the
 exponent as the scaled functions I0e and I1e would carry it.
+Each rule carries an exponent table and a moment table (x_rule), so that
+an evaluation is two matrix products at any batch size.
 """
 from __future__ import annotations
 
@@ -48,26 +50,29 @@ def _legendre_half(n):
 
 @lru_cache(maxsize=None)
 def x_rule(n_x):
-    """Folded n_x-point Gauss-Legendre rule in x = m3: (x^2, u, w, table).
+    """Folded n_x-point Gauss-Legendre rule in x = m3: (x^2, u, w, table, expo).
 
     Mirrored nodes x <-> -x carry the merged weight, times the 2 pi of the
-    azimuth, so w sums to 4 pi; x = 0 (odd n_x) is kept once. table[j, k]
-    holds, for the phi weight j (I0, I1, I0 - I1/kappa) at node k, the
-    coefficients of <m1^2>, <m2^2>, <m3^2> and of the row-major 3x3 pair
-    moments <m_i^2 m_j^2>.
+    azimuth, so w sums to 4 pi; x = 0 (odd n_x) is kept once. expo (3, 1 + P)
+    maps b to a / 2 and to b3 x^2 + s u at the P nodes. table (3 P, 13), w
+    folded in, maps the node values of e I0, e S1 and e I1 (S1 = 2 I1 / kappa,
+    I0 - I1 / kappa = I0 - S1 / 2) to <m1^2>, <m2^2>, <m3^2>, the row-major
+    3x3 pair moments <m_i^2 m_j^2> and, in its last column, Z.
     """
     n_x = int(n_x)
     x, w = _legendre_half(n_x)
     x2, u, w = (np.asarray(v, dtype=float) for v in (x * x, (1 - x) * (1 + x), 4 * np.pi * w))
     if n_x % 2:
         w[0] *= 0.5
-    h, q, z = 0.5 * u, 0.25 * u * u, np.zeros_like(u)
+    h, q, z, one = 0.5 * u, 0.25 * u * u, np.zeros_like(u), np.ones_like(u)
     xh = x2 * h
-    table = np.stack([
-        np.stack([h, h, x2, q, q, xh, q, q, xh, xh, xh, x2 * x2], axis=1),
-        np.stack([h, -h, z, 2 * q, z, xh, z, -2 * q, -xh, xh, -xh, z], axis=1),
-        np.stack([z, z, z, q, -q, z, -q, q, z, z, z, z], axis=1)])
-    return x2, u, w, table
+    # columns of the phi weights I0, I1 and I0 - I1 / kappa
+    t0 = np.stack([h, h, x2, q, q, xh, q, q, xh, xh, xh, x2 * x2, one], axis=1)
+    t1 = np.stack([h, -h, z, 2 * q, z, xh, z, -2 * q, -xh, xh, -xh, z, z], axis=1)
+    t2 = np.stack([z, z, z, q, -q, z, -q, q, z, z, z, z, z], axis=1)
+    table = np.concatenate([t0 + t2, -0.5 * t2, t1]) * np.tile(w, 3)[:, None]
+    expo = np.array([np.r_[0.25, h], np.r_[-0.25, h], np.r_[0.0, x2]])
+    return x2, u, w, table, expo
 
 
 def nodes_for_spread(spread):
@@ -120,72 +125,66 @@ def _bessel_series(t, n):
     return ser
 
 
-def _moments_batch_np(b, x2, u, w, table):
-    """ln Z, second moments <m_i^2>, pair moments <m_i^2 m_j^2> per point.
+def _moments_batch_np(b, x2, u, w, table, expo):
+    """ln Z, second moments <m_i^2>, pair moments <m_i^2 m_j^2> per point,
+    on a rule of x_rule (whose x2 and w enter through expo and table).
 
-    The phi weights are e^{u s} times I0, I1 and I0 - I1 / kappa, with
-    s = (b1 + b2) / 2, from one _bessel_series sized for the batch's largest
-    kappa. A row with |a| past _KAPPA_MAX, which only a trial step far past
-    the exponent budget reaches, is not evaluated: its ln Z is inf, so the
-    line search backtracks it.
+    b - max(b) times expo gives a / 2 and the exponent at every node; the phi
+    weights e^{u s} I0 and e^{u s} I1, s = (b1 + b2) / 2, from one
+    _bessel_series sized for the batch's largest kappa, times table give the
+    moments and Z. A row with |a| past _KAPPA_MAX, which only a trial step
+    far past the exponent budget reaches, is not evaluated: its ln Z is inf,
+    so the line search backtracks it.
     """
-    ha = 0.25 * (b[:, 0] - b[:, 1])                  # a / 2
+    top = np.maximum(np.maximum(b[:, 0], b[:, 1]), b[:, 2])
+    g = (b - top[:, None]) @ expo                     # a / 2, then the exponent
+    ha = g[:, 0]
     # kappa <= |a| as u <= 1; a NaN row does not size the series
     amax = float(np.fmax.reduce(np.abs(ha), initial=0.0))
     far = None
     if amax > 0.5 * _KAPPA_MAX:
         far = np.abs(ha) > 0.5 * _KAPPA_MAX
-        b = np.where(far[:, None], 0.0, b)
-        ha = 0.25 * (b[:, 0] - b[:, 1])
+        g[far] = 0.0
+        top[far] = 0.0
         amax = float(np.fmax.reduce(np.abs(ha), initial=0.0))
-    top = b.max(axis=1)
     hk = np.multiply.outer(ha, u)                     # kappa / 2, signed as a
     ser = _bessel_series(hk * hk, _series_terms(2.0 * amax))
-    # e^{b3 x^2 + s u - top}, the density outside the phi integral (x^2 + u = 1)
-    ew = np.exp(np.multiply.outer(b[:, 2] - top, x2)
-                + np.multiply.outer(0.5 * (b[:, 0] + b[:, 1]) - top, u))
-    ew *= w
-    ser *= ew
-    e0, e2 = ser
-    e1 = hk * e2                                      # I1 = (kappa / 2) S1
-    e2 *= 0.5
-    np.subtract(e0, e2, out=e2)
-    z = e0.sum(axis=1)
-    mom = e0 @ table[0] + e1 @ table[1] + e2 @ table[2]
-    mom /= z[:, None]
+    # e^{b3 x^2 + s u - top}, the density outside the phi integral
+    ser *= np.exp(g[:, 1:])
+    i0, s1 = ser
+    mom = np.concatenate((i0, s1, hk * s1), axis=1) @ table
+    z = mom[:, 12]
     lnz = np.log(z) + top
+    mom[:, :12] /= z[:, None]
     if far is not None:
         lnz[far] = np.inf
-    return lnz, mom[:, :3], mom[:, 3:].reshape(-1, 3, 3)
+    return lnz, mom[:, :3], mom[:, 3:12].reshape(-1, 3, 3)
 
 
 def newton_batch(q_eigs, b_init, nodes, tol, maxit):
     """Solve <mm - I/3>_f(b) = diag(q_eigs) for diagonal b by a damped Newton
     ascent on b:q - ln Z, batched over points.
 
-    nodes is the tuple (x^2, u, w, table) of x_rule. Every trial point is
-    evaluated once, by _moments_batch_np: its ln Z feeds the Armijo test, and
-    an accepted trial's moments give the next sweep's residual and Hessian.
+    nodes is the tuple (x^2, u, w, table, expo) of x_rule. Every trial point
+    is evaluated once, by _moments_batch_np: its ln Z feeds the Armijo test,
+    and an accepted trial's moments give the next sweep's residual and
+    Hessian. When every start meets tol, the first evaluation is the only one.
     Returns (b, residual, iterations, used_damping, lnz, second, pair); the
     moments belong to the returned b. Points that exceed the exponent budget
     come back with residual = inf.
     """
     qe = np.asarray(q_eigs, dtype=float)
     b = np.array(b_init, dtype=float)
-    n = qe.shape[0]
-    res = np.full(n, np.inf)
-    iters = np.zeros(n, dtype=np.int64)
-    damped = np.zeros(n, dtype=bool)
+    iters = np.zeros(len(qe), dtype=np.int64)
+    damped = np.zeros(len(qe), dtype=bool)
     lnz, s, p = _moments_batch_np(b, *nodes)
-    idx = np.arange(n)
-    for sweep in range(int(maxit) + 1):
-        r = s[idx] - (qe[idx] + 1.0 / 3.0)
-        rn = np.sqrt((r**2).sum(axis=1))
-        res[idx] = rn
-        live = ~(rn < tol)  # a NaN residual stays live, as a failure
-        idx, r = idx[live], r[live]
-        if idx.size == 0 or sweep == maxit:
-            break
+    r = s - (qe + 1.0 / 3.0)
+    res = np.sqrt((r**2).sum(axis=1))
+    live = ~(res < tol)  # a NaN residual stays live, as a failure
+    if not live.any():
+        return b, res, iters, damped, lnz, s, p
+    idx, r = np.flatnonzero(live), r[live]
+    for sweep in range(int(maxit)):
         iters[idx] += 1
         si = s[idx]
         c = p[idx] - si[:, :, None] * si[:, None, :]
@@ -224,4 +223,11 @@ def newton_batch(q_eigs, b_init, nodes, tol, maxit):
         over = bt.max(axis=1) - bt.min(axis=1) > EXPONENT_BUDGET
         res[idx[over]] = np.inf
         idx = idx[~over]
+        r = s[idx] - (qe[idx] + 1.0 / 3.0)
+        rn = np.sqrt((r**2).sum(axis=1))
+        res[idx] = rn
+        live = ~(rn < tol)
+        idx, r = idx[live], r[live]
+        if idx.size == 0:
+            break
     return b, res, iters, damped, lnz, s, p

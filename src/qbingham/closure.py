@@ -18,6 +18,8 @@ Newton update. No solve reads a previous B.
 
 Each solve is one Newton run on one eigenframe rule sized from the start's
 spread (``_kernels.nodes_for_spread``); a solve that ends past it raises.
+A solve returns B by its eigenvalues b in that frame; the lab-frame B5 is
+formed only where it is read (the field's mu and ledger, closure-validate).
 The closure operator M_Q and the fourth-moment contraction M4 : A are
 evaluated in the same eigenframe, from the pair moments <m_i^2 m_j^2> the
 solve returns; no dense fourth moment is formed. The full-sphere rule of
@@ -27,7 +29,7 @@ independent forward checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -55,17 +57,27 @@ class PhysicalityError(ValueError):
 
 @dataclass(frozen=True)
 class BatchClosureResult:
-    """Vectorized closure solves for a batch of Q tensors."""
+    """Vectorized closure solves for a batch of Q tensors.
+
+    B is held by its eigenvalues b in the frame shared with Q; B5, B in the
+    lab frame, is formed on its first read.
+    """
 
     rotation: np.ndarray   # (N, 3, 3) eigenvector columns shared by Q and B
     q_eigs: np.ndarray     # (N, 3) eigenvalues of Q, ascending
+    b: np.ndarray          # (N, 3) eigenvalues of B, in the order of q_eigs
     log_z: np.ndarray      # (N,)
     pair: np.ndarray       # (N, 3, 3) <m_i^2 m_j^2> in the eigenframe
     residual: np.ndarray   # (N,)
     iterations: np.ndarray    # (N,) Newton updates
     used_damping: np.ndarray  # (N,) a line search shortened some update
-    B5: np.ndarray         # (N, 5) lab-frame qvecs of B
     spread: np.ndarray     # (N,) eigenvalue spread max(b) - min(b)
+
+    @cached_property
+    def B5(self):
+        """(N, 5) lab-frame qvecs of B."""
+        rot = self.rotation
+        return from_matrix((rot * self.b[:, None, :]) @ np.swapaxes(rot, 1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -85,9 +97,9 @@ _FIT_MAP = np.array([[_U_SLOPE + _U_SHIFT, -2.0, 1.0, -2.0 + 2.0**-40],
                      [_U_SHIFT, -1.0, 1.0, 1.0 + 2.0**-40]])
 # (b1 - b3, b2 - b3) -> trace-free b, times the -1/2 of b_i - b_3 = -y_i / (2 s_i)
 _TRACE_FREE = -0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0]]) / 3.0
-# z^k, k <= FIT_DEGREE, from z and z^2 by doubling: z^(m+j) = z^m z^j
+# z^k, k <= FIT_DEGREE, from z by doubling: z^(m+j) = z^m z^j
 _DOUBLING = []
-_m = 2
+_m = 1
 while _m < FIT_DEGREE:
     _k = min(_m, FIT_DEGREE - _m)
     _DOUBLING.append((_m, slice(1, _k + 1), slice(_m + 1, _m + _k + 1)))
@@ -164,7 +176,6 @@ def _start_block(coef, w):
     z[0] = 1.0
     z[1].real = x
     z[1].imag = np.sqrt(1.0 - x * x)
-    np.multiply(z[1], z[1], out=z[2])
     for m, lo, hi in _DOUBLING:
         np.multiply(z[lo], z[m], out=z[hi])
     t = z.real
@@ -185,21 +196,29 @@ def bingham_map_batch(q5, delta=0.0, tol=DEFAULT_TOL):
     if tol < 1e-13:
         raise ValueError("tol below 1e-13 is not resolvable by the quadrature")
     q5 = np.asarray(q5, dtype=float).reshape(-1, 5)
-    w, rot = eig_sym3(to_matrix(q5))
-    margin = np.minimum(w[:, 0] + 1.0 / 3.0, 2.0 / 3.0 - w[:, 2])
-    if np.any(margin < delta):
-        k = int(np.argmin(margin))
+    try:
+        w, rot = eig_sym3(to_matrix(q5))
+    except np.linalg.LinAlgError:
+        # LAPACK gives up on some non-finite Q; on others it returns NaN
+        bad = np.flatnonzero(~np.isfinite(q5).all(axis=1))
+        if not bad.size:
+            raise
+        raise PhysicalityError(f"non-finite Q in batch at index {bad[0]}") from None
+    # a NaN margin, from a non-finite Q, fails the check
+    margin = np.minimum(w + 1.0 / 3.0, 2.0 / 3.0 - w)
+    if not margin.min() >= delta:
+        k = int(np.argmin(margin.min(axis=1)))
         raise PhysicalityError(
-            f"non-physical Q in batch (worst margin {margin[k]:.3e} < "
+            f"non-physical Q in batch (worst margin {margin[k].min():.3e} < "
             f"delta={delta:.3e} at index {k}); eigenvalues must stay in "
             f"[-1/3 + delta, 2/3 - delta]")
 
     b0 = _fitted_start(w)
     # one x-rule for the batch, sized from the start's spread plus slack
-    est = max(8.0, 1.3 * float((b0.max(1) - b0.min(1)).max()) + 6.0)
+    est = max(8.0, 1.3 * float((b0[:, :, None] - b0[:, None, :]).max()) + 6.0)
     b, res, iters, damped, lnz, _, pair = _kernels.newton_batch(
         w, b0, _kernels.x_rule(_kernels.nodes_for_spread(est)), tol=tol, maxit=MAX_ITER)
-    if not np.all(res <= tol):
+    if not res.max() <= tol:
         k = int(np.argmax(res))
         raise RuntimeError(
             f"closure Newton failed to converge: worst residual {res[k]:.3e} "
@@ -209,13 +228,22 @@ def bingham_map_batch(q5, delta=0.0, tol=DEFAULT_TOL):
     if spread.max() > est:
         raise RuntimeError(f"closure solve ended at spread {spread.max():.3e}, past "
                            f"the estimate {est:.3e} its x-rule was sized for")
-    b5 = from_matrix((rot * b[:, None, :]) @ np.swapaxes(rot, 1, 2))
-    return BatchClosureResult(rot, w, lnz, pair, res, iters, damped, b5, spread)
+    return BatchClosureResult(rot, w, b, lnz, pair, res, iters, damped, spread)
 
 
 # ---------------------------------------------------------------------------
 # eigenframe contractions (shared by the homogeneous and field settings)
 # ---------------------------------------------------------------------------
+
+def _m4_in_frame(pair, at):
+    """(M4 : A) in the eigenframe, from pair[i, j] = <m_i^2 m_j^2> (..., 3, 3)
+    and A in that frame, at (..., 3, 3); only the symmetric part of A
+    contributes."""
+    out = pair * (at + at.swapaxes(-1, -2))
+    diag = at.diagonal(0, -2, -1)
+    np.einsum("...kk->...k", out)[...] = (pair @ diag[..., None])[..., 0]
+    return out
+
 
 def m4_contract_frame(rotation, pair, A):
     """(M4 : A) in the lab frame from eigenframe pair moments.
@@ -223,16 +251,8 @@ def m4_contract_frame(rotation, pair, A):
     rotation: (..., 3, 3), pair: (..., 3, 3) with pair[i, j] = <m_i^2 m_j^2>,
     A: (..., 3, 3) arbitrary (only its symmetric part contributes).
     """
-    A = 0.5 * (A + np.swapaxes(A, -1, -2))
-    rt = np.swapaxes(rotation, -1, -2)
-    at = rt @ A @ rotation
-    out = 2.0 * pair * at
-    diag = np.einsum("...kk->...k", at)
-    d = (pair @ diag[..., None])[..., 0]
-    out[..., 0, 0] = d[..., 0]
-    out[..., 1, 1] = d[..., 1]
-    out[..., 2, 2] = d[..., 2]
-    return rotation @ out @ rt
+    rt = rotation.swapaxes(-1, -2)
+    return rotation @ _m4_in_frame(pair, rt @ A @ rotation) @ rt
 
 
 def mq_apply_frame(q_mat, rotation, pair, A):
@@ -262,7 +282,7 @@ def spread_bound(delta):
     a = np.sqrt(delta / 8.0)       # |m3| extent of U
     b = np.sqrt(delta / 4.0)       # |m2| extent of U
     meas_v = 4.0 * np.pi * (1.0 - np.sqrt(delta / 2.0))
-    t2, _, w, _ = _kernels.x_rule(12)
+    t2, _, w = _kernels.x_rule(12)[:3]
     # w carries the 2 pi of the azimuth
     meas_u = a / (2.0 * np.pi) * (w @ (4.0 * np.arcsin(b / np.sqrt(1.0 - a * a * t2))))
     return float(4.0 / delta * np.log(2.0 * meas_v / (delta * meas_u)))

@@ -35,7 +35,7 @@ import numpy as np
 
 from .closure import (
     DEFAULT_TOL, BatchClosureResult, PhysicalityError, bingham_map_batch,
-    m4_contract_frame, mq_apply_frame,
+    _m4_in_frame, m4_contract_frame, mq_apply_frame,
 )
 from .equilibrium import phase_constants
 from .spectral import Grid2D, elastic_symbols
@@ -50,6 +50,7 @@ __all__ = [
 ]
 
 
+_I3 = np.eye(3)
 # dt halvings a homogeneous step or a field run may take before it gives up
 MAX_HALVINGS = 10
 # initial field data are band-limited to |kx|, |ky| <= N_MODES
@@ -137,23 +138,29 @@ def _closed_q_rate(q_mat, kappa, m_mu, m4_d, de):
     """dQ/dt of the closed flow without advection, as matrices:
     -(2/De)(M_Q(mu) + M_Q(mu)^T) + G + G^T with G = M_Q(kappa^T) =
     kappa^T/3 + Q kappa^T - M4 : D (M4 sees only the symmetric part D)."""
-    g = np.swapaxes(kappa, -1, -2)
+    g = kappa.swapaxes(-1, -2)
     g = g / 3.0 + q_mat @ g - m4_d
-    return -(2.0 / de) * (m_mu + np.swapaxes(m_mu, -1, -2)) + g + np.swapaxes(g, -1, -2)
+    return -(2.0 / de) * (m_mu + m_mu.swapaxes(-1, -2)) + g + g.swapaxes(-1, -2)
 
 
-def homogeneous_rhs(q5, kappa, de, params, closure):
-    """dQ/dt (qvec) of the homogeneous system at the rows q5 (N, 5) with
-    Deborah numbers de (N,), from their closure.
+def homogeneous_rhs(kappa, de, params, closure):
+    """dQ/dt (qvec) of the homogeneous system at N rows with Deborah numbers
+    de (N,), from their closure.
 
     The elastic contribution vanishes identically without gradients, so
     mu = B - alpha Q. The velocity gradient enters through its transpose.
+    In the eigenframe of Q and B, Q = diag(w), mu = diag(m), m = b - alpha w,
+    and M_Q(mu) = diag(m/3 + w m - pair m): kappa is rotated into the frame,
+    _closed_q_rate is evaluated there and the rate rotated back.
     """
-    q_mat, rot, pair = to_matrix(q5), closure.rotation, closure.pair
-    m_mu = mq_apply_frame(q_mat, rot, pair, to_matrix(closure.B5 - params.alpha * q5))
-    m4_d = m4_contract_frame(rot, pair, kappa)  # M4 : D, D = sym(kappa)
-    return from_matrix(_closed_q_rate(q_mat, kappa, m_mu, m4_d,
-                                      np.asarray(de)[:, None, None]))
+    rot, w, pair = closure.rotation, closure.q_eigs, closure.pair
+    rt = rot.swapaxes(-1, -2)
+    m = closure.b - params.alpha * w
+    m_mu = (w + 1.0 / 3.0) * m - (pair @ m[..., None])[..., 0]
+    kap = rt @ kappa @ rot
+    rate = _closed_q_rate(w[..., None] * _I3, kap, m_mu[..., None] * _I3,
+                          _m4_in_frame(pair, kap), np.asarray(de)[:, None, None])
+    return from_matrix(rot @ rate @ rt)
 
 
 def _bulk_rate(constants):
@@ -182,11 +189,11 @@ def step_homogeneous(state: HomState, dt, params, tol=DEFAULT_TOL, _depth=0):
     q0, kappa, de, res = state.q5, state.kappa, state.de, _closure_of(state)
     h = np.asarray(dt, dtype=float)[..., None]
     try:
-        ks = [homogeneous_rhs(q0, kappa, de, params, res)]
+        ks = [homogeneous_rhs(kappa, de, params, res)]
         for c in (0.5, 0.5, 1.0):
             q = q0 + c * h * ks[-1]
             res = bingham_map_batch(q, tol=tol)
-            ks.append(homogeneous_rhs(q, kappa, de, params, res))
+            ks.append(homogeneous_rhs(kappa, de, params, res))
         k1, k2, k3, k4 = ks
         q1 = q0 + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         closure = bingham_map_batch(q1, delta=params.delta / 2.0, tol=tol)
@@ -380,9 +387,9 @@ class FieldSolver:
     `close` computes them for an initial state, and `step` for the new state
     as its last act. Their closure solve holds Q to the delta/2 margin, so a
     state that leaves it rejects the step. `rhs` adds to them only what the
-    ledger does not read: the closed Q rate (_closed_q_rate, shared with the
-    homogeneous setting), the distortion stress, the stress divergence,
-    advection and the forcing.
+    ledger does not read: the closed Q rate (_closed_q_rate, which
+    homogeneous_rhs evaluates in the eigenframe), the distortion stress, the
+    stress divergence, advection and the forcing.
     """
 
     def __init__(self, grid, params, forcing=None):

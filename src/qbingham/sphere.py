@@ -103,7 +103,7 @@ def a_integrals(eta):
     eta = float(eta)
     if abs(eta) > EXPONENT_BUDGET:
         raise OverflowError(f"|eta| = {abs(eta):.1f} beyond exponent budget")
-    x2, _, w, _ = x_rule(200)
+    x2, _, w = x_rule(200)[:3]
     shift = max(eta, 0.0)
     e = w * np.exp(eta * x2 - shift) / (2.0 * np.pi)
     return tuple(float(v * np.exp(shift)) for v in np.power.outer(x2, range(4)).T @ e)

@@ -30,28 +30,23 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 _I3 = np.eye(3)
+# qvec -> row-major 3x3 entries (q33 = -q11 - q22 set after), and back
+_MATRIX_OF_QVEC = np.array([0, 2, 3, 2, 1, 4, 3, 4, 0])
+_QVEC_OF_MATRIX = np.array([0, 4, 1, 2, 5])
 
 
 def to_matrix(q):
     """qvec (..., 5) -> full symmetric traceless matrix (..., 3, 3)."""
     q = np.asarray(q, dtype=float)
-    m = np.empty(q.shape[:-1] + (3, 3), dtype=q.dtype)
-    m[..., 0, 0] = q[..., 0]
-    m[..., 1, 1] = q[..., 1]
-    m[..., 2, 2] = -q[..., 0] - q[..., 1]
-    m[..., 0, 1] = m[..., 1, 0] = q[..., 2]
-    m[..., 0, 2] = m[..., 2, 0] = q[..., 3]
-    m[..., 1, 2] = m[..., 2, 1] = q[..., 4]
-    return m
+    m = q.take(_MATRIX_OF_QVEC, axis=-1)
+    m[..., 8] = -q[..., 0] - q[..., 1]
+    return m.reshape(q.shape[:-1] + (3, 3))
 
 
 def from_matrix(m):
     """Extract the 5 components of a matrix assumed symmetric traceless."""
     m = np.asarray(m, dtype=float)
-    return np.stack(
-        [m[..., 0, 0], m[..., 1, 1], m[..., 0, 1], m[..., 0, 2], m[..., 1, 2]],
-        axis=-1,
-    )
+    return m.reshape(m.shape[:-2] + (9,)).take(_QVEC_OF_MATRIX, axis=-1)
 
 
 def qdot(a, b):

@@ -100,6 +100,17 @@ def test_rejects_nonphysical():
         bingham_map_batch(np.zeros((1, 5)), tol=1e-15)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("component", range(5))
+def test_rejects_non_finite_row_by_index(value, component):
+    # LAPACK returns NaN eigenvalues for some non-finite Q and gives up on
+    # others; either way the row is named, before any Newton sweep
+    q5 = np.tile(uniaxial(0.3, [0, 0, 1.0]), (3, 1))
+    q5[1, component] = value
+    with pytest.raises(PhysicalityError, match="index 1"):
+        bingham_map_batch(q5)
+
+
 # ---------------------------------------------------------------------------
 # Jacobian
 # ---------------------------------------------------------------------------

@@ -3,14 +3,16 @@ import collections
 import numpy as np
 import pytest
 
-from qbingham.closure import DEFAULT_TOL, PhysicalityError, bingham_map_batch
+from qbingham.closure import (
+    DEFAULT_TOL, PhysicalityError, bingham_map_batch, m4_contract_frame, mq_apply_frame,
+)
 from qbingham.dynamics import (
-    HomState, ModelParams, default_hom_dt, homogeneous_rhs, shear_kappa,
+    HomState, ModelParams, _closed_q_rate, default_hom_dt, homogeneous_rhs, shear_kappa,
     step_homogeneous,
 )
 from qbingham.equilibrium import phase_constants
 from qbingham.tensors import eig_sym3, from_matrix, qnorm, to_matrix, uniaxial
-from conftest import count_calls, haar_rotations, random_qvec
+from conftest import count_calls, haar_rotations, random_physical, random_qvec
 from dense_ops import DirectorContext, apply_hn, apply_j, relaxation_rates
 
 P = ModelParams(alpha=7.0, epsilon=0.05, de=1.0, re=1.0, gamma=0.5,
@@ -30,7 +32,7 @@ def closed(q5, kappa, tol=DEFAULT_TOL, de=P.de):
 def rhs_at(q5, kappa, tol=DEFAULT_TOL):
     """dQ/dt of one qvec q5 (5,) at De = P.de."""
     q5 = np.reshape(q5, (1, 5))
-    return homogeneous_rhs(q5, kappa, [P.de], P, bingham_map_batch(q5, tol=tol))[0]
+    return homogeneous_rhs(kappa, [P.de], P, bingham_map_batch(q5, tol=tol))[0]
 
 
 def test_model_params_validation():
@@ -92,6 +94,30 @@ def test_linearized_rhs_matches_operators(rng):
     # second-order residual halves with h
     assert errs[1] < 0.6 * errs[0] + 1e-10
     assert errs[0] < 0.05
+
+
+def _lab_frame_rhs(q5, kappa, de, res):
+    """dQ/dt composed in the lab frame: M_Q(B - alpha Q), M4 : D and the
+    closed rate, each rotated by its own frame contraction."""
+    q_mat, rot, pair = to_matrix(q5), res.rotation, res.pair
+    m_mu = mq_apply_frame(q_mat, rot, pair, to_matrix(res.B5 - P.alpha * q5))
+    m4_d = m4_contract_frame(rot, pair, kappa)
+    return from_matrix(_closed_q_rate(q_mat, kappa, m_mu, m4_d, np.asarray(de)[:, None, None]))
+
+
+@pytest.mark.parametrize("case", ["random", "uniaxial", "zero", "mixed-de"])
+def test_in_frame_rhs_matches_lab_frame_composition(rng, case):
+    q5 = {"random": random_physical(rng, 32, 0.05),
+          "uniaxial": np.stack([uniaxial(s, n) for s, n in zip(
+              rng.uniform(-0.4, 0.9, 8), haar_rotations(rng, 8)[:, :, 0])]),
+          "zero": np.zeros((1, 5)),
+          "mixed-de": random_physical(rng, 6, 0.1)}[case]
+    de = rng.uniform(0.05, 2.0, len(q5)) if case == "mixed-de" else np.full(len(q5), P.de)
+    kappa = to_matrix(random_qvec(rng, scale=1.0)) + shear_kappa(0.8)
+    res = bingham_map_batch(q5)
+    got = homogeneous_rhs(kappa, de, P, res)
+    want = _lab_frame_rhs(q5, kappa, de, res)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_frame_indifference(rng):
@@ -198,10 +224,10 @@ def test_batch_of_one_is_the_single_state_step():
     q, res = st.q5, st.closure
     for _ in range(2):
         st = step_homogeneous(st, np.array([0.02]), P)
-        ks = [homogeneous_rhs(q, kappa, de, P, res)]
+        ks = [homogeneous_rhs(kappa, de, P, res)]
         for c in (0.5, 0.5, 1.0):
             qc = q + c * h * ks[-1]
-            ks.append(homogeneous_rhs(qc, kappa, de, P, bingham_map_batch(qc)))
+            ks.append(homogeneous_rhs(kappa, de, P, bingham_map_batch(qc)))
         k1, k2, k3, k4 = ks
         q = q + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         res = bingham_map_batch(q, delta=P.delta / 2.0)

@@ -22,8 +22,9 @@ SHAPES = {"prolate": (0.0, 0.0, 1.0), "equatorial": (1.0, 1.0, 0.0),
 
 @pytest.mark.parametrize("n_x", [9, 26, 27, 100])
 def test_x_rule_integrates_even_monomials(n_x):
-    x2, u, w, table = x_rule(n_x)
-    assert len(x2) == (n_x + 1) // 2 and table.shape == (3, len(x2), 12)
+    x2, u, w, table, expo = x_rule(n_x)
+    assert len(x2) == (n_x + 1) // 2
+    assert table.shape == (3 * len(x2), 13) and expo.shape == (3, 1 + len(x2))
     assert np.all(w > 0) and np.all(u > 0)
     np.testing.assert_allclose(x2 + u, 1.0, rtol=0, atol=2e-16)
     # int over the sphere of m3^(2k) is 4 pi / (2k + 1), exact up to degree
@@ -284,3 +285,33 @@ def test_one_moment_evaluation_per_trial_point(moment_rows):
     backtracked = sum(moment_rows["backtrack"])
     assert backtracked > 0
     assert sum(moment_rows["all"]) == len(q5) + int(iters.sum()) + backtracked
+
+
+# ---------------------------------------------------------------------------
+# starts that already meet the tolerance
+# ---------------------------------------------------------------------------
+
+def test_starts_within_tol_return_after_one_evaluation(rng, moment_rows):
+    res = bingham_map_batch(random_physical(rng, 16, 0.05))
+    w, b = res.q_eigs, res.b
+    moment_rows["all"].clear()
+    nodes = x_rule(_kernels.nodes_for_spread(60.0))
+    out = _kernels.newton_batch(w, b, nodes, tol=DEFAULT_TOL, maxit=MAX_ITER)
+    assert moment_rows["all"] == [len(w)]
+    assert np.all(out[1] < DEFAULT_TOL)
+    assert not out[2].any() and not out[3].any()
+    # bit-equal to one moment evaluation and the sweep's residual
+    lnz, second, pair = _kernels._moments_batch_np(b, *nodes)
+    res = np.sqrt(((second - (w + 1.0 / 3.0))**2).sum(axis=1))
+    for got, want in zip(out, (b, res, 0, False, lnz, second, pair)):
+        assert np.array_equal(got, np.broadcast_to(want, np.shape(got)))
+
+
+def test_nan_row_next_to_converged_starts_fails(rng):
+    res = bingham_map_batch(random_physical(rng, 4, 0.05))
+    w, b = res.q_eigs.copy(), res.b
+    w[2] = np.nan
+    out = _kernels.newton_batch(w, b, x_rule(_kernels.nodes_for_spread(60.0)),
+                                tol=DEFAULT_TOL, maxit=3)
+    assert np.isnan(out[1][2]) and not out[1][2] <= DEFAULT_TOL
+    assert np.all(out[1][[0, 1, 3]] < DEFAULT_TOL) and out[2][2] == 3

@@ -26,6 +26,37 @@ def test_matrix_round_trip(rng):
     np.testing.assert_allclose(to_matrix(from_matrix(m)), m, atol=1e-15)
 
 
+# the (row, column) entries each component of a qvec sets; q33 = -q11 - q22
+ENTRIES = {0: [(0, 0), (2, 2)], 1: [(1, 1), (2, 2)], 2: [(0, 1), (1, 0)],
+           3: [(0, 2), (2, 0)], 4: [(1, 2), (2, 1)]}
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (4, 3)])
+def test_matrix_layout_and_round_trip(rng, shape):
+    q = rng.normal(size=shape + (5,))
+    m = to_matrix(q)
+    assert m.shape == shape + (3, 3)
+    q11, q22, q12, q13, q23 = np.moveaxis(q, -1, 0)
+    want = np.stack([np.stack([q11, q12, q13], -1), np.stack([q12, q22, q23], -1),
+                     np.stack([q13, q23, -q11 - q22], -1)], -2)
+    assert np.array_equal(m, want)
+    assert np.array_equal(from_matrix(m), q)
+
+
+@pytest.mark.parametrize("component", range(5))
+def test_nan_stays_in_its_component(component):
+    q = np.ones((2, 5))
+    q[1, component] = np.nan
+    m = to_matrix(q)
+    assert not np.isnan(m[0]).any()
+    assert sorted(zip(*np.nonzero(np.isnan(m[1])))) == sorted(ENTRIES[component])
+    mat = np.ones((2, 3, 3))
+    mat[1][ENTRIES[component][0]] = np.nan
+    back = from_matrix(mat)
+    assert np.flatnonzero(np.isnan(back[1])).tolist() == [component]
+    assert not np.isnan(back[0]).any()
+
+
 def test_qdot_matches_full_contraction(rng):
     a = random_qvec(rng, 20)
     b = random_qvec(rng, 20)
