@@ -13,6 +13,7 @@ the axisymmetric integrals behind the equilibrium constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,12 +33,17 @@ class SphereQuadrature:
     weights: np.ndarray  # (M,)
 
 
+@lru_cache(maxsize=None)
 def build_quadrature(n_polar=64, n_azimuthal=128):
     """Product Gauss-Legendre x trapezoid rule on the sphere; the polar rule
     is the eigenframe solver's refined half rule (_kernels._legendre_half),
     mirrored. Spherical polynomials of degree below min(2 n_polar,
     n_azimuthal) are integrated exactly; even ones, as the Bingham integrands
-    are, below min(2 n_polar, 2 n_azimuthal) when n_azimuthal is odd."""
+    are, below min(2 n_polar, 2 n_azimuthal) when n_azimuthal is odd.
+
+    Built once per process for each (n_polar, n_azimuthal), as x_rule is, and
+    shared, so its arrays are read-only: a fresh process pays one build, and
+    repeated runs in one process (run_experiment, tests) none."""
     if n_polar < 8 or n_azimuthal < 16:
         raise ValueError("quadrature needs n_polar >= 8, n_azimuthal >= 16")
     x, wx = (np.asarray(v, dtype=float) for v in _legendre_half(int(n_polar)))
@@ -51,6 +57,7 @@ def build_quadrature(n_polar=64, n_azimuthal=128):
     mz = np.outer(x, np.ones_like(phi))
     nodes = np.stack([mx.ravel(), my.ravel(), mz.ravel()], axis=1)
     weights = np.outer(wx * (2.0 * np.pi / int(n_azimuthal)), np.ones_like(phi)).ravel()
+    nodes.flags.writeable = weights.flags.writeable = False
     return SphereQuadrature(nodes, weights)
 
 

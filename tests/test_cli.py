@@ -19,7 +19,8 @@ from qbingham.config import ConfigError, default_config, validate_config
 from qbingham.dynamics import DivergenceError, FieldSolver, smooth_random_state
 from qbingham.spectral import Grid2D
 from qbingham.sphere import bingham_moments
-from qbingham.tensors import qnorm
+from qbingham.tensors import from_matrix, qnorm
+from conftest import haar_rotations
 from dense_ops import full_sphere_moments
 
 
@@ -232,6 +233,139 @@ def test_csv_cells_are_plain_numbers(tmp_path):
             for col, cell in row.items():
                 if col != "damped":
                     float(cell)
+
+
+def _fmt_csv_bytes(header, rows):
+    """The CSV writer _csv_bytes replaced, kept as its reference: each cell
+    went through this _fmt before csv.writer."""
+    def _fmt(x):
+        if type(x) is float:
+            return repr(x)
+        if isinstance(x, (float, np.floating)):
+            return repr(float(x))
+        if isinstance(x, (np.integer,)):
+            return str(int(x))
+        return str(x)
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    for row in rows:
+        w.writerow([_fmt(x) for x in row])
+    return buf.getvalue().encode()
+
+
+def test_csv_writer_matches_the_fmt_writer():
+    # str() of a Python or numpy float64 is its shortest round-trip text, as
+    # _fmt's repr(float(x)) was. np.float32 differs (_fmt widened it to its
+    # float64 digits, str does not), and no runner writes one
+    floats = [0.1, 1e-05, 1e16, 5e-324, -0.0, float("nan"), float("inf"), float("-inf")]
+    rows = [floats, [np.float64(x) for x in floats],
+            [3, np.int64(-7), True, False, np.bool_(True), np.bool_(False)],
+            ["a,b", 'say "q"', "two\nlines", ""]]
+    header = ["h1", "h,2", 'h"3']
+    assert cli._csv_bytes(header, rows) == _fmt_csv_bytes(header, rows)
+
+
+@pytest.mark.parametrize("doc", [
+    {"experiment": "phase-table"},
+    {"experiment": "homogeneous-run", "t_final": 0.3, "sample_every": 2},
+    {"experiment": "field-run", "grid": {"n": 8}, "dt": 0.05, "steps": 3},
+    {"experiment": "small-de", "t_final": 0.05},
+    {"experiment": "closure-validate", "samples": 16},
+], ids=lambda doc: doc["experiment"])
+def test_every_runner_csv_is_the_fmt_writers(monkeypatch, doc):
+    # each CSV a runner writes, byte for byte as the _fmt writer wrote its rows
+    written, cli_csv = [], cli._csv_bytes
+
+    def recorded(header, rows):
+        rows = list(rows)
+        written.append((cli_csv(header, rows), _fmt_csv_bytes(header, rows)))
+        return written[-1][0]
+    monkeypatch.setattr(cli, "_csv_bytes", recorded)
+    cli._RUNNERS[doc["experiment"]](validate_config(doc), lambda msg: None)
+    assert len(written) == 1
+    new, old = written[0]
+    assert new == old and new.count(b"\n") > 1
+
+
+def _closure_validate_draws(seed, samples=1000, delta=0.02):
+    """closure-validate's eigenvalues, rotations and forward-check indices at
+    one seed, the rotations by rotate(rng, n)."""
+    def draws(rotate):
+        rng = np.random.default_rng(seed)
+        eigs = cli._sample_physical(rng, samples, delta)
+        rots = rotate(rng, samples)
+        return eigs, rots, rng.choice(samples, size=64, replace=False)
+    return draws(cli._random_rotations), draws(haar_rotations)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_random_rotations_are_qr_rotations(seed):
+    # on each of qbench's 16 closure-validate input sets: orthogonal to
+    # 1e-15 with det +1, within 5e-14 of the QR-and-sign-fix rotations of the
+    # same draws (Gram-Schmidt and Householder QR differ by ~u cond(A)), and
+    # the same random stream, so the same eigenvalues and checked indices
+    (eigs, rots, idx), (eigs_qr, rots_qr, idx_qr) = _closure_validate_draws(seed)
+    assert np.abs(rots.swapaxes(1, 2) @ rots - np.eye(3)).max() <= 1e-15
+    assert np.all(np.linalg.det(rots) > 0)
+    assert np.abs(rots - rots_qr).max() <= 5e-14
+    assert eigs.tobytes() == eigs_qr.tobytes()
+    assert idx.tolist() == idx_qr.tolist()
+
+
+def test_closure_validate_solves_the_qr_samples(monkeypatch):
+    # the run's inputs are those the QR rotations gave, to their rounding,
+    # and it checks the same rows
+    _, q5, res, calls = _closure_validate_recorded(
+        monkeypatch, {"experiment": "closure-validate", "params": {"delta": 0.02}})
+    (B, _), = calls
+    _, (eigs, rots, idx) = _closure_validate_draws(0)
+    assert B.tobytes() == res.B5[idx].tobytes()
+    full = np.c_[eigs, -eigs.sum(axis=1)]
+    qr = from_matrix(np.einsum("nik,nk,njk->nij", rots, full, rots))
+    np.testing.assert_allclose(q5, qr, rtol=0, atol=5e-14)
+
+
+def test_repeated_closure_validate_writes_the_same_artifacts(tmp_path):
+    # the second run in a process reuses the cached full-sphere rule; its
+    # artifacts equal the first run's but for the timings
+    cfg = validate_config({"experiment": "closure-validate", "samples": 64})
+    runs = []
+    for k in range(2):
+        assert cli.run_experiment(cfg, str(tmp_path / str(k)), quiet=True) == 0
+        runs.append({p.name: p.read_bytes() for p in (tmp_path / str(k)).iterdir()})
+    first, second = runs
+    assert first["closure_samples.csv"] == second["closure_samples.csv"]
+    drop = _TIMING_KEYS | {"wall_time_s", "outputs"}
+    for name in ("closure_summary.json", "manifest.json"):
+        a, b = (json.loads(r[name]) for r in runs)
+        assert {k: v for k, v in a.items() if k not in drop} == (
+            {k: v for k, v in b.items() if k not in drop}), name
+
+
+def test_homogeneous_run_keeps_the_reflection(tmp_path):
+    # n0 in the shear plane: the reflection gate passes and the run exits 0
+    cfg = tmp_path / "hom.json"
+    cfg.write_text(json.dumps({"experiment": "homogeneous-run", "t_final": 0.5,
+                               "theta0": 2.0}))
+    out = tmp_path / "out"
+    assert cli.main(["homogeneous-run", "--config", str(cfg), "--out", str(out),
+                     "--quiet"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["status"] == "pass"
+
+
+def test_reflection_gate_rejects_an_out_of_plane_series():
+    # 11 rows (10 steps) of max|Q| 0.4: the bound is 640 u 0.4 = 2.8e-14
+    q5 = np.zeros((11, 5))
+    q5[:, :3] = [0.2, -0.1, 0.4]
+    assert cli._keeps_reflection(q5)
+    q5[5, 4] = 2e-14
+    assert cli._keeps_reflection(q5)
+    for col in (3, 4):
+        bad = q5.copy()
+        bad[7, col] = -1e-13
+        assert not cli._keeps_reflection(bad)
+    assert not cli._keeps_reflection(np.full((2, 5), np.nan))
 
 
 def _write_snapshot(path, state, params):

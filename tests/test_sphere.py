@@ -73,6 +73,20 @@ def test_rejects_undersized_rule():
         build_quadrature(16, 8)
 
 
+def test_rule_is_built_once_and_read_only(rng):
+    # one shared rule per size for the process, so no caller may write to it;
+    # its moments are those of a rule built afresh, to the bit
+    quad = build_quadrature(64, 65)
+    assert build_quadrature(64, 65) is quad
+    for arr in (quad.nodes, quad.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    fresh = build_quadrature.__wrapped__(64, 65)
+    assert fresh is not quad
+    b = random_qvec(rng, n=9, scale=6.0)
+    assert bingham_moments(b, quad).tobytes() == bingham_moments(b, fresh).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Bingham moments
 # ---------------------------------------------------------------------------
