@@ -334,8 +334,25 @@ def _field_common(cfg, log, sample_every):
     }, dt, wall
 
 
+# the energy of an unforced field run may rise between two ledger samples
+# by at most this share of |E_0|, rounding on a dissipative step
+UPTICK_REL = 1e-10
+
+
+def _energy_monotone(e):
+    """(largest rise between consecutive samples of the energy series e, its
+    tolerance UPTICK_REL |E_0|, whether the rise stays within it): the
+    dissipation law dE/dt <= 0 of an unforced run, up to rounding."""
+    max_uptick = float(np.diff(e).max()) if len(e) > 1 else 0.0
+    tolerance = UPTICK_REL * abs(float(e[0]))
+    return max_uptick, tolerance, max_uptick <= tolerance
+
+
 def _run_field(cfg, log):
     state, series, outputs, dt, wall = _field_common(cfg, log, cfg.sample_every)
+    max_uptick, tolerance, monotone = _energy_monotone([r.total for r in series])
+    log(f"field-run: max energy uptick {max_uptick:.3e} (tolerance {tolerance:.3e}) "
+        f"-> {'PASS' if monotone else 'FAIL'}")
     if cfg.snapshot:
         outputs["field_final.qbf"], outputs["field_final.qbf.json"] = (
             _snapshot_bytes(state, cfg.params))
@@ -346,8 +363,9 @@ def _run_field(cfg, log):
         "t_final": state.t,
         "final_total_energy": series[-1].total,
         "initial_total_energy": series[0].total,
+        "max_uptick": max_uptick, "uptick_tolerance": tolerance, "monotone": monotone,
     })
-    return outputs, True
+    return outputs, monotone
 
 
 def _run_energy_audit(cfg, log):
@@ -355,17 +373,14 @@ def _run_energy_audit(cfg, log):
     e = np.array([r.total for r in series])
     d = np.array([r.dissipation for r in series])
     t = np.array([r.t for r in series])
-    scale = abs(e[0])
-    upticks = np.diff(e)
-    max_uptick = float(upticks.max()) if len(upticks) else 0.0
-    monotone = bool(max_uptick <= 1e-10 * scale)
+    max_uptick, tolerance, monotone = _energy_monotone(e)
     drop = float(e[0] - e[-1])
     integrated = float(np.trapezoid(d, t))
     balance_rel = abs(integrated - drop) / max(abs(drop), 1e-300)
     verdict = {
         "steps": cfg.steps, "dt": dt, "wall_seconds": wall,
         "energy_initial": float(e[0]), "energy_final": float(e[-1]),
-        "max_uptick": max_uptick, "uptick_tolerance": 1e-10 * scale,
+        "max_uptick": max_uptick, "uptick_tolerance": tolerance,
         "monotone": monotone,
         "energy_drop": drop, "integrated_dissipation": integrated,
         "dissipation_balance_rel_err": balance_rel,

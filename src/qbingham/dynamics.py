@@ -551,18 +551,27 @@ def energy_report(state: FieldState, params):
 # ---------------------------------------------------------------------------
 
 def _band_limited(rng, grid, n_comp):
-    """Random real field with modes |kx|, |ky| <= N_MODES, unit RMS-ish."""
+    """Random real field with modes |kx|, |ky| <= N_MODES, unit RMS-ish:
+    the sum over k != 0 of amp_k cos(k . x + ph_k) / N_MODES, one normal
+    amplitude and one uniform phase per component, drawn mode by mode.
+
+    Synthesised by one inverse real FFT (grid.ifft): amp e^{+-i ph} n^2 / 2
+    goes to +-k wherever that falls in the half spectrum ky mod n <= n/2
+    which irfft2 reads.
+    """
     n = grid.n
-    out = np.zeros((n, n, n_comp))
+    half = np.zeros((n, n // 2 + 1, n_comp), dtype=complex)
     for kx in range(-N_MODES, N_MODES + 1):
         for ky in range(-N_MODES, N_MODES + 1):
             if kx == 0 and ky == 0:
                 continue
             amp = rng.normal(size=n_comp)
-            ph = rng.uniform(0.0, 2.0 * np.pi, size=n_comp)
-            wave = (2.0 * np.pi / grid.length) * (kx * grid.x + ky * grid.y)
-            out += amp * np.cos(wave[..., None] + ph)
-    return out / N_MODES
+            coef = (0.5 * n * n / N_MODES) * amp * np.exp(
+                1j * rng.uniform(0.0, 2.0 * np.pi, size=n_comp))
+            for sx, sy, c in ((kx, ky, coef), (-kx, -ky, coef.conj())):
+                if sy % n <= n // 2:
+                    half[sx % n, sy % n] += c
+    return grid.ifft(half)
 
 
 def smooth_random_state(grid, params, seed, q_amplitude=0.5, v_amplitude=0.1):

@@ -368,6 +368,34 @@ def test_reflection_gate_rejects_an_out_of_plane_series():
     assert not cli._keeps_reflection(np.full((2, 5), np.nan))
 
 
+def test_field_run_keeps_the_dissipation_law(tmp_path):
+    # an unforced run on a 16^2 grid: the ledger energy falls at every
+    # sample, so the run passes its own gate and exits 0
+    cfg = tmp_path / "field.json"
+    cfg.write_text(json.dumps({"experiment": "field-run", "grid": {"n": 16},
+                               "dt": 0.05, "steps": 4}))
+    out = tmp_path / "out"
+    assert cli.main(["field-run", "--config", str(cfg), "--out", str(out),
+                     "--quiet"]) == 0
+    summary = json.loads((out / "run_summary.json").read_text())
+    assert summary["monotone"] is True
+    assert summary["max_uptick"] < 0.0
+    assert summary["uptick_tolerance"] == 1e-10 * abs(summary["initial_total_energy"])
+    assert json.loads((out / "manifest.json").read_text())["status"] == "pass"
+
+
+def test_dissipation_gate_rejects_a_rising_series():
+    # |E_0| = 2: a rise of up to 2e-10 between samples is rounding, more is not
+    falling = [-2.0, -2.1, -2.2, -2.3]
+    assert cli._energy_monotone(falling)[2]
+    assert cli._energy_monotone([-2.0])[::2] == (0.0, True)
+    assert cli._energy_monotone([-2.0, -2.1, -2.1 + 1e-10, -2.2])[2]
+    up, tol, ok = cli._energy_monotone([-2.0, -2.1, -2.1 + 3e-10, -2.2])
+    assert not ok and tol == 2e-10 and up == pytest.approx(3e-10, rel=1e-5)
+    assert not cli._energy_monotone([2.0, 1.9, 1.95, 1.8])[2]
+    assert not cli._energy_monotone([2.0, np.nan, 1.8])[2]
+
+
 def _write_snapshot(path, state, params):
     """The snapshot and its sidecar, as field-run writes them."""
     data, side = cli._snapshot_bytes(state, params)

@@ -102,13 +102,18 @@ def test_rejects_nonphysical():
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("component", range(5))
-def test_rejects_non_finite_row_by_index(value, component):
-    # LAPACK returns NaN eigenvalues for some non-finite Q and gives up on
-    # others; either way the row is named, before any Newton sweep
-    q5 = np.tile(uniaxial(0.3, [0, 0, 1.0]), (3, 1))
-    q5[1, component] = value
-    with pytest.raises(PhysicalityError, match="index 1"):
-        bingham_map_batch(q5)
+def test_rejects_non_finite_row_by_index(value, component, monkeypatch):
+    # the first non-finite row is named before any eigendecomposition, in a
+    # batch for LAPACK (3 rows) and one for the closed form (512 rows)
+    def no_eig(mats):
+        raise AssertionError("eigendecomposition of a non-finite batch")
+
+    monkeypatch.setattr(closure, "eig_sym3", no_eig)
+    for rows in (3, 512):
+        q5 = np.tile(uniaxial(0.3, [0, 0, 1.0]), (rows, 1))
+        q5[rows - 2:, component] = value
+        with pytest.raises(PhysicalityError, match=f"index {rows - 2}$"):
+            bingham_map_batch(q5)
 
 
 # ---------------------------------------------------------------------------

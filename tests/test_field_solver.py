@@ -121,6 +121,47 @@ def test_initial_data_outside_every_rung_raises():
         smooth_random_state(Grid2D(16), params, 0)
 
 
+def _cosine_sum(rng, grid, n_comp):
+    """dynamics._band_limited as a sum of 24 cosine waves on the grid, with
+    the same draws in the same order."""
+    out = np.zeros((grid.n, grid.n, n_comp))
+    for kx in range(-dynamics.N_MODES, dynamics.N_MODES + 1):
+        for ky in range(-dynamics.N_MODES, dynamics.N_MODES + 1):
+            if kx == 0 and ky == 0:
+                continue
+            amp = rng.normal(size=n_comp)
+            ph = rng.uniform(0.0, 2.0 * np.pi, size=n_comp)
+            wave = (2.0 * np.pi / grid.length) * (kx * grid.x + ky * grid.y)
+            out += amp * np.cos(wave[..., None] + ph)
+    return out / dynamics.N_MODES
+
+
+@pytest.mark.parametrize("n", [4, 16, 64, 128])
+def test_band_limited_field_is_the_cosine_sum(n):
+    # the inverse real FFT synthesises the same field from the same draws,
+    # to 1e-13 max|out|; n = 4 folds k = +-2 onto the Nyquist bin
+    grid = Grid2D(n, 3.0)
+    for seed in range(4):
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        ref = _cosine_sum(ref_rng, grid, 5)
+        got = dynamics._band_limited(rng, grid, 5)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert rng.random() == ref_rng.random()
+
+
+def test_field_step_takes_no_lapack_eigh(monkeypatch):
+    # on a 64^2 grid every eigendecomposition is the closed form: the
+    # initial margin bisection, the closure of the state and of the step
+    def no_eigh(*args):
+        raise AssertionError("np.linalg.eigh on a 64^2 field")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    grid = Grid2D(64)
+    solver = FieldSolver(grid, PARAMS)
+    state = solver.close(smooth_random_state(grid, PARAMS, seed=0))
+    assert solver.step(state, 0.05).t == 0.05
+
+
 def _band_limited(grid, rng, modes=4):
     """Random qvec field with Fourier modes |kx|, |ky| <= modes (in 2 pi / length)."""
     fh = grid.fft(rng.normal(size=(grid.n, grid.n, 5)))

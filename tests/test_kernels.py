@@ -34,6 +34,37 @@ def test_x_rule_integrates_even_monomials(n_x):
                                rtol=1e-14, atol=0)
 
 
+def _legendre_half_leggauss(n):
+    """The half rule as built before the asymptotic start: numpy's leggauss
+    nodes, refined by two Newton steps on P_n in long double."""
+    from numpy.polynomial.legendre import leggauss
+    x = leggauss(n)[0][n // 2:].astype(np.longdouble)
+    for _ in range(2):
+        p0, p1 = np.ones_like(x), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        u = (1 - x) * (1 + x)
+        dp = n * (p0 - x * p1) / u
+        x = x - p1 / dp
+    return x, 2 / (u * dp * dp)
+
+
+def test_half_rule_matches_the_leggauss_start():
+    # every x_rule the package builds (spread_bound's 12 nodes, the
+    # nodes_for_spread range, a_integrals' 200) and the default polar rule:
+    # the same nodes to 1 ulp and weights to 2 ulp, which is the rounding of
+    # the long-double roots both refine to (against 40-digit mpmath either
+    # rule's weights are off by up to 2 ulp at n = 100-200)
+    sizes = {12, 64, 200} | set(range(_kernels.nodes_for_spread(2.0),
+                                      _kernels.nodes_for_spread(1e9) + 1))
+    for n in sorted(sizes):
+        x, w = (np.asarray(v, dtype=float) for v in _kernels._legendre_half(n))
+        x0, w0 = (np.asarray(v, dtype=float) for v in _legendre_half_leggauss(n))
+        assert np.all(np.abs(x - x0) <= np.spacing(x0)), n
+        assert np.all(np.abs(w - w0) <= 2 * np.spacing(w0)), n
+    assert _kernels._legendre_half(13)[0][0] == 0.0
+
+
 def _moments_reference(b, dps=30):
     """ln Z, <m_i^2> and <m_i^2 m_j^2> of diagonal b from 1-D mpmath integrals.
 

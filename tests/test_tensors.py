@@ -1,11 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from qbingham.tensors import (
-    axial_parts, biaxiality, eig_sym3, eigenvalue_margin, from_matrix, qdot,
-    qnorm, to_matrix, uniaxial,
+    CLOSED_FORM_MIN, axial_parts, biaxiality, eig_sym3, eigenvalue_margin, from_matrix,
+    qdot, qnorm, to_matrix, uniaxial,
 )
-from conftest import random_physical, random_qvec, sym_traceless
+from conftest import haar_rotations, random_physical, random_qvec, sym_traceless
 from dense_ops import QBASIS, from_basis_coeffs, to_basis_coeffs
 
 
@@ -157,11 +159,14 @@ def test_eig_near_degenerate(rng):
 
 
 def test_eig_shapes(rng):
-    for shape in [(), (7,), (4, 4)]:
+    # (64, 64) takes the closed form, the others LAPACK; trace-free and not
+    for shape, shift in itertools.product([(), (7,), (4, 4), (64, 64)], [0.0, 1.0]):
         m = sym_traceless(rng.normal(size=shape + (3, 3)))
+        m = m + shift * rng.normal(size=shape + (1, 1)) * np.eye(3)
         w, r = eig_sym3(m)
         assert w.shape == shape + (3,)
         assert r.shape == shape + (3, 3)
+        assert r.flags.c_contiguous
         rec = np.einsum("...ik,...k,...jk->...ij", r, w, r)
         assert np.abs(rec - m).max() < 1e-12
 
@@ -181,6 +186,104 @@ def test_eig_degenerate_frame_right_handed(m):
     w, r = eig_sym3(m)
     assert abs(abs(np.linalg.det(r)) - 1.0) < 1e-12
     assert np.abs(r @ np.diag(w) @ r.T - m).max() <= 1e-12
+
+
+# unit roundoff
+U = np.finfo(float).eps / 2.0
+
+
+def _eig_paths(m):
+    """eig_sym3 of m (N, 3, 3) on each path: LAPACK in chunks below
+    CLOSED_FORM_MIN, the closed form on m tiled to at least that size."""
+    k = CLOSED_FORM_MIN - 1
+    parts = [eig_sym3(m[i:i + k]) for i in range(0, len(m), k)]
+    lapack = tuple(np.concatenate(x) for x in zip(*parts))
+    w, r = eig_sym3(np.tile(m, (-(-CLOSED_FORM_MIN // len(m)), 1, 1)))
+    return {"lapack": lapack, "closed": (w[:len(m)], r[:len(m)])}
+
+
+def _eig_inputs(rng):
+    """Named (N, 3, 3) batches: random, non-trace-free, uniaxial, zero, c I,
+    and pairs of eigenvalues 0 to 1e-9 apart, at both signs."""
+    rand = sym_traceless(rng.normal(size=(2000, 3, 3)))
+    dirs = rng.normal(size=(64, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    sets = {
+        "random": rand,
+        "shifted": rand + rng.uniform(-3.0, 3.0, size=(2000, 1, 1)) * np.eye(3),
+        "uniaxial": to_matrix(uniaxial(rng.uniform(-0.5, 0.9, (64, 1, 1)), dirs)),
+        "zero": np.zeros((4, 3, 3)),
+        "cI": np.array([0.25, 1.0, -2.0, 1e-300])[:, None, None] * np.eye(3),
+    }
+    for gap in (0.0, 1e-14, 1e-10, 1e-9):
+        for sign in (1.0, -1.0):
+            rot = haar_rotations(rng, 200)
+            ev = sign * np.array([-0.2, -0.2 + gap, 0.4 - gap])
+            sets[f"gap {gap:g} sign {sign:+g}"] = np.einsum("nik,k,njk->nij", rot, ev, rot)
+    return sets
+
+
+@pytest.mark.parametrize("path", ["lapack", "closed"])
+def test_eig_paths_meet_one_accuracy_contract(rng, path):
+    # per matrix, with u the unit roundoff: ||R^T A R - diag w||, |w - eigvalsh|
+    # <= 32 u max|A| and ||R^T R - I|| <= 32 u, entrywise; w ascending
+    for name, m in _eig_inputs(rng).items():
+        w, r = _eig_paths(m)[path]
+        scale = np.maximum(np.abs(m).max(axis=(1, 2)), 1e-300)
+        rt = np.swapaxes(r, 1, 2)
+        recon = np.abs(rt @ m @ r - w[:, :, None] * np.eye(3)).max(axis=(1, 2)) / scale
+        orth = np.abs(rt @ r - np.eye(3)).max(axis=(1, 2))
+        eigs = np.abs(w - np.linalg.eigvalsh(m)).max(axis=1) / scale
+        assert recon.max() <= 32 * U, name
+        assert orth.max() <= 32 * U, name
+        assert eigs.max() <= 32 * U, name
+        assert (np.diff(w, axis=1) >= 0.0).all(), name
+
+
+def test_eig_paths_agree_across_the_threshold(rng):
+    # R diag(w) R^T of the two paths agree to 32 u max|A| per matrix
+    for name, m in _eig_inputs(rng).items():
+        recs = [np.einsum("nik,nk,njk->nij", r, w, r) for w, r in _eig_paths(m).values()]
+        scale = np.maximum(np.abs(m).max(axis=(1, 2)), 1e-300)
+        assert (np.abs(recs[0] - recs[1]).max(axis=(1, 2)) <= 32 * U * scale).all(), name
+
+
+@pytest.mark.parametrize("path", ["lapack", "closed"])
+def test_eig_keeps_a_planar_block_apart(rng, path):
+    # a13 = a23 = 0: e_z is an exact eigenvector, the other two lie exactly
+    # in the x-y plane, so R diag(w) R^T has q13 = q23 = 0 to the bit
+    m = sym_traceless(rng.normal(size=(300, 3, 3)))
+    m[:, 0, 2] = m[:, 2, 0] = m[:, 1, 2] = m[:, 2, 1] = 0.0
+    w, r = _eig_paths(m)[path]
+    ez = (r[:, :2, :] == 0.0).all(axis=1)
+    assert (ez.sum(axis=1) == 1).all()
+    assert (np.abs(r[:, 2, :])[ez] == 1.0).all()
+    assert (r[:, 2, :][~ez] == 0.0).all()
+    q5 = from_matrix(np.einsum("nik,nk,njk->nij", r, w, r))
+    assert (q5[:, 3:] == 0.0).all()
+
+
+def test_eig_dispatch_by_batch_size(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(len(a)) or eigh(a))
+    m = np.tile(np.diag([0.1, 0.2, -0.3]), (CLOSED_FORM_MIN, 1, 1))
+    eig_sym3(m[1:])
+    eig_sym3(m)
+    assert calls == [CLOSED_FORM_MIN - 1]
+
+
+def test_eig_closed_form_warns_on_no_input():
+    # pytest turns warnings into errors: a non-finite matrix gives NaN
+    # eigenvalues in its own row only, as from LAPACK, and a row whose
+    # trace overflows (entries 1e308) raises no warning either
+    m = np.tile(np.diag([0.1, 0.2, -0.3]), (CLOSED_FORM_MIN, 1, 1))
+    m[3, 0, 0] = np.nan
+    m[5, 1, 2] = m[5, 2, 1] = np.inf
+    m[7] = 1e308
+    w, _ = eig_sym3(m)
+    assert np.isnan(w[[3, 5]]).any(axis=1).all()
+    assert np.abs(w[[0, 1, 2, 4, 6]] - [-0.3, 0.1, 0.2]).max() <= 1e-16
 
 
 def test_eigenvalue_margin_matches_eig_sym3(rng):
