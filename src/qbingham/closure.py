@@ -24,10 +24,14 @@ The closure operator M_Q and the fourth-moment contraction M4 : A are
 evaluated in the same eigenframe, from the pair moments <m_i^2 m_j^2> the
 solve returns; no dense fourth moment is formed. The eigenframe comes from
 tensors.eig_sym3 (LAPACK for a small batch, a closed form for a large one),
-and B5 and M4 : A rotate through it component by component over the batch
-(_component_major), not by stacks of 3x3 matrix products. The full-sphere
-rule of ``sphere`` is never passed to the solver; closure-validate uses it
-for independent forward checks.
+and B5 and M4 : A rotate through it component by component over the batch,
+not by stacks of 3x3 matrix products. The copies into that component-major
+layout (_component_major) happen once per solve result where it is read:
+in B5, and in the field's FieldSolver.close, which passes the rows of the
+rotation and pair moments to both of its frame products
+(m4_contract_frame and mq_apply_frame take rows, 3x3 axes first). The
+full-sphere rule of ``sphere`` is never passed to the solver;
+closure-validate uses it for independent forward checks.
 """
 from __future__ import annotations
 
@@ -104,26 +108,28 @@ def _component_major(m):
 # (u, v) of s = lambda + 1/3 as ratios of linear forms, using s1 + s2 + s3 = 1:
 # u = (2 s1 - 1/3 - FIT_EDGE) / (1/3 - FIT_EDGE) maps s1 in [FIT_EDGE, 1/3] and
 # v = (4 s2 - s1 - 1) / (1 - 3 s1) maps s2 in [s1, (1 - s1)/2] onto [-1, 1].
-# Columns: the two numerators, then the two denominators. v's denominator
-# carries 2^-40 (s1 + s2 + s3), so that it stays positive at Q = 0, where v is
-# 0/0, and moves v by a relative 2^-40 / (1 - 3 s1) elsewhere.
+# Rows: the two numerators, doubled (the table holds 2 T_k, see _start_block),
+# then the two denominators. v's denominator carries 2^-40 (s1 + s2 + s3), so
+# that it stays positive at Q = 0, where v is 0/0, and moves v by a relative
+# 2^-40 / (1 - 3 s1) elsewhere.
 _U_SLOPE = 2.0 / (1.0 / 3.0 - FIT_EDGE)
 _U_SHIFT = -(1.0 / 3.0 + FIT_EDGE) / (1.0 / 3.0 - FIT_EDGE)
-_FIT_MAP = np.array([[_U_SLOPE + _U_SHIFT, -2.0, 1.0, -2.0 + 2.0**-40],
-                     [_U_SHIFT, 3.0, 1.0, 1.0 + 2.0**-40],
-                     [_U_SHIFT, -1.0, 1.0, 1.0 + 2.0**-40]])
+_FIT_MAP = (np.array([[_U_SLOPE + _U_SHIFT, -2.0, 1.0, -2.0 + 2.0**-40],
+                      [_U_SHIFT, 3.0, 1.0, 1.0 + 2.0**-40],
+                      [_U_SHIFT, -1.0, 1.0, 1.0 + 2.0**-40]]) * [2.0, 2.0, 1.0, 1.0]).T.copy()
 # (b1 - b3, b2 - b3) -> trace-free b, times the -1/2 of b_i - b_3 = -y_i / (2 s_i)
 _TRACE_FREE = -0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0]]) / 3.0
-# z^k, k <= FIT_DEGREE, from z by doubling: z^(m+j) = z^m z^j
+# U_k = 2 T_k, k <= FIT_DEGREE, by doubling: U_(m+j) = U_m U_j - U_(m-j), j = 1..k
 _DOUBLING = []
 _m = 1
 while _m < FIT_DEGREE:
     _k = min(_m, FIT_DEGREE - _m)
-    _DOUBLING.append((_m, slice(1, _k + 1), slice(_m + 1, _m + _k + 1)))
+    _DOUBLING.append((_m, slice(1, _k + 1), slice(_m + 1, _m + _k + 1),
+                      slice(_m - 1, _m - _k - 1 if _m > _k else None, -1)))
     _m += _k
-# points per block of the start and of its node solves: the power table z^k,
-# (FIT_DEGREE + 1, 2, block) complex, is ~1.8 MB, below the moment kernel's
-# arrays on a 64^2 grid
+# points per block of the start and of its node solves: the table U_k,
+# (FIT_DEGREE + 1, 2 block), is ~0.9 MB, below the moment kernel's arrays on
+# a 64^2 grid
 _START_BLOCK = 1024
 
 
@@ -136,8 +142,8 @@ def _start_fit():
     the nodes are solved cold by newton_batch to FIT_TOL in blocks of
     _START_BLOCK from the Gaussian limit b = -1/(2 s), each block on the
     rule for the spread of its smallest s1. coefficients[(c, k), j]
-    multiplies T_j(u) T_k(v) in y_c. Built once per process, on the first
-    closure solve.
+    multiplies U_j(u) U_k(v) in y_c, with U = 2 T (the table of
+    _start_block). Built once per process, on the first closure solve.
     """
     n = FIT_DEGREE + 1
     theta = np.pi * (np.arange(n) + 0.5) / n
@@ -160,10 +166,11 @@ def _start_fit():
         raise RuntimeError(f"fitted start: a node solve ended at residual {res.max():.3e}")
     y = (2.0 * s[:, :2] * (b[:, 2:] - b[:, :2])).reshape(n, n, 2)
     # discrete orthogonality of T_0..T_{n-1} at the n first-kind points:
-    # coefficients of y_c are t y_c(u, v)^T t^T, rows k in v, columns j in u
+    # coefficients of y_c are t y_c(u, v)^T t^T, rows k in v, columns j in u;
+    # the 1/4 turns them into coefficients of U_j U_k (exact)
     t = np.cos(np.outer(np.arange(n), theta)) * (2.0 / n)
     t[0] *= 0.5
-    coef = (t @ y.transpose(2, 1, 0) @ t.T).reshape(2 * n, n)
+    coef = (t @ y.transpose(2, 1, 0) @ t.T).reshape(2 * n, n) * 0.25
     return coef, float(res.max())
 
 
@@ -175,6 +182,8 @@ def _fitted_start(w):
     where y is within 1% of its limit 1; 1/(2 s) is capped at EXPONENT_BUDGET.
     """
     coef = _start_fit()[0]
+    if len(w) <= _START_BLOCK:
+        return _start_block(coef, w)
     b0 = np.empty_like(w)
     for i in range(0, len(w), _START_BLOCK):
         b0[i:i + _START_BLOCK] = _start_block(coef, w[i:i + _START_BLOCK])
@@ -182,23 +191,25 @@ def _fitted_start(w):
 
 
 def _start_block(coef, w):
-    """_fitted_start of one block: T_k(x) = Re z^k with z = x + i sqrt(1 - x^2),
-    the powers from six multiplications."""
+    """_fitted_start of one block: a real, contiguous table of U_k = 2 T_k,
+    row k holding U_k at the block's n values of u and then of v, filled by
+    doubling (_DOUBLING); one GEMM in u and one einsum in v. Each doubling
+    step acts on both coordinates at once, and the GEMM reads the u half of
+    the rows in place."""
+    n = len(w)
     s = w + 1.0 / 3.0
-    h = s @ _FIT_MAP
-    x = h[:, :2] / h[:, 2:]
-    np.minimum(np.maximum(x, -1.0, out=x), 1.0, out=x)
-    x = x.T
-    z = np.empty((FIT_DEGREE + 1,) + x.shape, dtype=complex)
-    z[0] = 1.0
-    z[1].real = x
-    z[1].imag = np.sqrt(1.0 - x * x)
-    for m, lo, hi in _DOUBLING:
-        np.multiply(z[lo], z[m], out=z[hi])
-    t = z.real
-    g = (coef @ t[:, 0]).reshape(2, FIT_DEGREE + 1, -1)
-    g *= t[:, 1]
-    y = np.add.reduce(g, axis=1).T
+    h = _FIT_MAP @ s.T
+    u = np.empty((FIT_DEGREE + 1, 2 * n))
+    u[0] = 2.0
+    # u and v lie in [-1, 1] up to rounding except u below FIT_EDGE, held at -1
+    x = u[1].reshape(2, n)
+    np.maximum(np.divide(h[:2], h[2:], out=x), -2.0, out=x)
+    for m, lo, hi, rev in _DOUBLING:
+        t = u[hi]
+        np.multiply(u[lo], u[m], out=t)
+        t -= u[rev]
+    g = (coef @ u[:, :n]).reshape(2, FIT_DEGREE + 1, n)
+    y = np.einsum("ckn,kn->nc", g, u[:, n:])
     return (y / np.maximum(s[:, :2], 0.5 / _kernels.EXPONENT_BUDGET)) @ _TRACE_FREE
 
 
@@ -248,36 +259,38 @@ def bingham_map_batch(q5, delta=0.0, tol=DEFAULT_TOL):
 # eigenframe contractions (shared by the homogeneous and field settings)
 # ---------------------------------------------------------------------------
 
+_DIAG = (np.arange(3), np.arange(3))
+
+
 def _m4_in_frame(pair, at):
-    """(M4 : A) in the eigenframe, from pair[i, j] = <m_i^2 m_j^2> (..., 3, 3)
-    and A in that frame, at (..., 3, 3); only the symmetric part of A
-    contributes. Any memory layout: m4_contract_frame passes views of
-    component-major arrays."""
-    out = pair * (at + at.swapaxes(-1, -2))
-    np.einsum("...kk->...k", out)[...] = np.einsum("...kj,...jj->...k", pair, at)
+    """(M4 : A) in the eigenframe, from pair[i, j] = <m_i^2 m_j^2> and A in
+    that frame, both with their 3x3 axes first, (3, 3, ...); only the
+    symmetric part of A contributes. Any memory layout: homogeneous_rhs
+    passes transposed views of (N, 3, 3) stacks."""
+    out = pair * (at + at.swapaxes(0, 1))
+    out[_DIAG] = np.einsum("kj...,jj...->k...", pair, at)
     return out
 
 
 def m4_contract_frame(rotation, pair, A):
-    """(M4 : A) in the lab frame from eigenframe pair moments.
+    """(M4 : A) in the lab frame from eigenframe pair moments, as rows.
 
-    rotation: (..., 3, 3), pair: (..., 3, 3) with pair[i, j] = <m_i^2 m_j^2>,
-    A: (..., 3, 3) arbitrary (only its symmetric part contributes). The
-    rotations R^T A R and R M R^T run component-major (_component_major).
+    rotation, pair (pair[i, j] = <m_i^2 m_j^2>) and A, arbitrary (only its
+    symmetric part contributes), have their 3x3 axes first, (3, 3, ...), and
+    broadcast over the rest; the field passes contiguous (3, 3, N) rows
+    (_component_major), on which the einsum products R^T A R and R M R^T
+    run over N-long rows.
     """
-    shape = np.broadcast_shapes(np.shape(rotation), np.shape(pair), np.shape(A))
-    r, p, a = (_component_major(np.broadcast_to(m, shape)) for m in (rotation, pair, A))
-    at = np.einsum("ikn,iln->kln", r, np.einsum("ijn,jln->iln", a, r))
-    m = _m4_in_frame(p.transpose(2, 0, 1), at.transpose(2, 0, 1)).transpose(1, 2, 0)
-    out = np.empty(shape)
-    out.reshape(-1, 9).T[...] = np.einsum(
-        "iln,jln->ijn", np.einsum("ikn,kln->iln", r, m), r).reshape(9, -1)
-    return out
+    at = np.einsum("il...,lj...->ij...", np.einsum("ki...,kl...->il...", rotation, A), rotation)
+    m = _m4_in_frame(pair, at)
+    return np.einsum("il...,jl...->ij...", np.einsum("ik...,kl...->il...", rotation, m), rotation)
 
 
 def mq_apply_frame(q_mat, rotation, pair, A):
-    """M_Q(A) batched from eigenframe moments: A/3 + Q.A - A:M4."""
-    return A / 3.0 + q_mat @ A - m4_contract_frame(rotation, pair, A)
+    """M_Q(A) = A/3 + Q.A - A:M4 from eigenframe moments, every argument
+    with its 3x3 axes first, (3, 3, ...) (m4_contract_frame)."""
+    return (A / 3.0 + np.einsum("ik...,kj...->ij...", q_mat, A)
+            - m4_contract_frame(rotation, pair, A))
 
 
 # ---------------------------------------------------------------------------

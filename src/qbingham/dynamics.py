@@ -13,14 +13,28 @@ carries the closure of its own Q:
   SBDF2 with a constant-coefficient implicit shield, one formula in the
   step ratio omega = dt/dt_prev, zero-stable for omega < 1 + sqrt(2);
   omega = 0 on a first step). Each field state is closed once
-  (FieldSolver.close): its closure, its gradients (Grid2D.grad) and the
-  frame contractions M_Q(mu) and M4 : D are stored with it, and both the
-  right-hand side and the energy ledger read them from there. The explicit
-  terms are raw grid products, and the 2/3 dealiasing, the Leray
-  projection for the pressure and the viscous term act per mode in the
-  implicit solves of FieldSolver.step. The elastic operator and the
-  implicit Q solve are scalars per mode on each of the three parts of the
-  axial split of Q about k/|k| (tensors.axial_parts, spectral.elastic_symbols).
+  (FieldSolver.close): its closure, Q's transform, its gradients and the
+  frame contractions M_Q(mu) and M4 : D are stored with it (_Terms), and
+  the step, the right-hand side and the energy ledger read them from there.
+  Each field is transformed forward once per state: close keeps Q's
+  transform for the elastic operator, grad Q and the next step's shield,
+  and a stepped state is closed from the transforms its implicit solves
+  produced. The explicit terms are raw grid products, and the 2/3
+  dealiasing, the Leray projection for the pressure and the viscous term
+  act per mode in the implicit solves of FieldSolver.step. The elastic
+  operator and the implicit Q solve are scalars per mode on each of the
+  three parts of the axial split of Q about k/|k| (tensors.axial_parts,
+  spectral.elastic_symbols).
+
+Per-point tensors of a field (Q, mu, grad Q, grad v and the products formed
+from them) are component rows: contiguous (3, 3, N) arrays, N = n^2 points,
+with the 3x3 axes first, so that a 3x3 matrix product is one einsum over
+N-long rows and a contraction an elementwise sum, where an (n, n, 3, 3)
+stack costs one small matrix product per point. _closed_q_rate takes its
+matrices in that 3x3-axes-first order in both settings; homogeneous_rhs
+passes it transposed views of its (N, 3, 3) stacks. Fields (FieldState),
+transforms (Grid2D) and the closure batch keep their (n, n, ...) and
+(N, ...) layouts.
 
 Index conventions, fixed once for the whole package: the velocity-gradient
 matrix is kappa_ij = dv_i/dx_j (it advects material vectors), the closure
@@ -35,11 +49,13 @@ import numpy as np
 
 from .closure import (
     DEFAULT_TOL, BatchClosureResult, PhysicalityError, bingham_map_batch,
-    _m4_in_frame, m4_contract_frame, mq_apply_frame,
+    _component_major, _m4_in_frame, m4_contract_frame, mq_apply_frame,
 )
 from .equilibrium import phase_constants
 from .spectral import Grid2D, elastic_symbols
-from .tensors import axial_parts, eigenvalue_margin, from_matrix, qdot, to_matrix
+from .tensors import (
+    _matrix_rows, _qvec_rows, axial_parts, eigenvalue_margin, from_matrix, qdot,
+)
 
 __all__ = [
     "ModelParams", "HomState", "FieldState", "EnergyReport", "FieldSolver",
@@ -135,12 +151,13 @@ class HomState:
 
 
 def _closed_q_rate(q_mat, kappa, m_mu, m4_d, de):
-    """dQ/dt of the closed flow without advection, as matrices:
+    """dQ/dt of the closed flow without advection, as matrices with their
+    3x3 axes first, (3, 3, ...), de broadcasting over the rest:
     -(2/De)(M_Q(mu) + M_Q(mu)^T) + G + G^T with G = M_Q(kappa^T) =
     kappa^T/3 + Q kappa^T - M4 : D (M4 sees only the symmetric part D)."""
-    g = kappa.swapaxes(-1, -2)
-    g = g / 3.0 + q_mat @ g - m4_d
-    return -(2.0 / de) * (m_mu + m_mu.swapaxes(-1, -2)) + g + g.swapaxes(-1, -2)
+    g = kappa.swapaxes(0, 1)
+    g = g / 3.0 + np.einsum("ik...,kj...->ij...", q_mat, g) - m4_d
+    return -(2.0 / de) * (m_mu + m_mu.swapaxes(0, 1)) + g + g.swapaxes(0, 1)
 
 
 def homogeneous_rhs(kappa, de, params, closure):
@@ -151,16 +168,17 @@ def homogeneous_rhs(kappa, de, params, closure):
     mu = B - alpha Q. The velocity gradient enters through its transpose.
     In the eigenframe of Q and B, Q = diag(w), mu = diag(m), m = b - alpha w,
     and M_Q(mu) = diag(m/3 + w m - pair m): kappa is rotated into the frame,
-    _closed_q_rate is evaluated there and the rate rotated back.
+    _closed_q_rate is evaluated there, on 3x3-axes-first views of the
+    (N, 3, 3) stacks, and the rate rotated back.
     """
     rot, w, pair = closure.rotation, closure.q_eigs, closure.pair
     rt = rot.swapaxes(-1, -2)
     m = closure.b - params.alpha * w
     m_mu = (w + 1.0 / 3.0) * m - (pair @ m[..., None])[..., 0]
-    kap = rt @ kappa @ rot
-    rate = _closed_q_rate(w[..., None] * _I3, kap, m_mu[..., None] * _I3,
-                          _m4_in_frame(pair, kap), np.asarray(de)[:, None, None])
-    return from_matrix(rot @ rate @ rt)
+    kap = (rt @ kappa @ rot).transpose(1, 2, 0)
+    rate = _closed_q_rate(_I3[..., None] * w.T, kap, _I3[..., None] * m_mu.T,
+                          _m4_in_frame(pair.transpose(1, 2, 0), kap), np.asarray(de))
+    return from_matrix(rot @ rate.transpose(2, 0, 1) @ rt)
 
 
 def _bulk_rate(constants):
@@ -212,84 +230,89 @@ def step_homogeneous(state: HomState, dt, params, tol=DEFAULT_TOL, _depth=0):
 # spectral field operators
 # ---------------------------------------------------------------------------
 
-def _modal_apply(grid, f, q5_field):
-    """Apply f1 P1 + f2 P2 + f3 P3 per mode to a qvec field, with P the axial
-    split of Q about grid.khat and f (3, n, nh) the per-mode scalars: one
-    forward and one inverse transform."""
-    qh = grid.fft(q5_field)
+def _modal_apply(grid, f, qh):
+    """f1 P1 + f2 P2 + f3 P3 applied per mode to a qvec transform qh, with P
+    the axial split of Q about grid.khat and f (3, n, nh) the per-mode
+    scalars; spectral in, spectral out."""
     p1, p2 = axial_parts(qh, grid.khat)
     f = f[..., None]
-    return grid.ifft(f[2] * qh + (f[0] - f[2]) * p1 + (f[1] - f[2]) * p2)
+    return f[2] * qh + (f[0] - f[2]) * p1 + (f[1] - f[2]) * p2
 
 
-def elastic_operator(q5_field, grid, lam):
-    """L(Q) = -(L1 Lap Q + L2 (Q_ik,jk + Q_jk,ik)), deviatoric, per point.
+def elastic_operator(qh, grid, lam):
+    """L(Q) = -(L1 Lap Q + L2 (Q_ik,jk + Q_jk,ik)), deviatoric, per point, as
+    a qvec field, from the transform qh = grid.fft(q5_field): one inverse
+    transform.
 
     Evaluated mode-by-mode from its eigenvalues lam = elastic_symbols(grid,
     L1, L2) on the axial split of Q about k/|k|, the same symbols the
     implicit time-step solves use.
     """
-    return _modal_apply(grid, lam, q5_field)
+    return grid.ifft(_modal_apply(grid, lam, qh))
 
 
-def _grad_q(q5_field, grid):
-    """dQ stack (n, n, 2, 3, 3): dq[..., a, k, l] = d_a Q_kl, a in (x, y)."""
-    return to_matrix(grid.grad(q5_field))
+def _grad_q(qh, grid):
+    """grad Q as rows dq[a, k, l] = d_a Q_kl, (2, 3, 3, N) with a in (x, y),
+    from Q's transform qh: one inverse transform."""
+    return _matrix_rows(grid.grad_hat(qh).reshape(-1, 2, 5).transpose(1, 2, 0))
 
 
 def elastic_energy(dq, grid, L1, L2, epsilon):
     """F_e = (eps/2) int L1 |grad Q|^2 + L2 (|div Q|^2 + Q_jk,i Q_ik,j) from
-    the gradient stack dq[..., a, k, l] = d_a Q_kl of shape (n, n, 2, 3, 3)."""
-    t_l1 = np.einsum("...akl,...akl->...", dq, dq)
-    divq = dq[..., 0, :, 0] + dq[..., 1, :, 1]
-    t_div = np.einsum("...k,...k->...", divq, divq)
-    cross = np.einsum("...akb,...bka->...", dq[..., :, :, :2], dq[..., :, :, :2])
+    the gradient rows dq[a, k, l] = d_a Q_kl, (2, 3, 3, N) (_grad_q)."""
+    t_l1 = np.einsum("akl...,akl...->...", dq, dq)
+    divq = dq[0, :, 0] + dq[1, :, 1]
+    t_div = np.einsum("k...,k...->...", divq, divq)
+    cross = np.einsum("akb...,bka...->...", dq[:, :, :2], dq[:, :, :2])
     dens = 0.5 * epsilon * (L1 * t_l1 + L2 * (t_div + cross))
     return grid.mean_integral(dens)
 
 
 def distortion_stress(dq, L1, L2):
-    """sigma^d(Q) from the gradient stack dq[..., a, k, l] = d_a Q_kl of
-    shape (n, n, 2, 3, 3), with layout sigma[..., j, i]; force_i = d_j sigma[j, i].
+    """sigma^d(Q) as rows sigma[j, i], (3, 3, N), from the gradient rows
+    dq[a, k, l] = d_a Q_kl, (2, 3, 3, N); force_i = d_j sigma[j, i].
 
-    sigma_ji = -(L1 Q_kl,j Q_kl,i + L2 Q_km,m Q_kj,i + L2 Q_kj,l Q_kl,i).
+    sigma_ji = -(L1 Q_kl,j Q_kl,i + L2 Q_km,m Q_kj,i + L2 Q_kj,l Q_kl,i),
+    with derivatives in the plane only: the first term fills j, i < 2, the
+    others i < 2.
     """
-    n2 = dq.shape[:2]
-    sig = np.zeros(n2 + (3, 3))
-    flat = dq.reshape(n2 + (2, 9))                                    # [a, (k, l)]
-    sig[..., :2, :2] -= L1 * (flat @ np.swapaxes(flat, -1, -2))
-    divq = dq[..., 0, :, 0] + dq[..., 1, :, 1]
-    sig[..., :, :2] -= L2 * np.swapaxes((divq[..., None, None, :] @ dq)[..., 0, :], -1, -2)
-    planar = np.swapaxes(dq[..., :2], -1, -2).reshape(n2 + (2, 6))   # [b, (a, k)]
-    sig[..., :, :2] -= L2 * np.swapaxes(planar @ dq.reshape(n2 + (6, 3)), -1, -2)
+    sig = np.zeros((3, 3) + dq.shape[3:])
+    sig[:2, :2] = -L1 * np.einsum("jkl...,ikl...->ji...", dq, dq)
+    divq = dq[0, :, 0] + dq[1, :, 1]
+    sig[:, :2] -= L2 * (np.einsum("k...,ikj...->ji...", divq, dq)
+                        + np.einsum("lkj...,ikl...->ji...", dq, dq[:, :, :2]))
     return sig
 
 
 def _div_stress(sig, grid):
-    """force_i = d_j sigma[..., j, i] (planar j): one forward, one inverse transform."""
-    sh = grid.fft(sig[..., :2, :])
-    return grid.ifft(1j * (grid.kx[..., None] * sh[..., 0, :]
-                           + grid.ky[..., None] * sh[..., 1, :]))
+    """force_i = d_j sigma[j, i] (planar j) of stress rows sigma (3, 3, N):
+    one forward, one inverse transform."""
+    n = grid.n
+    sh = grid.fft(sig[:2].reshape(6, n, n).transpose(1, 2, 0))      # [(j, i)]
+    return grid.ifft(1j * (grid.kx[..., None] * sh[..., :3]
+                           + grid.ky[..., None] * sh[..., 3:]))
 
 
-def _kappa_field(v, grid):
-    """kappa_ij = dv_i/dx_j as an (n, n, 3, 3) field."""
-    kap = np.zeros(v.shape[:-1] + (3, 3))
-    kap[..., :2] = np.swapaxes(grid.grad(v), -1, -2)
+def _kappa_field(vh, grid):
+    """kappa_ij = dv_i/dx_j as rows (3, 3, N), from v's transform vh: one
+    inverse transform."""
+    kap = np.zeros((3, 3, grid.n * grid.n))
+    kap[:, :2] = grid.grad_hat(vh).reshape(-1, 2, 3).transpose(2, 1, 0)
     return kap
 
 
-def mu_field(q5_field, grid, params, lam):
-    """Molecular field mu = (B - alpha Q) + eps L(Q) and the closure batch.
+def mu_field(q5_field, qh, grid, params, lam):
+    """Molecular field mu = (B - alpha Q) + eps L(Q) as rows (3, 3, N), and
+    the closure batch.
 
-    lam are the elastic symbols of the grid, as FieldSolver holds them.
+    qh is the transform grid.fft(q5_field) and lam the elastic symbols of
+    the grid, as FieldSolver holds them.
     """
-    n = grid.n
     res = bingham_map_batch(q5_field.reshape(-1, 5), delta=params.delta / 2.0)
-    mu5 = res.B5.reshape(n, n, 5) - params.alpha * q5_field
+    mu5 = res.B5.T - params.alpha * q5_field.reshape(-1, 5).T       # (5, N)
     if params.epsilon != 0.0:
-        mu5 = mu5 + params.epsilon * elastic_operator(q5_field, grid, lam)
-    return mu5, res
+        mu5 += params.epsilon * elastic_operator(qh, grid, lam).reshape(-1, 5).T
+    return _matrix_rows(mu5), res
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +321,11 @@ def mu_field(q5_field, grid, params, lam):
 
 @dataclass(frozen=True)
 class _History:
-    """The previous time level of the two-step scheme: its fields, its
-    explicit terms and the step that left it."""
+    """The previous time level of the two-step scheme: its fields, the
+    transform qh of its Q, its explicit terms and the step that left it."""
 
     q5: np.ndarray
+    qh: np.ndarray
     v: np.ndarray
     fq: np.ndarray
     fv: np.ndarray
@@ -310,12 +334,24 @@ class _History:
 
 @dataclass(frozen=True)
 class _Terms:
-    """The terms of one field state that its RHS and its energy ledger share:
-    mu_field's (mu5, res) of q5, dq = grad Q (_grad_q), kap = grad v
-    (_kappa_field), m_mu = M_Q(mu) and m4_d = M4 : D with D = sym(kap)."""
+    """The terms of one field state that its step, its RHS and its energy
+    ledger share.
 
-    mu5: np.ndarray
+    qh is Q's transform (grid.fft layout): the state's elastic operator and
+    grad Q read it, and the next step's shield extrapolation reuses it. res
+    is mu_field's closure batch, in its own (N, ...) layout. The per-point
+    tensors are contiguous component rows, their 3x3 axes ahead of the
+    N = n^2 points: q = Q, mu = mu_field's mu, dq = grad Q as (2, 3, 3, N)
+    (_grad_q), kap = grad v (_kappa_field), m_mu = M_Q(mu) and m4_d = M4 : D
+    with D = sym(kap). On such rows a 3x3 product is one einsum over N-long
+    rows and a contraction an elementwise sum, where (n, n, 3, 3) stacks take
+    one small matrix product per point; each is formed once per state.
+    """
+
     res: BatchClosureResult
+    qh: np.ndarray
+    q: np.ndarray
+    mu: np.ndarray
     dq: np.ndarray
     kap: np.ndarray
     m_mu: np.ndarray
@@ -327,11 +363,12 @@ class FieldState:
     """Periodic (Q, v) fields, the terms of the state's own (q5, v) and the
     previous step for the two-step scheme.
 
-    closure holds the _Terms of this state: its closure, grad Q, grad v,
-    M_Q(mu) and M4 : D. They depend on both q5 and v. The solver owns them:
-    FieldSolver.close computes them once for an initial state, and
-    FieldSolver.step for every state it returns. Both the right-hand side
-    and the energy ledger read them from here.
+    closure holds the _Terms of this state: its closure, Q's transform and
+    the rows of Q, mu, grad Q, grad v, M_Q(mu) and M4 : D. They depend on
+    both q5 and v. The solver owns them: FieldSolver.close computes them
+    once for an initial state, and FieldSolver.step for every state it
+    returns. The step, the right-hand side and the energy ledger read them
+    from here.
     """
 
     grid: Grid2D
@@ -400,39 +437,52 @@ class FieldSolver:
         self.bulk_shield = _bulk_rate(phase_constants(params.alpha, params.L1, params.L2)) / 4.0
 
     def close(self, state: FieldState):
-        """`state` with the terms of its (q5, v): mu_field's closure (delta/2
-        margin), grad Q, grad v, M_Q(mu) and M4 : D."""
-        grid, n = self.grid, self.grid.n
-        mu5, res = mu_field(state.q5, grid, self.params, self.lam)
-        rot = res.rotation.reshape(n, n, 3, 3)
-        pair = res.pair.reshape(n, n, 3, 3)
-        kap = _kappa_field(state.v, grid)
+        """`state` with the terms of its (q5, v) (_Terms): Q's transform,
+        mu_field's closure (delta/2 margin), and the rows of Q, mu, grad Q,
+        grad v, M_Q(mu) and M4 : D.
+
+        Each field is forward-transformed once, here; the elastic operator,
+        grad Q and the next step's shield read Q's transform, and grad v
+        reads v's. The rotation and pair moments of the closure are made
+        component-major once, for both frame products. `step` closes the
+        state it returns from the transforms its implicit solves produced,
+        so a step transforms no field forward a second time.
+        """
+        return self._close(state, self.grid.fft(state.q5), self.grid.fft(state.v))
+
+    def _close(self, state, qh, vh):
+        """close, from the transforms qh of state.q5 and vh of state.v."""
+        grid = self.grid
+        mu, res = mu_field(state.q5, qh, grid, self.params, self.lam)
+        rot, pair = _component_major(res.rotation), _component_major(res.pair)
+        q = _matrix_rows(state.q5.reshape(-1, 5).T)
+        kap = _kappa_field(vh, grid)
         return replace(state, closure=_Terms(
-            mu5, res, _grad_q(state.q5, grid), kap,
-            mq_apply_frame(to_matrix(state.q5), rot, pair, to_matrix(mu5)),
-            m4_contract_frame(rot, pair, kap)))
+            res, qh, q, mu, _grad_q(qh, grid), kap,
+            mq_apply_frame(q, rot, pair, mu), m4_contract_frame(rot, pair, kap)))
 
     def rhs(self, state: FieldState):
         """Explicit RHS (fq5, fv) of a closed state, including the forcing.
 
         Raw grid products: neither dealiased nor pressure-projected, and
         without the viscous term, all of which `step` applies implicitly.
+        The closed Q rate, advection and stress are formed on the state's
+        component rows.
         """
-        grid, p = self.grid, self.params
-        v = state.v
+        grid, p, n = self.grid, self.params, self.grid.n
         terms = _closure_of(state)
         dq, kap = terms.dq, terms.kap
+        vx, vy = state.v.reshape(-1, 3).T[:2]
 
-        fq_mat = (_closed_q_rate(to_matrix(state.q5), kap, terms.m_mu, terms.m4_d, p.de)
-                  - v[..., 0, None, None] * dq[..., 0, :, :]
-                  - v[..., 1, None, None] * dq[..., 1, :, :])
-        fq5 = from_matrix(fq_mat)
+        fq = (_closed_q_rate(terms.q, kap, terms.m_mu, terms.m4_d, p.de)
+              - vx * dq[0] - vy * dq[1])
+        fq5 = _qvec_rows(fq).T.reshape(n, n, 5)
 
         sig = ((1.0 - p.gamma) / (2.0 * p.re)) * terms.m4_d
-        sig = sig + ((1.0 - p.gamma) / (p.de * p.re)) * (
+        sig += ((1.0 - p.gamma) / (p.de * p.re)) * (
             2.0 * terms.m_mu + p.epsilon * distortion_stress(dq, p.L1, p.L2))
         fv = _div_stress(sig, grid)
-        fv -= v[..., 0:1] * kap[..., 0] + v[..., 1:2] * kap[..., 1]
+        fv -= (vx * kap[:, 0] + vy * kap[:, 1]).T.reshape(n, n, 3)
         if self.forcing is not None:
             f_q, f_v = self.forcing(state.t)
             fq5 = fq5 + f_q
@@ -452,39 +502,42 @@ class FieldSolver:
         for omega < 1 + sqrt(2). Q solve: (a + A_Q) q1 = r_Q with
         A_Q = (4/De)(c_b + eps c_bar L), a scalar per mode on each part of
         the axial split about k/|k| (L's eigenvalues elastic_symbols), then
-        the 2/3 mask. Velocity solve: (a - (gamma/Re) Lap) v1 = r_v,
-        then the mask and the Leray projection. The closure solve of q1
-        starts from the closure's fitted start, and its delta/2 margin check
-        raises PhysicalityError.
+        the 2/3 mask; the shield term A_Q X* joins r_Q in spectral space,
+        from the transforms of Q that both time levels carry. Velocity
+        solve: (a - (gamma/Re) Lap) v1 = r_v, then the mask and the Leray
+        projection, whose transform the divergence check reads. The closure
+        solve of q1 starts from the closure's fitted start, and its delta/2
+        margin check raises PhysicalityError.
         """
         grid, p = self.grid, self.params
+        terms = _closure_of(state)
         cbar = (2.0 / 15.0) * (1.0 + 3.0 * float(np.sqrt(qdot(state.q5, state.q5)).max()))
         fq, fv = self.rhs(state)
         s = (4.0 / p.de) * (self.bulk_shield + p.epsilon * cbar * self.lam)
         # without history, dt_prev = inf gives omega = 0 and zero weight to it
-        hist = state.hist or _History(state.q5, state.v, fq, fv, np.inf)
+        hist = state.hist or _History(state.q5, terms.qh, state.v, fq, fv, np.inf)
 
         w = dt / hist.dt
         a = (1.0 + 2.0 * w) / ((1.0 + w) * dt)
         c0, c1, cdt = (1.0 + w) ** 2, w * w, (1.0 + w) * dt
-        rq = ((c0 * state.q5 - c1 * hist.q5) / cdt + (1.0 + w) * fq - w * hist.fq
-              + _modal_apply(grid, s, (1.0 + w) * state.q5 - w * hist.q5))
+        rq = (c0 * state.q5 - c1 * hist.q5) / cdt + (1.0 + w) * fq - w * hist.fq
         rv = (c0 * state.v - c1 * hist.v) / cdt + (1.0 + w) * fv - w * hist.fv
-        q1 = _modal_apply(grid, grid.dealias_mask / (a + s), rq)
+        rqh = grid.fft(rq) + _modal_apply(grid, s, (1.0 + w) * terms.qh - w * hist.qh)
+        q1h = _modal_apply(grid, grid.dealias_mask / (a + s), rqh)
         vh = grid.fft(rv)
         vh /= (a + (p.gamma / p.re) * grid.ksq)[..., None]
-        v1 = grid.ifft(grid.leray_hat(grid.dealias_hat(vh)))
+        v1h = grid.leray_hat(grid.dealias_hat(vh))
 
-        div_res = grid.divergence_residual(v1)
+        div_res = grid.divergence_residual(v1h)
         if not div_res <= 1e-10:
             raise DivergenceError(
                 f"divergence residual {div_res:.2e} after projection at "
                 f"t={state.t + dt:.5g}")
 
-        new = FieldState(grid=grid, q5=q1, v=v1, t=state.t + dt,
-                         hist=_History(state.q5, state.v, fq, fv, dt))
+        new = FieldState(grid=grid, q5=grid.ifft(q1h), v=grid.ifft(v1h), t=state.t + dt,
+                         hist=_History(state.q5, terms.qh, state.v, fq, fv, dt))
         try:
-            return self.close(new)
+            return self._close(new, q1h, v1h)
         except PhysicalityError as exc:
             raise PhysicalityError(
                 f"field left the delta/2 physical margin at t={new.t:.5g}: {exc}") from exc
@@ -516,33 +569,34 @@ class FieldSolver:
         return min(adv, 0.1 * self.params.de)
 
 
+def _row_dot(a, b):
+    """A : B per point of two row stacks (3, 3, N)."""
+    return np.einsum("ij...,ij...->...", a, b)
+
+
 def energy_report(state: FieldState, params):
     """Energy ledger: E = 1/2 int |v|^2 + (1-gamma)/(Re De) (F_b + F_e) and
     the three dissipation components of the balance law.
 
     Sums only: the closure, gradients and frame contractions are the terms
-    the closed state carries, the ones its right-hand side reads.
+    the closed state carries, the rows its right-hand side reads.
     """
     grid, p = state.grid, params
-    n = grid.n
     terms = _closure_of(state)
-    lnz = terms.res.log_z.reshape(n, n)
-    b5 = terms.res.B5.reshape(n, n, 5)
+    res = terms.res
+    q5 = state.q5.reshape(-1, 5)
 
     kinetic = 0.5 * grid.mean_integral((state.v**2).sum(axis=-1))
-    f_bulk = grid.mean_integral(
-        -lnz + qdot(state.q5, b5) - 0.5 * p.alpha * qdot(state.q5, state.q5))
+    f_bulk = grid.mean_integral(-res.log_z + qdot(q5, res.B5) - 0.5 * p.alpha * qdot(q5, q5))
     f_el = elastic_energy(terms.dq, grid, p.L1, p.L2, p.epsilon)
     total = kinetic + (1.0 - p.gamma) / (p.re * p.de) * (f_bulk + f_el)
 
-    grad_v_sq = np.einsum("...ij,...ij->...", terms.kap, terms.kap)
-    dmat = 0.5 * (terms.kap + np.swapaxes(terms.kap, -1, -2))
-    d_m4_d = np.einsum("...ij,...ij->...", dmat, terms.m4_d)
-    mu_m_mu = np.einsum("...ij,...ij->...", to_matrix(terms.mu5), terms.m_mu)
-
-    d_visc = (p.gamma / p.re) * grid.mean_integral(grad_v_sq)
-    d_clos = (1.0 - p.gamma) / (2.0 * p.re) * grid.mean_integral(d_m4_d)
-    d_rot = 4.0 * (1.0 - p.gamma) / (p.re * p.de**2) * grid.mean_integral(mu_m_mu)
+    kap = terms.kap
+    d_visc = (p.gamma / p.re) * grid.mean_integral(_row_dot(kap, kap))
+    d_clos = (1.0 - p.gamma) / (2.0 * p.re) * grid.mean_integral(
+        _row_dot(0.5 * (kap + kap.swapaxes(0, 1)), terms.m4_d))
+    d_rot = 4.0 * (1.0 - p.gamma) / (p.re * p.de**2) * grid.mean_integral(
+        _row_dot(terms.mu, terms.m_mu))
     return EnergyReport(state.t, kinetic, f_bulk, f_el, total, d_visc, d_clos, d_rot)
 
 
@@ -560,7 +614,7 @@ def _band_limited(rng, grid, n_comp):
     which irfft2 reads.
     """
     n = grid.n
-    half = np.zeros((n, n // 2 + 1, n_comp), dtype=complex)
+    half = np.zeros((n_comp, n, n // 2 + 1), dtype=complex)    # component-major
     for kx in range(-N_MODES, N_MODES + 1):
         for ky in range(-N_MODES, N_MODES + 1):
             if kx == 0 and ky == 0:
@@ -570,8 +624,8 @@ def _band_limited(rng, grid, n_comp):
                 1j * rng.uniform(0.0, 2.0 * np.pi, size=n_comp))
             for sx, sy, c in ((kx, ky, coef), (-kx, -ky, coef.conj())):
                 if sy % n <= n // 2:
-                    half[sx % n, sy % n] += c
-    return grid.ifft(half)
+                    half[:, sx % n, sy % n] += c
+    return grid.ifft(np.moveaxis(half, 0, -1))
 
 
 def smooth_random_state(grid, params, seed, q_amplitude=0.5, v_amplitude=0.1):
@@ -603,7 +657,7 @@ def smooth_random_state(grid, params, seed, q_amplitude=0.5, v_amplitude=0.1):
 
     psi_w = _band_limited(rng, grid, 2)
     dpsi = grid.grad(psi_w[..., 0])
-    v = np.stack([dpsi[..., 1], -dpsi[..., 0], psi_w[..., 1]], axis=-1)
+    v = np.moveaxis(np.stack([dpsi[..., 1], -dpsi[..., 0], psi_w[..., 1]]), 0, -1)
     v = grid.leray(v)
     vmax = np.abs(v).max()
     if vmax > 0:

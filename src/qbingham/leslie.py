@@ -37,14 +37,20 @@ __all__ = [
 _NUMERICAL = (PhysicalityError, RuntimeError, ArithmeticError)
 
 
-def director_rhs(n, kappa, constants: PhaseConstants):
-    """dn/dt for the homogeneous director equation at directors n (..., 3);
-    orthogonal to n."""
-    n = np.asarray(n, dtype=float)
+def _flow_parts(kappa):
+    """(W^T, D) of a velocity gradient: the transposed spin and the strain rate."""
     kappa = np.asarray(kappa, dtype=float)
-    omega = 0.5 * (kappa - kappa.T)
-    dn_d = n @ (0.5 * (kappa + kappa.T))  # D n, D symmetric
-    dn = n @ omega.T + constants.zeta * (dn_d - (dn_d * n).sum(-1, keepdims=True) * n)
+    return (0.5 * (kappa - kappa.T)).T, 0.5 * (kappa + kappa.T)
+
+
+def director_rhs(n, kappa, constants: PhaseConstants, flow=None):
+    """dn/dt for the homogeneous director equation at directors n (..., 3);
+    orthogonal to n. flow is _flow_parts(kappa) when the caller holds it:
+    step_director forms it once for its four stages."""
+    n = np.asarray(n, dtype=float)
+    spin_t, strain = _flow_parts(kappa) if flow is None else flow
+    dn_d = n @ strain  # D n, D symmetric
+    dn = n @ spin_t + constants.zeta * (dn_d - (dn_d * n).sum(-1, keepdims=True) * n)
     return dn - (dn * n).sum(-1, keepdims=True) * n
 
 
@@ -53,9 +59,10 @@ def step_director(n, kappa, constants, dt):
     array over the rows, or a scalar), with renormalization (keeps |n| = 1
     exactly); returns the stepped directors."""
     h = np.asarray(dt, dtype=float)[..., None]
+    flow = _flow_parts(kappa)
 
     def f(m):
-        return director_rhs(m, kappa, constants)
+        return director_rhs(m, kappa, constants, flow)
 
     k1 = f(n)
     k2 = f(n + 0.5 * h * k1)

@@ -50,6 +50,21 @@ def from_matrix(m):
     return m.reshape(m.shape[:-2] + (9,)).take(_QVEC_OF_MATRIX, axis=-1)
 
 
+def _matrix_rows(c):
+    """Component-major qvecs c (..., 5, N) -> contiguous matrix rows
+    (..., 3, 3, N), the 3x3 axes ahead of the batch axis (the field's layout):
+    to_matrix with the components first."""
+    m = np.take(c, _MATRIX_OF_QVEC, axis=-2)
+    m[..., 8, :] = -c[..., 0, :] - c[..., 1, :]
+    return m.reshape(c.shape[:-2] + (3, 3, c.shape[-1]))
+
+
+def _qvec_rows(m):
+    """Matrix rows (3, 3, N), assumed symmetric traceless -> contiguous
+    component-major qvecs (5, N): from_matrix with the components first."""
+    return m.reshape((9,) + m.shape[2:]).take(_QVEC_OF_MATRIX, axis=0)
+
+
 def qdot(a, b):
     """Inner product A:B = A_ij B_ij in the 5-component representation."""
     a = np.asarray(a)
@@ -81,7 +96,8 @@ def axial_parts(q, n):
     With s = n . Q n and u = Q n - s n: P1 Q = (3/2) s (nn - I/3) and
     P2 Q = n u + u n. The rest, P3 q = q - P1 q - P2 q, has P3 Q n = 0. The
     three are orthogonal projections in A:B. For n = 0 both parts are 0.
-    Written out in components: this runs per Fourier mode in every field step.
+    Written out in components: this runs per Fourier mode in every field step,
+    and the parts come out component-major in memory, as the field's spectra.
     """
     n0, n1, n2 = np.moveaxis(np.asarray(n, dtype=float), -1, 0)
     q11, q22, q12, q13, q23 = np.moveaxis(np.asarray(q), -1, 0)
@@ -92,10 +108,10 @@ def axial_parts(q, n):
     u0, u1, u2 = v0 - s * n0, v1 - s * n1, v2 - s * n2
     c = 1.5 * s
     p1 = np.stack([c * (n0 * n0 - 1.0 / 3.0), c * (n1 * n1 - 1.0 / 3.0),
-                   c * n0 * n1, c * n0 * n2, c * n1 * n2], axis=-1)
+                   c * n0 * n1, c * n0 * n2, c * n1 * n2])
     p2 = np.stack([2.0 * n0 * u0, 2.0 * n1 * u1, n0 * u1 + n1 * u0,
-                   n0 * u2 + n2 * u0, n1 * u2 + n2 * u1], axis=-1)
-    return p1, p2
+                   n0 * u2 + n2 * u0, n1 * u2 + n2 * u1])
+    return np.moveaxis(p1, 0, -1), np.moveaxis(p2, 0, -1)
 
 
 # ---------------------------------------------------------------------------

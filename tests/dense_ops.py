@@ -4,7 +4,8 @@ full_sphere_moments is the oracle of the Bingham moments: Z, the traceless
 second moment and the dense fourth moment M4 of one B, each by a plain sum
 over the nodes of a full-sphere rule. apply_mq is the closure operator M_Q
 from those moments; the eigenframe contractions of ``closure`` must agree
-with it. The rest are the operators
+with it. distortion_stress_sum is the field's distortion stress by its
+index sums. The rest are the operators
 linearized at the uniaxial equilibrium Q0 = S2 (nn - I/3): the moment-map
 linearization acts on Q by three scalar coefficients xi_i and its inverse by
 psi_i; H_n = (inverse) - alpha annihilates in-plane director rotations and is
@@ -55,6 +56,22 @@ def full_sphere_moments(B, quad):
     m4 = ((f[:, None] * mm).T @ mm).reshape(3, 3, 3, 3)
     return FullSphereMoments(float(np.exp(np.log(z0) + shift)), from_matrix(second - _I3 / 3.0),
                              m4)
+
+
+def distortion_stress_sum(grad_q, L1, L2):
+    """The distortion stress of one point by its index sums,
+    sigma_ji = -(L1 Q_kl,j Q_kl,i + L2 Q_km,m Q_kj,i + L2 Q_kj,l Q_kl,i),
+    from grad_q[a, k, l] = d_a Q_kl for a in (x, y); d_z Q = 0."""
+    d = np.zeros((3, 3, 3))
+    d[:2] = grad_q
+    sig = np.zeros((3, 3))
+    for j in range(3):
+        for i in range(3):
+            for k in range(3):
+                for l in range(3):
+                    sig[j, i] -= (L1 * d[j, k, l] * d[i, k, l] + L2 * d[l, k, l] * d[i, k, j]
+                                  + L2 * d[l, k, j] * d[i, k, l])
+    return sig
 
 
 def apply_mq(moments, A):

@@ -98,11 +98,14 @@ def test_linearized_rhs_matches_operators(rng):
 
 def _lab_frame_rhs(q5, kappa, de, res):
     """dQ/dt composed in the lab frame: M_Q(B - alpha Q), M4 : D and the
-    closed rate, each rotated by its own frame contraction."""
-    q_mat, rot, pair = to_matrix(q5), res.rotation, res.pair
-    m_mu = mq_apply_frame(q_mat, rot, pair, to_matrix(res.B5 - P.alpha * q5))
-    m4_d = m4_contract_frame(rot, pair, kappa)
-    return from_matrix(_closed_q_rate(q_mat, kappa, m_mu, m4_d, np.asarray(de)[:, None, None]))
+    closed rate, each rotated by its own frame contraction, on rows with
+    the 3x3 axes first."""
+    q_mat, rot, pair, mu = (np.moveaxis(m, 0, -1) for m in (
+        to_matrix(q5), res.rotation, res.pair, to_matrix(res.B5 - P.alpha * q5)))
+    m_mu = mq_apply_frame(q_mat, rot, pair, mu)
+    m4_d = m4_contract_frame(rot, pair, kappa[..., None])
+    rate = _closed_q_rate(q_mat, kappa[..., None], m_mu, m4_d, np.asarray(de))
+    return from_matrix(np.moveaxis(rate, -1, 0))
 
 
 @pytest.mark.parametrize("case", ["random", "uniaxial", "zero", "mixed-de"])

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from qbingham.closure import PhysicalityError, m4_contract_frame, mq_apply_frame
-from qbingham import closure, dynamics
+from qbingham import closure, dynamics, tensors
 from qbingham.config import default_config
 from qbingham.dynamics import DivergenceError, FieldSolver, smooth_random_state
 from qbingham.spectral import Grid2D
 from qbingham.tensors import eigenvalue_margin, from_matrix, qdot, to_matrix, uniaxial
+from dense_ops import distortion_stress_sum
 from mms_common import _spectral_restrict, rms_difference, run_manufactured, solve_manufactured
 
 PARAMS = default_config("field-run").params
@@ -162,6 +163,15 @@ def test_field_step_takes_no_lapack_eigh(monkeypatch):
     assert solver.step(state, 0.05).t == 0.05
 
 
+@pytest.mark.parametrize("L1, L2", [(1.0, 0.5), (1.0, -0.4), (2.0, 3.0)])
+def test_distortion_stress_is_the_index_sum(rng, L1, L2):
+    # random symmetric traceless gradients d_x Q, d_y Q at 40 points, as rows
+    dq = np.moveaxis(to_matrix(rng.normal(size=(40, 2, 5))), 0, -1)
+    got = dynamics.distortion_stress(dq, L1, L2)
+    want = np.stack([distortion_stress_sum(dq[..., p], L1, L2) for p in range(40)], axis=-1)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def _band_limited(grid, rng, modes=4):
     """Random qvec field with Fourier modes |kx|, |ky| <= modes (in 2 pi / length)."""
     fh = grid.fft(rng.normal(size=(grid.n, grid.n, 5)))
@@ -178,10 +188,10 @@ def test_elastic_operator_is_the_variation_of_the_elastic_energy(rng, L1, L2):
     q, dir_h = _band_limited(grid, rng), _band_limited(grid, rng)
 
     def f_e(q5):
-        return dynamics.elastic_energy(to_matrix(grid.grad(q5)), grid, L1, L2, eps)
+        return dynamics.elastic_energy(dynamics._grad_q(grid.fft(q5), grid), grid, L1, L2, eps)
 
     fd = (f_e(q + h * dir_h) - f_e(q - h * dir_h)) / (2.0 * h)
-    lq = dynamics.elastic_operator(q, grid, dynamics.elastic_symbols(grid, L1, L2))
+    lq = dynamics.elastic_operator(grid.fft(q), grid, dynamics.elastic_symbols(grid, L1, L2))
     exact = eps * grid.mean_integral(qdot(lq, dir_h))
     assert abs(fd - exact) <= 1e-10 * abs(exact), (fd, exact)
 
@@ -245,12 +255,15 @@ def test_each_state_carries_its_own_closure(monkeypatch):
         assert st.hist.q5 is prev.q5
         cold = solver.close(st).closure
         assert np.abs(st.closure.res.B5 - cold.res.B5).max() <= 1e-9
-        assert np.abs(st.closure.mu5 - cold.mu5).max() <= 1e-9
+        assert np.abs(st.closure.mu - cold.mu).max() <= 1e-9
 
 
 def test_ledger_reads_the_terms_the_step_computed(monkeypatch):
-    # close() computes grad Q, grad v, M_Q(mu) and M4 : D once per state;
-    # the ledger sums them and transforms or contracts nothing itself
+    # close() computes grad Q, grad v, M_Q(mu) and M4 : D once per state, and
+    # Q's and mu's matrices once; a step transforms each field forward once
+    # (the RHS stress, the two implicit right-hand sides) and back once per
+    # product, and the ledger sums the terms and transforms, contracts or
+    # forms nothing itself
     grid = Grid2D(16)
     solver = FieldSolver(grid, PARAMS)
     state = solver.close(smooth_random_state(grid, PARAMS, seed=0))
@@ -269,27 +282,35 @@ def test_ledger_reads_the_terms_the_step_computed(monkeypatch):
     count(closure, "m4_contract_frame", "m4")   # inside mq_apply_frame
     count(dynamics, "m4_contract_frame", "m4")
     count(dynamics, "mq_apply_frame", "mq")
+    count(closure, "to_matrix", "to_matrix")    # the closure solve's eigen input
+    count(tensors, "to_matrix", "to_matrix")
+    count(dynamics, "_matrix_rows", "rows")     # Q, mu and grad Q
     new = solver.step(state, 0.05)
     stepped = dict(calls)
     calls.clear()
     dynamics.energy_report(new, PARAMS)
     assert not calls
-    assert stepped["transform"] == 15 and stepped["m4"] == 2
+    assert stepped == {"transform": 9, "m4": 2, "mq": 1, "to_matrix": 1, "rows": 3}
+
+
+def _rows(m):
+    """(n, n, ..., 3, 3) -> rows (..., 3, 3, n^2)."""
+    m = np.moveaxis(m, (0, 1), (-2, -1))
+    return m.reshape(m.shape[:-2] + (-1,))
 
 
 def _ledger_from_scratch(state, p):
-    """The energy ledger evaluated from the state's fields and its closure
-    batch alone, with its own transforms and frame contractions."""
+    """The energy ledger evaluated from the state's fields, its mu and its
+    closure batch alone, with its own transforms and frame contractions."""
     grid, n = state.grid, state.grid.n
-    mu5, res = state.closure.mu5, state.closure.res
-    rot = res.rotation.reshape(n, n, 3, 3)
-    pair = res.pair.reshape(n, n, 3, 3)
+    res = state.closure.res
+    rot, pair = (np.moveaxis(m, 0, -1) for m in (res.rotation, res.pair))
     q5, v = state.q5, state.v
     dq = to_matrix(grid.grad(q5))
     kap = np.zeros((n, n, 3, 3))
     kap[..., :2] = np.swapaxes(grid.grad(v), -1, -2)
-    dmat = 0.5 * (kap + np.swapaxes(kap, -1, -2))
-    mumat = to_matrix(mu5)
+    dmat = _rows(0.5 * (kap + np.swapaxes(kap, -1, -2)))
+    mumat = state.closure.mu
 
     kinetic = 0.5 * grid.mean_integral((v**2).sum(axis=-1))
     bulk = grid.mean_integral(-res.log_z.reshape(n, n) + qdot(q5, res.B5.reshape(n, n, 5))
@@ -301,9 +322,9 @@ def _ledger_from_scratch(state, p):
     total = kinetic + (1.0 - p.gamma) / (p.re * p.de) * (bulk + elastic)
     d_visc = (p.gamma / p.re) * grid.mean_integral((kap**2).sum(axis=(-2, -1)))
     d_clos = (1.0 - p.gamma) / (2.0 * p.re) * grid.mean_integral(
-        (dmat * m4_contract_frame(rot, pair, dmat)).sum(axis=(-2, -1)))
+        (dmat * m4_contract_frame(rot, pair, dmat)).sum(axis=(0, 1)))
     d_rot = 4.0 * (1.0 - p.gamma) / (p.re * p.de**2) * grid.mean_integral(
-        (mumat * mq_apply_frame(to_matrix(q5), rot, pair, mumat)).sum(axis=(-2, -1)))
+        (mumat * mq_apply_frame(_rows(to_matrix(q5)), rot, pair, mumat)).sum(axis=(0, 1)))
     return dynamics.EnergyReport(state.t, kinetic, bulk, elastic, total,
                                  d_visc, d_clos, d_rot)
 
