@@ -182,8 +182,6 @@ def _fitted_start(w):
     where y is within 1% of its limit 1; 1/(2 s) is capped at EXPONENT_BUDGET.
     """
     coef = _start_fit()[0]
-    if len(w) <= _START_BLOCK:
-        return _start_block(coef, w)
     b0 = np.empty_like(w)
     for i in range(0, len(w), _START_BLOCK):
         b0[i:i + _START_BLOCK] = _start_block(coef, w[i:i + _START_BLOCK])

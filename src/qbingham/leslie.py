@@ -37,20 +37,16 @@ __all__ = [
 _NUMERICAL = (PhysicalityError, RuntimeError, ArithmeticError)
 
 
-def _flow_parts(kappa):
-    """(W^T, D) of a velocity gradient: the transposed spin and the strain rate."""
-    kappa = np.asarray(kappa, dtype=float)
-    return (0.5 * (kappa - kappa.T)).T, 0.5 * (kappa + kappa.T)
-
-
-def director_rhs(n, kappa, constants: PhaseConstants, flow=None):
+def director_rhs(n, kappa, constants: PhaseConstants):
     """dn/dt for the homogeneous director equation at directors n (..., 3);
-    orthogonal to n. flow is _flow_parts(kappa) when the caller holds it:
-    step_director forms it once for its four stages."""
+    orthogonal to n. D n = (kappa n + kappa^T n)/2 and W n = kappa n - D n,
+    so no 3x3 spin or strain is formed in any of step_director's four
+    stages."""
     n = np.asarray(n, dtype=float)
-    spin_t, strain = _flow_parts(kappa) if flow is None else flow
-    dn_d = n @ strain  # D n, D symmetric
-    dn = n @ spin_t + constants.zeta * (dn_d - (dn_d * n).sum(-1, keepdims=True) * n)
+    kappa = np.asarray(kappa, dtype=float)
+    kn = n @ kappa.T
+    dn_d = 0.5 * (kn + n @ kappa)  # D n
+    dn = kn - dn_d + constants.zeta * (dn_d - (dn_d * n).sum(-1, keepdims=True) * n)
     return dn - (dn * n).sum(-1, keepdims=True) * n
 
 
@@ -59,10 +55,9 @@ def step_director(n, kappa, constants, dt):
     array over the rows, or a scalar), with renormalization (keeps |n| = 1
     exactly); returns the stepped directors."""
     h = np.asarray(dt, dtype=float)[..., None]
-    flow = _flow_parts(kappa)
 
     def f(m):
-        return director_rhs(m, kappa, constants, flow)
+        return director_rhs(m, kappa, constants)
 
     k1 = f(n)
     k2 = f(n + 0.5 * h * k1)

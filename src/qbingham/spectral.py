@@ -87,7 +87,10 @@ class Grid2D:
 
     def divergence_residual(self, v):
         """Max |k . v_hat| relative to the field scale (0 for solenoidal v),
-        from the field v or, when v is complex, from its transform v_hat."""
+        from the field v or, when v is complex, from its transform v_hat.
+        The field solver passes the spectrum its velocity solve produced, so
+        its check reads the projection's output before the inverse
+        transform, without an irfft2/rfft2 round trip."""
         vh = v if np.iscomplexobj(v) else self.fft(v)
         div = np.abs(self.kx * vh[..., 0] + self.ky * vh[..., 1])
         scale = np.abs(vh).max() * (np.sqrt(self.ksq).max() + 1.0) + 1e-300
