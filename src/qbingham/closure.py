@@ -182,6 +182,11 @@ def _fitted_start(w):
     where y is within 1% of its limit 1; 1/(2 s) is capped at EXPONENT_BUDGET.
     """
     coef = _start_fit()[0]
+    # one block is returned as _start_block makes it: the output buffer, the
+    # loop and the copy cost ~2.4 us of a ~56 us start at 2 points
+    # (BENCH_field-rows.json, start_shortcut_us)
+    if len(w) <= _START_BLOCK:
+        return _start_block(coef, w)
     b0 = np.empty_like(w)
     for i in range(0, len(w), _START_BLOCK):
         b0[i:i + _START_BLOCK] = _start_block(coef, w[i:i + _START_BLOCK])
