@@ -128,8 +128,8 @@ while _m < FIT_DEGREE:
                       slice(_m - 1, _m - _k - 1 if _m > _k else None, -1)))
     _m += _k
 # points per block of the start and of its node solves: the table U_k,
-# (FIT_DEGREE + 1, 2 block), is ~0.9 MB, below the moment kernel's arrays on
-# a 64^2 grid
+# (FIT_DEGREE + 1, 2 block), and the GEMM's product, as large, are ~1.9 MB
+# together, below the moment kernel's arrays on a 64^2 grid
 _START_BLOCK = 1024
 
 
@@ -198,11 +198,18 @@ def _start_block(coef, w):
     row k holding U_k at the block's n values of u and then of v, filled by
     doubling (_DOUBLING); one GEMM in u and one einsum in v. Each doubling
     step acts on both coordinates at once, and the GEMM reads the u half of
-    the rows in place."""
+    the rows in place.
+
+    The table and the GEMM's product share one allocation. As two arrays of
+    half its size, glibc's malloc handed them back to the system after each
+    1000-point solve (its trim threshold follows the largest block it has
+    freed), and closure-validate re-faulted ~413 pages a run in the start
+    and the Newton solve that follows it; as one, it faults none."""
     n = len(w)
     s = w + 1.0 / 3.0
     h = _FIT_MAP @ s.T
-    u = np.empty((FIT_DEGREE + 1, 2 * n))
+    tab = np.empty((2, FIT_DEGREE + 1, 2 * n))
+    u = tab[0]
     u[0] = 2.0
     # u and v lie in [-1, 1] up to rounding except u below FIT_EDGE, held at -1
     x = u[1].reshape(2, n)
@@ -211,8 +218,8 @@ def _start_block(coef, w):
         t = u[hi]
         np.multiply(u[lo], u[m], out=t)
         t -= u[rev]
-    g = (coef @ u[:, :n]).reshape(2, FIT_DEGREE + 1, n)
-    y = np.einsum("ckn,kn->nc", g, u[:, n:])
+    g = np.matmul(coef, u[:, :n], out=tab[1].reshape(2 * (FIT_DEGREE + 1), n))
+    y = np.einsum("ckn,kn->nc", g.reshape(2, FIT_DEGREE + 1, n), u[:, n:])
     return (y / np.maximum(s[:, :2], 0.5 / _kernels.EXPONENT_BUDGET)) @ _TRACE_FREE
 
 
