@@ -20,7 +20,7 @@ import os
 import struct
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 
 import numpy as np
 
@@ -302,7 +302,7 @@ def _run_homogeneous(cfg, log):
 
 
 def _field_common(cfg, log, sample_every):
-    from .dynamics import FieldSolver, energy_report, smooth_random_state
+    from .dynamics import EnergyReport, FieldSolver, energy_report, smooth_random_state
     from .spectral import Grid2D
 
     p = cfg.params
@@ -325,12 +325,9 @@ def _field_common(cfg, log, sample_every):
     log(f"field run: {cfg.steps} steps of dt={dt:g} in {wall:.1f}s; "
         f"E {series[0].total:.6f} -> {series[-1].total:.6f}")
 
-    header = ["t", "kinetic", "bulk", "elastic", "total",
-              "d_viscous", "d_closure", "d_rotational"]
-    rows = [[r.t, r.kinetic, r.bulk, r.elastic, r.total,
-             r.d_viscous, r.d_closure, r.d_rotational] for r in series]
     return state, series, {
-        "energy_series.csv": _csv_bytes(header, rows),
+        "energy_series.csv": _csv_bytes([f.name for f in fields(EnergyReport)],
+                                        map(astuple, series)),
     }, dt, wall
 
 

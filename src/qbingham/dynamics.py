@@ -17,14 +17,14 @@ carries the closure of its own Q:
   frame contractions M_Q(mu) and M4 : D are stored with it (_Terms), and
   the step, the right-hand side and the energy ledger read them from there.
   Each field is transformed forward once per state: close keeps Q's
-  transform for the elastic operator, grad Q and the next step's shield,
-  and a stepped state is closed from the transforms its implicit solves
-  produced. The explicit terms are raw grid products; the 2/3 mask and the
-  viscous term sit in the per-mode diagonals of FieldSolver.step's implicit
-  solves, and the Leray projection for the pressure follows. The elastic
-  operator and the implicit Q solve are scalars per mode on each of the
-  three parts of the axial split of Q about k/|k| (tensors.axial_parts,
-  spectral.elastic_symbols).
+  transform for the elastic operator, grad Q and the next step's
+  extrapolation, and a stepped state is closed from the transforms its
+  implicit solves produced. The explicit terms are raw grid products; the 2/3
+  mask and the viscous term sit in the per-mode diagonals of
+  FieldSolver.step's implicit solves, and the Leray projection for the
+  pressure follows. The elastic operator and the implicit Q solve are each
+  one tensors.axial_apply a step: scalars per mode on the three parts of the
+  axial split of Q about k/|k| (spectral.elastic_symbols).
 
 Per-point tensors of a field (Q, mu, grad Q, grad v and the products formed
 from them) are component rows: contiguous (3, 3, N) arrays, N = n^2 points,
@@ -54,7 +54,7 @@ from .closure import (
 from .equilibrium import phase_constants
 from .spectral import Grid2D, elastic_symbols
 from .tensors import (
-    _matrix_rows, _qvec_rows, axial_parts, eigenvalue_margin, from_matrix, qdot,
+    _matrix_rows, _qvec_rows, axial_apply, eigenvalue_margin, from_matrix, qdot,
 )
 
 __all__ = [
@@ -230,15 +230,6 @@ def step_homogeneous(state: HomState, dt, params, tol=DEFAULT_TOL, _depth=0):
 # spectral field operators
 # ---------------------------------------------------------------------------
 
-def _modal_apply(grid, f, qh):
-    """f1 P1 + f2 P2 + f3 P3 applied per mode to a qvec transform qh, with P
-    the axial split of Q about grid.khat and f (3, n, nh) the per-mode
-    scalars; spectral in, spectral out."""
-    p1, p2 = axial_parts(qh, grid.khat)
-    f = f[..., None]
-    return f[2] * qh + (f[0] - f[2]) * p1 + (f[1] - f[2]) * p2
-
-
 def elastic_operator(qh, grid, lam):
     """L(Q) = -(L1 Lap Q + L2 (Q_ik,jk + Q_jk,ik)), deviatoric, per point, as
     a qvec field, from the transform qh = grid.fft(q5_field): one inverse
@@ -248,7 +239,7 @@ def elastic_operator(qh, grid, lam):
     L1, L2) on the axial split of Q about k/|k|, the same symbols the
     implicit time-step solves use.
     """
-    return grid.ifft(_modal_apply(grid, lam, qh))
+    return grid.ifft(axial_apply(qh, grid.khat, lam))
 
 
 def _grad_q(qh, grid):
@@ -338,7 +329,7 @@ class _Terms:
     ledger share.
 
     qh is Q's transform (grid.fft layout): the state's elastic operator and
-    grad Q read it, and the next step's shield extrapolation reuses it. res
+    grad Q read it, and the next step's extrapolation reuses it. res
     is mu_field's closure batch, in its own (N, ...) layout. The per-point
     tensors are contiguous component rows, their 3x3 axes ahead of the
     N = n^2 points: q = Q, mu = mu_field's mu, dq = grad Q as (2, 3, 3, N)
@@ -413,7 +404,9 @@ class FieldSolver:
     PhaseConstants (rate_par, rate_perp) at equilibrium. Everything
     else, including the full closure nonlinearity, is explicit; the shield
     enters only through a second-difference bracket so the scheme stays
-    second order regardless of the shield values.
+    second order regardless of the shield values. The elastic operator and
+    the implicit Q operator are each one tensors.axial_apply about k/|k|: a
+    step makes two of them and nine transforms.
 
     `rhs` returns the raw explicit terms. The 2/3 mask, the Leray
     projection and the viscous term (gamma/Re) Lap v act per mode, so `step`
@@ -441,7 +434,7 @@ class FieldSolver:
         grad v, M_Q(mu) and M4 : D.
 
         Each field is forward-transformed once, here; the elastic operator,
-        grad Q and the next step's shield read Q's transform, and grad v
+        grad Q and the next step's extrapolation read Q's transform, and grad v
         reads v's. The rotation and pair moments of the closure are made
         component-major once, for both frame products. `step` closes the
         state it returns from the transforms its implicit solves produced,
@@ -498,15 +491,17 @@ class FieldSolver:
         ((1 + 2 omega) X1 - (1 + omega)^2 X0 + omega^2 X_-1) / ((1 + omega) dt)
         = (1 + omega) f0 - omega f_-1 - A (X1 - X*) (Wang & Ruuth, J. Comput.
         Math. 26, 2008); it is second order at any step ratio and zero-stable
-        for omega < 1 + sqrt(2). Q solve: (a + A_Q) q1 = r_Q with
+        for omega < 1 + sqrt(2). Q solve: (a + A_Q) q1 = r_Q + A_Q X* with
         A_Q = (4/De)(c_b + eps c_bar L), a scalar per mode on each part of
-        the axial split about k/|k| (L's eigenvalues elastic_symbols), the
-        2/3 mask in its diagonal; the shield term A_Q X* joins r_Q in spectral
-        space, from the transforms of Q that both time levels carry. Velocity
-        solve: (a - (gamma/Re) Lap) v1 = r_v, the mask likewise, then the
-        Leray projection, whose transform the divergence check reads. The closure
-        solve of q1 starts from the closure's fitted start, and its delta/2
-        margin check raises PhysicalityError.
+        the axial split about k/|k| (L's eigenvalues elastic_symbols), under
+        the 2/3 mask M. As A_Q X* = (a + A_Q) X* - a X*, it is solved for the
+        increment from the extrapolation, q1^ = M X*^ + M (r_Q^ - a X*^) /
+        (a + A_Q): one axial_apply, so the shield needs none of its own.
+        X*^ comes from the transforms of Q that both time levels carry.
+        Velocity solve: (a - (gamma/Re) Lap) v1 = r_v, the mask likewise, then
+        the Leray projection, whose transform the divergence check reads. The
+        closure solve of q1 starts from the closure's fitted start, and its
+        delta/2 margin check raises PhysicalityError.
         """
         grid, p = self.grid, self.params
         terms = _closure_of(state)
@@ -521,10 +516,11 @@ class FieldSolver:
         c0, c1, cdt = (1.0 + w) ** 2, w * w, (1.0 + w) * dt
         rq = (c0 * state.q5 - c1 * hist.q5) / cdt + (1.0 + w) * fq - w * hist.fq
         rv = (c0 * state.v - c1 * hist.v) / cdt + (1.0 + w) * fv - w * hist.fv
-        rqh = grid.fft(rq) + _modal_apply(grid, s, (1.0 + w) * terms.qh - w * hist.qh)
-        q1h = _modal_apply(grid, grid.dealias_mask / (a + s), rqh)
+        xh = (1.0 + w) * terms.qh - w * hist.qh
+        mask = grid.dealias_mask
+        q1h = mask[..., None] * xh + axial_apply(grid.fft(rq) - a * xh, grid.khat, mask / (a + s))
         vh = grid.fft(rv)
-        vh *= (grid.dealias_mask / (a + (p.gamma / p.re) * grid.ksq))[..., None]
+        vh *= (mask / (a + (p.gamma / p.re) * grid.ksq))[..., None]
         v1h = grid.leray_hat(vh)
 
         div_res = grid.divergence_residual(v1h)

@@ -12,8 +12,8 @@ and a transform keeps that order from its input to its output.
 Products are formed on the grid without dealiasing; the field solver folds
 the 2/3 mask (`dealias_mask`) into both implicit solves' per-mode
 diagonals. The elastic operator is diagonal per mode in the axial split
-of Q about the unit wavevector `Grid2D.khat` (tensors.axial_parts);
-`elastic_symbols` gives its three eigenvalues.
+of Q about the unit wavevector `Grid2D.khat`: `elastic_symbols` gives its
+three eigenvalues, and tensors.axial_apply(qh, grid.khat, lam) applies it.
 """
 from __future__ import annotations
 
@@ -94,9 +94,9 @@ def elastic_symbols(grid, L1, L2):
 
     L(Q)^hat = L1 k^2 Q + L2 dev(k (Q k) + (Q k) k) acts as
     (L1 + 4 L2 / 3) k^2 on k^k^ - I/3, (L1 + L2) k^2 on k^e + e k^ (e . k = 0)
-    and L1 k^2 on the modes with Q k = 0: the parts P1, P2, P3 of
-    tensors.axial_parts about k^ = grid.khat. All three are >= 0 under the
-    standing assumptions L1 > 0, L1 + 2 L2 > 0.
+    and L1 k^2 on the modes with Q k = 0: the parts P1, P2, P3 of the axial
+    split about k^ = grid.khat (tensors.axial_apply). All three are >= 0
+    under the standing assumptions L1 > 0, L1 + 2 L2 > 0.
     """
     return np.stack([(L1 + 4.0 * L2 / 3.0) * grid.ksq, (L1 + L2) * grid.ksq,
                      L1 * grid.ksq])

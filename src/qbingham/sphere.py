@@ -34,7 +34,7 @@ class SphereQuadrature:
 
 
 @lru_cache(maxsize=None)
-def build_quadrature(n_polar=64, n_azimuthal=128):
+def build_quadrature(n_polar, n_azimuthal):
     """Product Gauss-Legendre x trapezoid rule on the sphere; the polar rule
     is the eigenframe solver's refined half rule (_kernels._legendre_half),
     mirrored. Spherical polynomials of degree below min(2 n_polar,

@@ -11,11 +11,11 @@ fourth moment as its pair moments <m_i^2 m_j^2> in the eigenframe; only
 the tests' full-sphere reference forms a dense (3, 3, 3, 3) M4.
 ``eig_sym3`` gives the eigenframe: a batch of fewer than CLOSED_FORM_MIN
 matrices goes to LAPACK, a larger one to a closed form vectorised over the
-batch; ``eigenvalue_margin`` reads its eigenvalues. ``axial_parts`` splits
-Q relative to a unit vector n into its parts on nn - I/3, on the pair
-n e + e n (e . n = 0) and on the tensors with Q n = 0; the field solver
-takes n = k/|k| per Fourier mode, where this split diagonalizes the
-elastic operator.
+batch; ``eigenvalue_margin`` reads its eigenvalues. ``axial_apply`` is the
+operator that acts as one scalar on each of the three parts of Q's axial
+split about a unit vector n: the parts on nn - I/3, on the pair n e + e n
+(e . n = 0) and on the tensors with Q n = 0. About n = k/|k| per Fourier
+mode it is the elastic operator and the field solver's implicit Q solve.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ import numpy as np
 
 __all__ = [
     "to_matrix", "from_matrix", "qdot", "qnorm",
-    "eig_sym3", "eigenvalue_margin", "biaxiality", "uniaxial", "axial_parts",
+    "eig_sym3", "eigenvalue_margin", "biaxiality", "uniaxial", "axial_apply",
 ]
 
 # ---------------------------------------------------------------------------
@@ -89,29 +89,36 @@ def uniaxial(s, n):
     return from_matrix(m)
 
 
-def axial_parts(q, n):
-    """The parts (P1 q, P2 q) of qvecs q (..., 5), real or complex, on
-    nn - I/3 and on {n e + e n : e . n = 0}, for unit vectors n (..., 3).
+def axial_apply(q, n, f):
+    """f[0] P1 q + f[1] P2 q + f[2] P3 q, one scalar on each part of the
+    axial split of qvecs q (..., 5), real or complex, about unit vectors n
+    (..., 3); f holds three scalars or arrays that broadcast with the batch.
 
-    With s = n . Q n and u = Q n - s n: P1 Q = (3/2) s (nn - I/3) and
-    P2 Q = n u + u n. The rest, P3 q = q - P1 q - P2 q, has P3 Q n = 0. The
-    three are orthogonal projections in A:B. For n = 0 both parts are 0.
-    Written out in components: this runs per Fourier mode in every field step,
-    and the parts come out component-major in memory, as the field's spectra.
+    With v = Q n and s = n . v: P1 Q = (3/2) s (nn - I/3), P2 Q = n u + u n
+    with u = v - s n, and P3 Q = Q - P1 Q - P2 Q has P3 Q n = 0; the three are
+    orthogonal projections in A:B. n = 0 gives f[2] q. Written out in
+    components from v and s, per Fourier mode twice a field step; the result
+    is component-major in memory, as the field's spectra.
     """
     n0, n1, n2 = np.moveaxis(np.asarray(n, dtype=float), -1, 0)
     q11, q22, q12, q13, q23 = np.moveaxis(np.asarray(q), -1, 0)
+    f0, f1, f2 = f
     v0 = q11 * n0 + q12 * n1 + q13 * n2                      # Q n
     v1 = q12 * n0 + q22 * n1 + q23 * n2
     v2 = q13 * n0 + q23 * n1 - (q11 + q22) * n2
     s = v0 * n0 + v1 * n1 + v2 * n2
-    u0, u1, u2 = v0 - s * n0, v1 - s * n1, v2 - s * n2
-    c = 1.5 * s
-    p1 = np.stack([c * (n0 * n0 - 1.0 / 3.0), c * (n1 * n1 - 1.0 / 3.0),
-                   c * n0 * n1, c * n0 * n2, c * n1 * n2])
-    p2 = np.stack([2.0 * n0 * u0, 2.0 * n1 * u1, n0 * u1 + n1 * u0,
-                   n0 * u2 + n2 * u0, n1 * u2 + n2 * u1])
-    return np.moveaxis(p1, 0, -1), np.moveaxis(p2, 0, -1)
+    # f2 Q + (f0 - f2) P1 Q + (f1 - f2) P2 Q = f2 Q - d I + n w + w n, with
+    # w = (c/2) n + b v; its trace c - 3 d + 2 b s is 0 as |n| = 1 or n = 0
+    b, d = f1 - f2, (0.5 * (f0 - f2)) * s
+    hc = 1.5 * d - b * s
+    w0, w1, w2 = hc * n0 + b * v0, hc * n1 + b * v1, hc * n2 + b * v2
+    out = np.empty((5,) + hc.shape, dtype=hc.dtype)
+    out[0] = f2 * q11 + 2.0 * n0 * w0 - d
+    out[1] = f2 * q22 + 2.0 * n1 * w1 - d
+    out[2] = f2 * q12 + n0 * w1 + n1 * w0
+    out[3] = f2 * q13 + n0 * w2 + n2 * w0
+    out[4] = f2 * q23 + n1 * w2 + n2 * w1
+    return np.moveaxis(out, 0, -1)
 
 
 # ---------------------------------------------------------------------------

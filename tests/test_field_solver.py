@@ -299,12 +299,14 @@ def test_ledger_reads_the_terms_the_step_computed(monkeypatch):
     count(closure, "to_matrix", "to_matrix")    # the closure solve's eigen input
     count(tensors, "to_matrix", "to_matrix")
     count(dynamics, "_matrix_rows", "rows")     # Q, mu and grad Q
+    count(dynamics, "axial_apply", "axial")     # the elastic operator, the Q solve
     new = solver.step(state, 0.05)
     stepped = dict(calls)
     calls.clear()
     dynamics.energy_report(new, PARAMS)
     assert not calls
-    assert stepped == {"transform": 9, "m4": 2, "mq": 1, "to_matrix": 1, "rows": 3}
+    assert stepped == {"transform": 9, "m4": 2, "mq": 1, "to_matrix": 1, "rows": 3,
+                       "axial": 2}
 
 
 def _rows(m):
@@ -352,3 +354,61 @@ def test_ledger_matches_a_from_scratch_evaluation():
         ref = vars(_ledger_from_scratch(st, PARAMS))
         for key, val in ref.items():
             assert abs(got[key] - val) <= 1e-15 * abs(val), (key, got[key], val)
+
+
+# The four maps that send the periodic square grid to itself: Q -> R Q R^T
+# and v -> R v at the mapped point, (g f)(x) = R f(R^T x). Each R has entries
+# 0 and +-1, so the map itself is exact; the 2/3 mask is a square without the
+# Nyquist modes and is invariant under all four.
+def _grid_maps(n):
+    back = (-np.arange(n)) % n                  # index of -x
+    swap = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    return {
+        "rotation by 90 degrees": (np.diag([-1.0, 1.0, 1.0]) @ swap,
+                                   lambda f: np.swapaxes(f[:, back], 0, 1)),
+        "x -> -x": (np.diag([-1.0, 1.0, 1.0]), lambda f: f[back]),
+        "x <-> y": (swap, lambda f: np.swapaxes(f, 0, 1)),
+        "z -> -z": (np.diag([1.0, 1.0, -1.0]), lambda f: f),
+    }
+
+
+def _mapped(state, rot, points):
+    q5 = from_matrix(rot @ to_matrix(state.q5) @ rot.T)
+    return dataclasses.replace(state, q5=np.ascontiguousarray(points(q5)),
+                               v=np.ascontiguousarray(points(state.v @ rot.T)),
+                               closure=None, hist=None)
+
+
+# Rounding budget of the symmetry gate (derived in CHANGES.md): each step of
+# either run rounds Q by at most 512 u max|Q| (per-point sums of <= 9 terms,
+# eig_sym3's 32 u, nine transforms of <= 2 log2(n^2) u each), so 20 steps of
+# two runs differ by <= 2 * 20 * 512 u max|Q|. v is driven by the stress
+# divergence, dt k_max max|sigma| <= 100 max|v|, and a ledger term is quadratic
+# in v, grad v, grad Q or mu (conditioned like v), so twice v's bound relative.
+_U = np.finfo(float).eps / 2.0
+_SYM_STEPS = 20
+_SYM_Q = 2.0 * _SYM_STEPS * 512.0 * _U
+_SYM_V = 100.0 * _SYM_Q
+_SYM_LEDGER = 2.0 * _SYM_V
+
+
+def test_field_step_commutes_with_the_square_and_z_reflection():
+    params = dynamics.ModelParams(alpha=7.0, epsilon=0.05, de=1.0, re=1.0, gamma=0.5,
+                                  L1=1.0, L2=0.5, delta=0.1)
+    grid = Grid2D(16)
+    solver = FieldSolver(grid, params)
+    start = smooth_random_state(grid, params, seed=0)
+    end = solver.run(solver.close(start), 0.1, _SYM_STEPS)
+    ledger = dynamics.energy_report(end, params)
+    for name, (rot, points) in _grid_maps(grid.n).items():
+        got = solver.run(solver.close(_mapped(start, rot, points)), 0.1, _SYM_STEPS)
+        want = _mapped(end, rot, points)
+        exact = name == "z -> -z"               # sign flips round alike: bound 0
+        dq = np.abs(got.q5 - want.q5).max() / np.abs(want.q5).max()
+        dv = np.abs(got.v - want.v).max() / np.abs(want.v).max()
+        assert dq <= (0.0 if exact else _SYM_Q), (name, dq)
+        assert dv <= (0.0 if exact else _SYM_V), (name, dv)
+        mapped_ledger = dynamics.energy_report(got, params)
+        for key in ("total", "d_viscous", "d_closure", "d_rotational"):
+            a, b = getattr(mapped_ledger, key), getattr(ledger, key)
+            assert abs(a - b) <= (0.0 if exact else _SYM_LEDGER) * abs(b), (name, key, a, b)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qbingham.dynamics import _modal_apply
 from qbingham.spectral import Grid2D, elastic_symbols
+from qbingham.tensors import axial_apply
 from dense_ops import eigh_apply, elastic_eigh
 from mms_common import _spectral_restrict
 
@@ -51,7 +51,7 @@ def test_modal_apply_matches_the_dense_eigenbasis(rng, n, L1, L2):
     for f, f_d in ((lam, lam_d),
                    (grid.dealias_mask / (a + c * lam),
                     grid.dealias_mask[..., None] / (a + c * lam_d))):
-        got = grid.fft(grid.ifft(_modal_apply(grid, f, grid.fft(q))))
+        got = grid.fft(grid.ifft(axial_apply(grid.fft(q), grid.khat, f)))
         ref = grid.fft(eigh_apply(grid, vec, f_d, q))
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
