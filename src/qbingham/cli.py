@@ -48,15 +48,7 @@ def _csv_bytes(header, rows):
 
 
 def _json_bytes(obj):
-    return (json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n").encode()
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
 
 
 def _write_atomic(path, data):

@@ -12,15 +12,17 @@ carries the closure of its own Q:
   pseudo-spectrally with a stabilized two-step IMEX scheme (variable-step
   SBDF2 with a constant-coefficient implicit shield, one formula in the
   step ratio omega = dt/dt_prev, zero-stable for omega < 1 + sqrt(2);
-  omega = 0 on a first step). Each field state is closed once
-  (FieldSolver.close): its closure, Q's transform, its gradients and the
-  frame contractions M_Q(mu) and M4 : D are stored with it (_Terms), and
-  the step, the right-hand side and the energy ledger read them from there.
-  Each field is transformed forward once per state: close keeps Q's
-  transform for the elastic operator, grad Q and the next step's
-  extrapolation, and a stepped state is closed from the transforms its
-  implicit solves produced. The explicit terms are raw grid products; the 2/3
-  mask and the viscous term sit in the per-mode diagonals of
+  omega = 0 on a first step). The step is in the usual pseudo-spectral
+  SBDF form (Ascher, Ruuth & Wetton, SIAM J. Numer. Anal. 32, 1995): the
+  nonlinear products are formed on the grid and transformed forward once,
+  in one stack (FieldSolver.rhs), and everything else acts per mode. Each
+  field state is closed once (FieldSolver.close): its closure, the
+  transforms of Q and v, its gradients and the frame contractions M_Q(mu)
+  and M4 : D are stored with it (_Terms), and the step, the right-hand side
+  and the energy ledger read them from there. Both time levels of the step
+  are spectra (_History), and a stepped state is closed from the transforms
+  its implicit solves produced, so no field is transformed forward again.
+  The 2/3 mask and the viscous term sit in the per-mode diagonals of
   FieldSolver.step's implicit solves, and the Leray projection for the
   pressure follows. The elastic operator and the implicit Q solve are each
   one tensors.axial_apply a step: scalars per mode on the three parts of the
@@ -275,15 +277,6 @@ def distortion_stress(dq, L1, L2):
     return sig
 
 
-def _div_stress(sig, grid):
-    """force_i = d_j sigma[j, i] (planar j) of stress rows sigma (3, 3, N):
-    one forward, one inverse transform."""
-    n = grid.n
-    sh = grid.fft(sig[:2].reshape(6, n, n).transpose(1, 2, 0))      # [(j, i)]
-    return grid.ifft(1j * (grid.kx[..., None] * sh[..., :3]
-                           + grid.ky[..., None] * sh[..., 3:]))
-
-
 def _kappa_field(vh, grid):
     """kappa_ij = dv_i/dx_j as rows (3, 3, N), from v's transform vh: one
     inverse transform."""
@@ -312,12 +305,12 @@ def mu_field(q5_field, qh, grid, params, lam):
 
 @dataclass(frozen=True)
 class _History:
-    """The previous time level of the two-step scheme: its fields, the
-    transform qh of its Q, its explicit terms and the step that left it."""
+    """The previous time level of the two-step scheme, all as spectra: the
+    transforms qh, vh of its fields, those fq, fv of its explicit terms
+    (FieldSolver.rhs), and the step that left it."""
 
-    q5: np.ndarray
     qh: np.ndarray
-    v: np.ndarray
+    vh: np.ndarray
     fq: np.ndarray
     fv: np.ndarray
     dt: float
@@ -328,8 +321,9 @@ class _Terms:
     """The terms of one field state that its step, its RHS and its energy
     ledger share.
 
-    qh is Q's transform (grid.fft layout): the state's elastic operator and
-    grad Q read it, and the next step's extrapolation reuses it. res
+    qh and vh are the transforms of Q and v (grid.fft layout): the state's
+    elastic operator and grad Q read qh, grad v reads vh, and the step's
+    right-hand sides read both, as does the next step through _History. res
     is mu_field's closure batch, in its own (N, ...) layout. The per-point
     tensors are contiguous component rows, their 3x3 axes ahead of the
     N = n^2 points: q = Q, mu = mu_field's mu, dq = grad Q as (2, 3, 3, N)
@@ -341,6 +335,7 @@ class _Terms:
 
     res: BatchClosureResult
     qh: np.ndarray
+    vh: np.ndarray
     q: np.ndarray
     mu: np.ndarray
     dq: np.ndarray
@@ -354,8 +349,8 @@ class FieldState:
     """Periodic (Q, v) fields, the terms of the state's own (q5, v) and the
     previous step for the two-step scheme.
 
-    closure holds the _Terms of this state: its closure, Q's transform and
-    the rows of Q, mu, grad Q, grad v, M_Q(mu) and M4 : D. They depend on
+    closure holds the _Terms of this state: its closure, the transforms of
+    Q and v, and the rows of Q, mu, grad Q, grad v, M_Q(mu) and M4 : D. They depend on
     both q5 and v. The solver owns them: FieldSolver.close computes them
     once for an initial state, and FieldSolver.step for every state it
     returns. The step, the right-hand side and the energy ledger read them
@@ -406,19 +401,19 @@ class FieldSolver:
     enters only through a second-difference bracket so the scheme stays
     second order regardless of the shield values. The elastic operator and
     the implicit Q operator are each one tensors.axial_apply about k/|k|: a
-    step makes two of them and nine transforms.
+    step makes two of them and six transform calls.
 
-    `rhs` returns the raw explicit terms. The 2/3 mask, the Leray
-    projection and the viscous term (gamma/Re) Lap v act per mode, so `step`
-    applies them once: the mask in both implicit solves' diagonals.
+    `rhs` returns the spectra of the raw explicit terms. The 2/3 mask, the
+    Leray projection and the viscous term (gamma/Re) Lap v act per mode, so
+    `step` applies them once: the mask in both implicit solves' diagonals.
 
     Every state the solver steps carries its terms (FieldState.closure):
     `close` computes them for an initial state, and `step` for the new state
     as its last act. Their closure solve holds Q to the delta/2 margin, so a
     state that leaves it rejects the step. `rhs` adds to them only what the
     ledger does not read: the closed Q rate (_closed_q_rate, which
-    homogeneous_rhs evaluates in the eigenframe), the distortion stress, the
-    stress divergence, advection and the forcing.
+    homogeneous_rhs evaluates in the eigenframe), the distortion stress,
+    advection and the forcing; the stress divergence is taken per mode.
     """
 
     def __init__(self, grid, params, forcing=None):
@@ -429,16 +424,16 @@ class FieldSolver:
         self.bulk_shield = _bulk_rate(phase_constants(params.alpha, params.L1, params.L2)) / 4.0
 
     def close(self, state: FieldState):
-        """`state` with the terms of its (q5, v) (_Terms): Q's transform,
-        mu_field's closure (delta/2 margin), and the rows of Q, mu, grad Q,
-        grad v, M_Q(mu) and M4 : D.
+        """`state` with the terms of its (q5, v) (_Terms): the transforms of
+        Q and v, mu_field's closure (delta/2 margin), and the rows of Q, mu,
+        grad Q, grad v, M_Q(mu) and M4 : D.
 
-        Each field is forward-transformed once, here; the elastic operator,
-        grad Q and the next step's extrapolation read Q's transform, and grad v
-        reads v's. The rotation and pair moments of the closure are made
-        component-major once, for both frame products. `step` closes the
-        state it returns from the transforms its implicit solves produced,
-        so a step transforms no field forward a second time.
+        Each field is forward-transformed once, here; the elastic operator
+        and grad Q read Q's transform, grad v reads v's, and the step both.
+        The closure's rotation and pair moments are made component-major
+        once, for both frame products. `step` closes the state it returns
+        from the transforms its implicit solves produced, so a step
+        transforms no field forward a second time.
         """
         return self._close(state, self.grid.fft(state.q5), self.grid.fft(state.v))
 
@@ -450,36 +445,41 @@ class FieldSolver:
         q = _matrix_rows(state.q5.reshape(-1, 5).T)
         kap = _kappa_field(vh, grid)
         return replace(state, closure=_Terms(
-            res, qh, q, mu, _grad_q(qh, grid), kap,
+            res, qh, vh, q, mu, _grad_q(qh, grid), kap,
             mq_apply_frame(q, rot, pair, mu), m4_contract_frame(rot, pair, kap)))
 
     def rhs(self, state: FieldState):
-        """Explicit RHS (fq5, fv) of a closed state, including the forcing.
+        """Spectra (fq^, fv^) of the explicit RHS of a closed state,
+        including the forcing.
 
-        Raw grid products: neither dealiased nor pressure-projected, and
-        without the viscous term, all of which `step` applies implicitly.
-        The closed Q rate, advection and stress are formed on the state's
-        component rows.
+        The explicit terms are raw grid products on the state's component
+        rows: Q's rate (the closed Q rate and advection), the planar stress
+        rows sigma[j, i] (j in x, y) and -(v . grad) v, to which the
+        forcing's grid fields are added. Their 14 components take one
+        forward transform, and fv^ = i k_j sigma^_ji + (-(v . grad) v)^.
+        Neither spectrum is dealiased or pressure-projected, and fv^ holds no
+        viscous term: `step` applies all three per mode.
         """
         grid, p, n = self.grid, self.params, self.grid.n
         terms = _closure_of(state)
         dq, kap = terms.dq, terms.kap
         vx, vy = state.v.reshape(-1, 3).T[:2]
 
-        fq = (_closed_q_rate(terms.q, kap, terms.m_mu, terms.m4_d, p.de)
-              - vx * dq[0] - vy * dq[1])
-        fq5 = _qvec_rows(fq).T.reshape(n, n, 5)
-
         sig = ((1.0 - p.gamma) / (2.0 * p.re)) * terms.m4_d
         sig += ((1.0 - p.gamma) / (p.de * p.re)) * (
             2.0 * terms.m_mu + p.epsilon * distortion_stress(dq, p.L1, p.L2))
-        fv = _div_stress(sig, grid)
-        fv -= (vx * kap[:, 0] + vy * kap[:, 1]).T.reshape(n, n, 3)
+        f = np.concatenate([       # component-major: Q's rate, sigma[j, i], -(v . grad) v
+            _qvec_rows(_closed_q_rate(terms.q, kap, terms.m_mu, terms.m4_d, p.de)
+                       - vx * dq[0] - vy * dq[1]),
+            sig[:2].reshape(6, -1),
+            -(vx * kap[:, 0] + vy * kap[:, 1])]).reshape(14, n, n).transpose(1, 2, 0)
         if self.forcing is not None:
             f_q, f_v = self.forcing(state.t)
-            fq5 = fq5 + f_q
-            fv = fv + f_v
-        return fq5, fv
+            f[..., :5] += f_q
+            f[..., 11:] += f_v
+        fh = grid.fft(f)
+        return fh[..., :5], fh[..., 11:] + 1j * (grid.kx[..., None] * fh[..., 5:8]
+                                                 + grid.ky[..., None] * fh[..., 8:11])
 
     def step(self, state: FieldState, dt):
         """Advance a closed state one step of variable-step SBDF2 and close
@@ -491,17 +491,20 @@ class FieldSolver:
         ((1 + 2 omega) X1 - (1 + omega)^2 X0 + omega^2 X_-1) / ((1 + omega) dt)
         = (1 + omega) f0 - omega f_-1 - A (X1 - X*) (Wang & Ruuth, J. Comput.
         Math. 26, 2008); it is second order at any step ratio and zero-stable
-        for omega < 1 + sqrt(2). Q solve: (a + A_Q) q1 = r_Q + A_Q X* with
+        for omega < 1 + sqrt(2). Both sides are formed per mode, from the
+        spectra of the fields and explicit terms (rhs) both time levels carry.
+        Q solve: (a + A_Q) q1 = r_Q + A_Q X*, a = (1 + 2 omega)/((1 + omega) dt),
         A_Q = (4/De)(c_b + eps c_bar L), a scalar per mode on each part of
         the axial split about k/|k| (L's eigenvalues elastic_symbols), under
         the 2/3 mask M. As A_Q X* = (a + A_Q) X* - a X*, it is solved for the
-        increment from the extrapolation, q1^ = M X*^ + M (r_Q^ - a X*^) /
-        (a + A_Q): one axial_apply, so the shield needs none of its own.
-        X*^ comes from the transforms of Q that both time levels carry.
-        Velocity solve: (a - (gamma/Re) Lap) v1 = r_v, the mask likewise, then
-        the Leray projection, whose transform the divergence check reads. The
-        closure solve of q1 starts from the closure's fitted start, and its
-        delta/2 margin check raises PhysicalityError.
+        increment from the extrapolation, q1^ = M X*^ + axial_apply(r_Q^ -
+        a X*^, k/|k|, M / (a + A_Q)), where r_Q - a X* = (omega/dt)(q_-1 - q0)
+        + (1 + omega) f0 - omega f_-1, since (1 + omega)/dt - a (1 + omega) =
+        -omega/dt and a omega - omega^2/((1 + omega) dt) = omega/dt. Velocity
+        solve: (a - (gamma/Re) Lap) v1 = r_v, the mask likewise, then the Leray
+        projection, whose spectrum the divergence check reads. The closure
+        solve of q1 starts from the closure's fitted start, and its delta/2
+        margin check raises PhysicalityError.
         """
         grid, p = self.grid, self.params
         terms = _closure_of(state)
@@ -509,17 +512,17 @@ class FieldSolver:
         fq, fv = self.rhs(state)
         s = (4.0 / p.de) * (self.bulk_shield + p.epsilon * cbar * self.lam)
         # without history, dt_prev = inf gives omega = 0 and zero weight to it
-        hist = state.hist or _History(state.q5, terms.qh, state.v, fq, fv, np.inf)
+        hist = state.hist or _History(terms.qh, terms.vh, fq, fv, np.inf)
 
         w = dt / hist.dt
         a = (1.0 + 2.0 * w) / ((1.0 + w) * dt)
-        c0, c1, cdt = (1.0 + w) ** 2, w * w, (1.0 + w) * dt
-        rq = (c0 * state.q5 - c1 * hist.q5) / cdt + (1.0 + w) * fq - w * hist.fq
-        rv = (c0 * state.v - c1 * hist.v) / cdt + (1.0 + w) * fv - w * hist.fv
         xh = (1.0 + w) * terms.qh - w * hist.qh
         mask = grid.dealias_mask
-        q1h = mask[..., None] * xh + axial_apply(grid.fft(rq) - a * xh, grid.khat, mask / (a + s))
-        vh = grid.fft(rv)
+        q1h = mask[..., None] * xh + axial_apply(
+            (w / dt) * (hist.qh - terms.qh) + (1.0 + w) * fq - w * hist.fq,
+            grid.khat, mask / (a + s))
+        vh = (((1.0 + w) ** 2 * terms.vh - w * w * hist.vh) / ((1.0 + w) * dt)
+              + (1.0 + w) * fv - w * hist.fv)
         vh *= (mask / (a + (p.gamma / p.re) * grid.ksq))[..., None]
         v1h = grid.leray_hat(vh)
 
@@ -530,7 +533,7 @@ class FieldSolver:
                 f"t={state.t + dt:.5g}")
 
         new = FieldState(grid=grid, q5=grid.ifft(q1h), v=grid.ifft(v1h), t=state.t + dt,
-                         hist=_History(state.q5, terms.qh, state.v, fq, fv, dt))
+                         hist=_History(terms.qh, terms.vh, fq, fv, dt))
         try:
             return self._close(new, q1h, v1h)
         except PhysicalityError as exc:

@@ -89,12 +89,13 @@ class Manufactured:
 
 
 def _continuous_rhs(solver, q5, v, t):
-    """The whole RHS of the continuous system: the solver's explicit terms
-    plus the viscous term (gamma/Re) Lap v that its implicit solve holds."""
+    """The whole RHS of the continuous system on the grid: the solver's
+    explicit terms (the inverse transforms of the spectra rhs returns) plus
+    the viscous term (gamma/Re) Lap v that its implicit solve holds."""
     grid, p = solver.grid, solver.params
     fq, fv = solver.rhs(solver.close(FieldState(grid=grid, q5=q5, v=v, t=t)))
     lap_v = grid.ifft(-grid.ksq[..., None] * grid.fft(v))
-    return fq, fv + (p.gamma / p.re) * lap_v
+    return grid.ifft(fq), grid.ifft(fv) + (p.gamma / p.re) * lap_v
 
 
 def _spectral_restrict(fine, coarse, field):
