@@ -13,6 +13,11 @@ kappa^2 / 4 (A&S 9.6.10), summed together, with e^{-kappa} left in the
 exponent as the scaled functions I0e and I1e would carry it.
 Each rule carries an exponent table and a moment table (x_rule), so that
 an evaluation is two matrix products at any batch size.
+
+The kernels compute on rows, the batch axis last: b and the moments as
+(3, N) and (3, 3, N), the node values as (P, N) planes. Their (N, ...)
+arguments and results are transposed views of those rows, so the
+closure's per-point arrays stay rows from the eigenframe to its result.
 """
 from __future__ import annotations
 
@@ -134,36 +139,41 @@ def _moments_batch_np(b, x2, u, w, table, expo):
     """ln Z, second moments <m_i^2>, pair moments <m_i^2 m_j^2> per point,
     on a rule of x_rule (whose x2 and w enter through expo and table).
 
-    b - max(b) times expo gives a / 2 and the exponent at every node; the phi
-    weights e^{u s} I0 and e^{u s} I1, s = (b1 + b2) / 2, from one
-    _bessel_series sized for the batch's largest kappa, times table give the
-    moments and Z. A row with |a| past _KAPPA_MAX, which only a trial step
+    b is (N, 3) in any layout; newton_batch passes a transposed view of its
+    rows (3, N). The work is on rows: b - max(b) times expo gives a / 2 and
+    the exponent at every node as (1 + P, N); the phi weights e^{u s} I0
+    and e^{u s} I1, s = (b1 + b2) / 2, are (P, N) node planes from one
+    _bessel_series sized for the batch's largest kappa, and one
+    (13, 3P) x (3P, N) product with table gives the moments and Z. The
+    second and pair moments come back as (N, 3) and (N, 3, 3) views of
+    their rows. A point with |a| past _KAPPA_MAX, which only a trial step
     far past the exponent budget reaches, is not evaluated: its ln Z is inf,
     so the line search backtracks it.
     """
-    top = np.maximum(np.maximum(b[:, 0], b[:, 1]), b[:, 2])
-    g = (b - top[:, None]) @ expo                     # a / 2, then the exponent
-    ha = g[:, 0]
-    # kappa <= |a| as u <= 1; a NaN row does not size the series
+    b = b.T
+    top = np.maximum(np.maximum(b[0], b[1]), b[2])
+    g = expo.T @ (b - top)                            # a / 2, then the exponent
+    ha = g[0]
+    # kappa <= |a| as u <= 1; a NaN point does not size the series
     amax = float(np.fmax.reduce(np.abs(ha), initial=0.0))
     far = None
     if amax > 0.5 * _KAPPA_MAX:
         far = np.abs(ha) > 0.5 * _KAPPA_MAX
-        g[far] = 0.0
+        g[:, far] = 0.0
         top[far] = 0.0
         amax = float(np.fmax.reduce(np.abs(ha), initial=0.0))
-    hk = np.multiply.outer(ha, u)                     # kappa / 2, signed as a
+    hk = np.multiply.outer(u, ha)                     # kappa / 2, signed as a
     ser = _bessel_series(hk * hk, _series_terms(2.0 * amax))
     # e^{b3 x^2 + s u - top}, the density outside the phi integral
-    ser *= np.exp(g[:, 1:])
+    ser *= np.exp(g[1:])
     i0, s1 = ser
-    mom = np.concatenate((i0, s1, hk * s1), axis=1) @ table
-    z = mom[:, 12]
+    mom = table.T @ np.concatenate((i0, s1, hk * s1))
+    z = mom[12]
     lnz = np.log(z) + top
-    mom[:, :12] /= z[:, None]
+    mom[:12] /= z
     if far is not None:
         lnz[far] = np.inf
-    return lnz, mom[:, :3], mom[:, 3:12].reshape(-1, 3, 3)
+    return lnz, mom[:3].T, mom[3:12].reshape(3, 3, -1).transpose(2, 0, 1)
 
 
 def newton_batch(q_eigs, b_init, nodes, tol, maxit):
@@ -174,65 +184,72 @@ def newton_batch(q_eigs, b_init, nodes, tol, maxit):
     is evaluated once, by _moments_batch_np: its ln Z feeds the Armijo test,
     and an accepted trial's moments give the next sweep's residual and
     Hessian. When every start meets tol, the first evaluation is the only one.
-    Returns (b, residual, iterations, used_damping, lnz, second, pair); the
-    moments belong to the returned b. Points that exceed the exponent budget
-    come back with residual = inf.
+    q_eigs and b_init are (N, 3) in any layout. The solve works on rows
+    (3, N), where a residual norm, an objective or a spread is an
+    elementwise sum, maximum or minimum over three rows.
+    Returns (b, residual, iterations, used_damping, lnz, second, pair), the
+    (N, 3) and (N, 3, 3) arrays as views of rows; the moments belong to the
+    returned b. Points that exceed the exponent budget come back with
+    residual = inf.
     """
-    qe = np.asarray(q_eigs, dtype=float)
-    b = np.array(b_init, dtype=float)
-    iters = np.zeros(len(qe), dtype=np.int64)
-    damped = np.zeros(len(qe), dtype=bool)
-    lnz, s, p = _moments_batch_np(b, *nodes)
+    qe = np.asarray(q_eigs, dtype=float).T
+    b = np.array(np.asarray(b_init, dtype=float).T, order="C")
+    iters = np.zeros(b.shape[1], dtype=np.int64)
+    damped = np.zeros(b.shape[1], dtype=bool)
+    lnz, s, p = _moments_batch_np(b.T, *nodes)
+    s, p = s.T, p.transpose(1, 2, 0)
     r = s - (qe + 1.0 / 3.0)
-    res = np.sqrt((r**2).sum(axis=1))
+    res = np.sqrt((r * r).sum(axis=0))
     live = ~(res < tol)  # a NaN residual stays live, as a failure
     if not live.any():
-        return b, res, iters, damped, lnz, s, p
-    idx, r = np.flatnonzero(live), r[live]
+        return b.T, res, iters, damped, lnz, s.T, p.transpose(2, 0, 1)
+    idx, r = np.flatnonzero(live), r[:, live]
     for sweep in range(int(maxit)):
         iters[idx] += 1
-        si = s[idx]
-        c = p[idx] - si[:, :, None] * si[:, None, :]
+        si = s[:, idx]
+        c = p[:, :, idx] - si[:, None] * si[None, :]
         # reduced symmetric Hessian in (b1, b2) with b3 eliminated
-        h11 = c[:, 0, 0] - 2 * c[:, 0, 2] + c[:, 2, 2]
-        h22 = c[:, 1, 1] - 2 * c[:, 1, 2] + c[:, 2, 2]
-        h12 = c[:, 0, 1] - c[:, 0, 2] - c[:, 1, 2] + c[:, 2, 2]
-        g1 = r[:, 0] - r[:, 2]
-        g2 = r[:, 1] - r[:, 2]
+        h11 = c[0, 0] - 2 * c[0, 2] + c[2, 2]
+        h22 = c[1, 1] - 2 * c[1, 2] + c[2, 2]
+        h12 = c[0, 1] - c[0, 2] - c[1, 2] + c[2, 2]
+        g1 = r[0] - r[2]
+        g2 = r[1] - r[2]
         det = h11 * h22 - h12 * h12
         det = np.where(det > 1e-300, det, 1e-300)
         d1 = (h22 * g1 - h12 * g2) / det
         d2 = (h11 * g2 - h12 * g1) / det
-        step = np.stack([d1, d2, -(d1 + d2)], axis=1)
-        bt = b[idx] - step
-        lt, st, pt = _moments_batch_np(bt, *nodes)
+        step = np.stack([d1, d2, -(d1 + d2)])
+        bt = b[:, idx] - step
+        lt, st, pt = _moments_batch_np(bt.T, *nodes)
+        st, pt = st.T, pt.transpose(1, 2, 0)
         # backtracking line search on the concave objective; skipped in the
         # quadratic endgame where rounding noise dominates the comparison.
-        # Rows leave the search once they pass the Armijo test.
+        # Points leave the search once they pass the Armijo test.
         ls = np.where(res[idx] > 1e-5)[0]
         if ls.size:
-            qls = qe[idx[ls]]
-            obj0 = (b[idx[ls]] * qls).sum(axis=1) - lnz[idx[ls]]
+            qls = qe[:, idx[ls]]
+            obj0 = (b[:, idx[ls]] * qls).sum(axis=0) - lnz[idx[ls]]
             slack = 1e-12 * (1.0 + np.abs(obj0))
             t = np.ones(ls.size)
             for _ls in range(40):
-                bad = (bt[ls] * qls).sum(axis=1) - lt[ls] < obj0 - slack
+                bad = (bt[:, ls] * qls).sum(axis=0) - lt[ls] < obj0 - slack
                 if not bad.any():
                     break
-                ls, qls, obj0, slack, t = ls[bad], qls[bad], obj0[bad], slack[bad], t[bad]
+                ls, qls, obj0, slack, t = ls[bad], qls[:, bad], obj0[bad], slack[bad], t[bad]
                 t *= 0.5
-                bt[ls] = b[idx[ls]] - t[:, None] * step[ls]
-                lt[ls], st[ls], pt[ls] = _moments_batch_np(bt[ls], *nodes)
+                bt[:, ls] = b[:, idx[ls]] - t * step[:, ls]
+                lt[ls], st.T[ls], pt.transpose(2, 0, 1)[ls] = _moments_batch_np(
+                    bt[:, ls].T, *nodes)
                 damped[idx[ls]] = True
-        b[idx], lnz[idx], s[idx], p[idx] = bt, lt, st, pt
-        over = bt.max(axis=1) - bt.min(axis=1) > EXPONENT_BUDGET
+        b[:, idx], lnz[idx], s[:, idx], p[:, :, idx] = bt, lt, st, pt
+        over = bt.max(axis=0) - bt.min(axis=0) > EXPONENT_BUDGET
         res[idx[over]] = np.inf
         idx = idx[~over]
-        r = s[idx] - (qe[idx] + 1.0 / 3.0)
-        rn = np.sqrt((r**2).sum(axis=1))
+        r = s[:, idx] - (qe[:, idx] + 1.0 / 3.0)
+        rn = np.sqrt((r * r).sum(axis=0))
         res[idx] = rn
         live = ~(rn < tol)
-        idx, r = idx[live], r[live]
+        idx, r = idx[live], r[:, live]
         if idx.size == 0:
             break
-    return b, res, iters, damped, lnz, s, p
+    return b.T, res, iters, damped, lnz, s.T, p.transpose(2, 0, 1)

@@ -25,11 +25,19 @@ evaluated in the same eigenframe, from the pair moments <m_i^2 m_j^2> the
 solve returns; no dense fourth moment is formed. The eigenframe comes from
 tensors.eig_sym3 (LAPACK for a small batch, a closed form for a large one),
 and B5 and M4 : A rotate through it component by component over the batch,
-not by stacks of 3x3 matrix products. The copies into that component-major
-layout (_component_major) happen once per solve result where it is read:
-in B5, and in the field's FieldSolver.close, which passes the rows of the
-rotation and pair moments to both of its frame products
-(m4_contract_frame and mq_apply_frame take rows, 3x3 axes first). The
+not by stacks of 3x3 matrix products.
+
+A solve computes on contiguous component rows end to end, the batch axis
+last: eigenvalues and start (3, N), the frame and the pair moments
+(3, 3, N), the moment kernel's node planes (P, N). A reduction over a
+point's three values (the start's spread, Newton's residual norm, the
+returned spread) is then an elementwise maximum, minimum or sum of three
+rows. BatchClosureResult holds (N, ...) views of those rows, so that a
+caller indexes points first, and _component_major hands the rows back
+without a copy: in B5, and in the field's FieldSolver.close, which passes
+the rotation and pair moments to both of its frame products
+(m4_contract_frame and mq_apply_frame take rows, 3x3 axes first). Only a
+LAPACK frame (a batch below tensors.CLOSED_FORM_MIN) is copied. The
 full-sphere rule of ``sphere`` is never passed to the solver;
 closure-validate uses it for independent forward checks.
 """
@@ -67,7 +75,8 @@ class BatchClosureResult:
     """Vectorized closure solves for a batch of Q tensors.
 
     B is held by its eigenvalues b in the frame shared with Q; B5, B in the
-    lab frame, is formed on its first read.
+    lab frame, is formed on its first read. Every array is an (N, ...) view
+    of rows with the batch axis last (a LAPACK rotation excepted).
     """
 
     rotation: np.ndarray   # (N, 3, 3) eigenvector columns shared by Q and B
@@ -82,12 +91,11 @@ class BatchClosureResult:
 
     @cached_property
     def B5(self):
-        """(N, 5) lab-frame qvecs of B: B_ij = sum_k R_ik b_k R_jk for the
-        five (i, j) of a qvec, component by component."""
+        """(N, 5) lab-frame qvecs of B, a view of rows (5, N):
+        B_ij = sum_k R_ik b_k R_jk for the five (i, j) of a qvec, component
+        by component."""
         r = _component_major(self.rotation)
-        out = np.empty((len(self.b), 5))
-        out.T[...] = np.einsum("ikn,kn,ikn->in", r[_QVEC_I], self.b.T, r[_QVEC_J])
-        return out
+        return np.einsum("ikn,kn,ikn->in", r[_QVEC_I], self.b.T, r[_QVEC_J]).T
 
 
 # the (i, j) of the five qvec components q11, q22, q12, q13, q23
@@ -95,9 +103,11 @@ _QVEC_I, _QVEC_J = np.divmod(_QVEC_OF_MATRIX, 3)
 
 
 def _component_major(m):
-    """(..., 3, 3) -> contiguous (3, 3, N). At N = 4096 an einsum product
-    over these N-long rows takes ~60% of numpy's matmul over N 3x3 matrices
-    (~45 ns a product), the copy included."""
+    """(..., 3, 3) -> contiguous rows (3, 3, N). A view of m where m is
+    already a view of such rows, as a closed-form rotation and every pair
+    are; a copy of a LAPACK rotation. At N = 4096 an einsum product over
+    N-long rows takes ~60% of numpy's matmul over N 3x3 matrices (~45 ns a
+    product), a copy included."""
     return np.ascontiguousarray(np.reshape(m, (-1, 9)).T).reshape(3, 3, -1)
 
 
@@ -118,7 +128,7 @@ _FIT_MAP = (np.array([[_U_SLOPE + _U_SHIFT, -2.0, 1.0, -2.0 + 2.0**-40],
                       [_U_SHIFT, 3.0, 1.0, 1.0 + 2.0**-40],
                       [_U_SHIFT, -1.0, 1.0, 1.0 + 2.0**-40]]) * [2.0, 2.0, 1.0, 1.0]).T.copy()
 # (b1 - b3, b2 - b3) -> trace-free b, times the -1/2 of b_i - b_3 = -y_i / (2 s_i)
-_TRACE_FREE = -0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0]]) / 3.0
+_TRACE_FREE = -0.5 * np.array([[2.0, -1.0], [-1.0, 2.0], [-1.0, -1.0]]) / 3.0
 # U_k = 2 T_k, k <= FIT_DEGREE, by doubling: U_(m+j) = U_m U_j - U_(m-j), j = 1..k
 _DOUBLING = []
 _m = 1
@@ -175,34 +185,35 @@ def _start_fit():
 
 
 def _fitted_start(w):
-    """Trace-free start b0 (N, 3) for the ascending eigenvalues w (N, 3) of Q,
-    in blocks of _START_BLOCK points.
+    """Trace-free start b0 (N, 3), a view of rows (3, N), for the ascending
+    eigenvalues w (N, 3) of Q, in blocks of _START_BLOCK points.
 
     A point with s1 below FIT_EDGE is evaluated at u = -1 with its own v,
     where y is within 1% of its limit 1; 1/(2 s) is capped at EXPONENT_BUDGET.
     """
     coef = _start_fit()[0]
-    b0 = np.empty_like(w)
-    for i in range(0, len(w), _START_BLOCK):
-        b0[i:i + _START_BLOCK] = _start_block(coef, w[i:i + _START_BLOCK])
-    return b0
+    w = w.T
+    b0 = np.empty(w.shape)
+    for i in range(0, w.shape[1], _START_BLOCK):
+        b0[:, i:i + _START_BLOCK] = _start_block(coef, w[:, i:i + _START_BLOCK])
+    return b0.T
 
 
 def _start_block(coef, w):
-    """_fitted_start of one block: a real, contiguous table of U_k = 2 T_k,
-    row k holding U_k at the block's n values of u and then of v, filled by
-    doubling (_DOUBLING); one GEMM in u and one einsum in v. Each doubling
-    step acts on both coordinates at once, and the GEMM reads the u half of
-    the rows in place.
+    """_fitted_start of one block of rows w (3, n), as rows (3, n): a real,
+    contiguous table of U_k = 2 T_k, row k holding U_k at the block's n
+    values of u and then of v, filled by doubling (_DOUBLING); one GEMM in u, one einsum in v to y (2, n) and one
+    (3, 2) x (2, n) product to b. Each doubling step acts on both
+    coordinates at once, and the GEMM reads the u half of the rows in place.
 
     The table and the GEMM's product share one allocation. As two arrays of
     half its size, glibc's malloc handed them back to the system after each
     1000-point solve (its trim threshold follows the largest block it has
     freed), and closure-validate re-faulted ~413 pages a run in the start
     and the Newton solve that follows it; as one, it faults none."""
-    n = len(w)
+    n = w.shape[1]
     s = w + 1.0 / 3.0
-    h = _FIT_MAP @ s.T
+    h = _FIT_MAP @ s
     tab = np.empty((2, FIT_DEGREE + 1, 2 * n))
     u = tab[0]
     u[0] = 2.0
@@ -214,8 +225,8 @@ def _start_block(coef, w):
         np.multiply(u[lo], u[m], out=t)
         t -= u[rev]
     g = np.matmul(coef, u[:, :n], out=tab[1].reshape(2 * (FIT_DEGREE + 1), n))
-    y = np.einsum("ckn,kn->nc", g.reshape(2, FIT_DEGREE + 1, n), u[:, n:])
-    return (y / np.maximum(s[:, :2], 0.5 / _kernels.EXPONENT_BUDGET)) @ _TRACE_FREE
+    y = np.einsum("ckn,kn->cn", g.reshape(2, FIT_DEGREE + 1, n), u[:, n:])
+    return _TRACE_FREE @ (y / np.maximum(s[:2], 0.5 / _kernels.EXPONENT_BUDGET))
 
 
 def bingham_map_batch(q5, delta=0.0, tol=DEFAULT_TOL):
@@ -234,17 +245,17 @@ def bingham_map_batch(q5, delta=0.0, tol=DEFAULT_TOL):
         bad = np.flatnonzero(~np.isfinite(q5).all(axis=1))
         raise PhysicalityError(f"non-finite Q in batch at index {bad[0]}")
     w, rot = eig_sym3(to_matrix(q5))
-    margin = np.minimum(w + 1.0 / 3.0, 2.0 / 3.0 - w)
+    margin = np.minimum(w.T + 1.0 / 3.0, 2.0 / 3.0 - w.T)
     if not margin.min() >= delta:
-        k = int(np.argmin(margin.min(axis=1)))
+        k = int(np.argmin(margin.min(axis=0)))
         raise PhysicalityError(
-            f"non-physical Q in batch (worst margin {margin[k].min():.3e} < "
+            f"non-physical Q in batch (worst margin {margin[:, k].min():.3e} < "
             f"delta={delta:.3e} at index {k}); eigenvalues must stay in "
             f"[-1/3 + delta, 2/3 - delta]")
 
     b0 = _fitted_start(w)
     # one x-rule for the batch, sized from the start's spread plus slack
-    est = max(8.0, 1.3 * float((b0[:, :, None] - b0[:, None, :]).max()) + 6.0)
+    est = max(8.0, 1.3 * float(_spread(b0).max()) + 6.0)
     b, res, iters, damped, lnz, _, pair = _kernels.newton_batch(
         w, b0, _kernels.x_rule(_kernels.nodes_for_spread(est)), tol=tol, maxit=MAX_ITER)
     if not res.max() <= tol:
@@ -253,11 +264,16 @@ def bingham_map_batch(q5, delta=0.0, tol=DEFAULT_TOL):
             f"closure Newton failed to converge: worst residual {res[k]:.3e} "
             f"after {int(iters[k])} iterations (tol {tol:.1e}); "
             f"q eigenvalues {w[k]}")
-    spread = b.max(axis=1) - b.min(axis=1)
+    spread = _spread(b)
     if spread.max() > est:
         raise RuntimeError(f"closure solve ended at spread {spread.max():.3e}, past "
                            f"the estimate {est:.3e} its x-rule was sized for")
     return BatchClosureResult(rot, w, b, lnz, pair, res, iters, damped, spread)
+
+
+def _spread(b):
+    """max(b) - min(b) per point of b (N, 3), elementwise over its rows."""
+    return b.T.max(axis=0) - b.T.min(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -135,11 +135,14 @@ def eig_sym3(mats):
     """Eigendecomposition of symmetric 3x3 matrices, shape (3, 3) or (..., 3, 3).
 
     Returns (w, R) with w ascending and R the orthogonal matrix of
-    eigenvector columns, C-contiguous; the sign of each column, and so the
-    handedness of the frame, is the method's own. A batch of fewer than
-    CLOSED_FORM_MIN matrices goes to LAPACK ``syevd`` (``np.linalg.eigh``),
-    backward stable also at repeated eigenvalues. A larger batch takes
-    _eig_closed, vectorised over the batch, with the same contract, tested
+    eigenvector columns; the sign of each column, and so the handedness of
+    the frame, is the method's own. A batch of fewer than CLOSED_FORM_MIN
+    matrices goes to LAPACK ``syevd`` (``np.linalg.eigh``), backward stable
+    also at repeated eigenvalues, and its w and R are C-contiguous. A larger
+    batch takes _eig_closed, vectorised over the batch, whose w and R are
+    views of contiguous rows (3, N) and (3, 3, N), the batch axis last in
+    memory (closure._component_major reads R's rows without a copy). It has
+    the same contract, tested
     on random, shifted, uniaxial, zero, c I and near-degenerate input (gaps
     0 to 1e-9): per matrix and entrywise, ||R^T A R - diag w|| and
     |w - eigvalsh(A)| stay within 32 u max|A| and ||R^T R - I|| within 32 u
@@ -154,7 +157,7 @@ def eig_sym3(mats):
         return np.linalg.eigh(a)
     with np.errstate(all="ignore"):
         w, r = _eig_closed(a.reshape(n, 3, 3))
-    return w.reshape(a.shape[:-1]), r.reshape(a.shape)
+    return w.T.reshape(a.shape[:-1]), r.transpose(2, 0, 1).reshape(a.shape)
 
 
 def _unit(x, y, z):
@@ -164,7 +167,8 @@ def _unit(x, y, z):
 
 
 def _eig_closed(a):
-    """(w, R) of symmetric a (N, 3, 3), component by component over N.
+    """(w, R) of symmetric a (N, 3, 3) as rows (3, N) and (3, 3, N),
+    component by component over N.
 
     A is shifted by its trace and scaled by a power of two to C, whose
     entries lie in (-1, 1). Of C's eigenvalues 2 p cos((arccos r + 2 pi k)
@@ -246,16 +250,16 @@ def _eig_closed(a):
     back = np.ldexp(1.0, ex)
     lo, hi, iso = lo * back + shift, hi * back + shift, iso * back + shift
     bot = 1.0 - top
-    w = np.empty((n, 3))
-    w[:, 0] = lo * top + iso * bot
-    w[:, 1] = hi * top + lo * bot
-    w[:, 2] = iso * top + hi * bot
-    rot = np.empty((n, 3, 3))
+    w = np.empty((3, n))
+    w[0] = lo * top + iso * bot
+    w[1] = hi * top + lo * bot
+    w[2] = iso * top + hi * bot
+    rot = np.empty((3, 3, n))
     for i, (vi, ui, wi) in enumerate(((vx, ux, wx), (vy, uy, wy), (vz, uz, wz))):
         low, high = c * ui - s * wi, s * ui + c * wi
-        rot[:, i, 0] = low * top + vi * bot
-        rot[:, i, 1] = high * top + low * bot
-        rot[:, i, 2] = vi * top + high * bot
+        rot[i, 0] = low * top + vi * bot
+        rot[i, 1] = high * top + low * bot
+        rot[i, 2] = vi * top + high * bot
     return w, rot
 
 

@@ -13,7 +13,7 @@ from qbingham.closure import (
     spread_bound,
 )
 from qbingham.sphere import bingham_moments, build_quadrature
-from qbingham.tensors import from_matrix, qnorm, to_matrix, uniaxial
+from qbingham.tensors import CLOSED_FORM_MIN, from_matrix, qnorm, to_matrix, uniaxial
 from qbingham.equilibrium import phase_constants
 from conftest import random_physical, random_qvec
 from dense_ops import (
@@ -217,6 +217,16 @@ def test_frame_contraction_matches_dense(rng):
 # ---------------------------------------------------------------------------
 # spread bound
 # ---------------------------------------------------------------------------
+
+def test_closed_form_frame_and_pair_are_read_in_place(rng):
+    # a closed-form batch's rotation, and every batch's pair moments, are
+    # views of contiguous (3, 3, N) rows: _component_major makes no copy
+    res = bingham_map_batch(random_physical(rng, CLOSED_FORM_MIN, 0.05), delta=0.05)
+    for m in (res.rotation, res.pair):
+        rows = closure._component_major(m)
+        assert np.shares_memory(rows, m)
+        np.testing.assert_array_equal(rows, np.moveaxis(m, 0, -1))
+
 
 def test_spread_bound_diverges_as_margin_shrinks():
     vals = [spread_bound(d) for d in (0.3, 0.2, 0.1, 0.05, 0.01)]
