@@ -7,14 +7,21 @@ ascent in the two independent eigenvalues of B; the lab-frame tensor is
 recovered by rotation. The ascent objective B:Q - ln Z(B) is strictly
 concave, which makes the damped iteration globally convergent.
 
-Every solve starts from the same fitted inverse map (_fitted_start): with
-Q's eigenvalues sorted and s_i = lambda_i + 1/3, the functions
+Every solve starts from a fitted inverse map (_fitted_start): with Q's
+eigenvalues sorted and s_i = lambda_i + 1/3, the functions
 y_i = 2 s_i (b_3 - b_i), i = 1, 2, are smooth on the simplex and tend to 1
 at its edges, where b_i ~ -1/(2 s_i) is the Gaussian limit of a concentrated
-density. A tensor Chebyshev interpolant of y_1, y_2, built once per process
-from node solves (_start_fit), meets DEFAULT_TOL on margins >= 0.02 (worst
-start residual ~1e-12), so a solve there is one moment evaluation and no
-Newton update. No solve reads a previous B.
+density. Tensor Chebyshev interpolants of y_1, y_2, each built once per
+process from node solves (_start_fit), meet DEFAULT_TOL on margins >= 0.02
+(worst start residual ~1e-12), so a solve there is one moment evaluation
+and no Newton update. There are two (FITS), chosen per point by s_1: a
+degree-56 fit on s_1 >= 0.008 and, from s_1 = 0.05 up, a degree-36 fit,
+which costs ~55% of the other to evaluate, as a Chebyshev interpolant needs
+fewer terms on a domain farther from its function's singularities
+(Trefethen, Approximation Theory and Approximation Practice, 2013, ch. 8).
+Every field point (margin delta/2 = 0.05) takes the degree-36 fit. A
+point's start does not depend on its batch, and no solve reads a previous
+B.
 
 Each solve is one Newton run on one eigenframe rule sized from the start's
 spread (``_kernels.nodes_for_spread``); a solve that ends past it raises.
@@ -59,10 +66,10 @@ __all__ = [
 DEFAULT_TOL = 1e-11
 MAX_ITER = 50
 
-# the fitted start: degree, the s_1 below which a point is evaluated at the
-# fit's edge, and the residual its node solves reach
-FIT_DEGREE = 56
-FIT_EDGE = 0.008
+# the fitted starts, (degree, edge): a fit spans s_1 in [edge, 1/3]. A point
+# with s_1 >= the second fit's edge takes the second, any other the first,
+# evaluated at its edge below it. FIT_TOL is the residual the node solves reach.
+FITS = ((56, 0.008), (36, 0.05))
 FIT_TOL = 1e-13
 
 
@@ -115,50 +122,60 @@ def _component_major(m):
 # the fitted start
 # ---------------------------------------------------------------------------
 
-# (u, v) of s = lambda + 1/3 as ratios of linear forms, using s1 + s2 + s3 = 1:
-# u = (2 s1 - 1/3 - FIT_EDGE) / (1/3 - FIT_EDGE) maps s1 in [FIT_EDGE, 1/3] and
-# v = (4 s2 - s1 - 1) / (1 - 3 s1) maps s2 in [s1, (1 - s1)/2] onto [-1, 1].
-# Rows: the two numerators, doubled (the table holds 2 T_k, see _start_block),
-# then the two denominators. v's denominator carries 2^-40 (s1 + s2 + s3), so
-# that it stays positive at Q = 0, where v is 0/0, and moves v by a relative
-# 2^-40 / (1 - 3 s1) elsewhere.
-_U_SLOPE = 2.0 / (1.0 / 3.0 - FIT_EDGE)
-_U_SHIFT = -(1.0 / 3.0 + FIT_EDGE) / (1.0 / 3.0 - FIT_EDGE)
-_FIT_MAP = (np.array([[_U_SLOPE + _U_SHIFT, -2.0, 1.0, -2.0 + 2.0**-40],
-                      [_U_SHIFT, 3.0, 1.0, 1.0 + 2.0**-40],
-                      [_U_SHIFT, -1.0, 1.0, 1.0 + 2.0**-40]]) * [2.0, 2.0, 1.0, 1.0]).T.copy()
 # (b1 - b3, b2 - b3) -> trace-free b, times the -1/2 of b_i - b_3 = -y_i / (2 s_i)
 _TRACE_FREE = -0.5 * np.array([[2.0, -1.0], [-1.0, 2.0], [-1.0, -1.0]]) / 3.0
-# U_k = 2 T_k, k <= FIT_DEGREE, by doubling: U_(m+j) = U_m U_j - U_(m-j), j = 1..k
-_DOUBLING = []
-_m = 1
-while _m < FIT_DEGREE:
-    _k = min(_m, FIT_DEGREE - _m)
-    _DOUBLING.append((_m, slice(1, _k + 1), slice(_m + 1, _m + _k + 1),
-                      slice(_m - 1, _m - _k - 1 if _m > _k else None, -1)))
-    _m += _k
 # points per block of the start and of its node solves: the table U_k,
-# (FIT_DEGREE + 1, 2 block), and the GEMM's product, as large, are ~1.9 MB
+# (57, 2 block) at degree 56, and the GEMM's product, as large, are ~1.9 MB
 # together, below the moment kernel's arrays on a 64^2 grid
 _START_BLOCK = 1024
 
 
-@lru_cache(maxsize=None)
-def _start_fit():
-    """(coefficients, worst node residual) of the fitted start.
+def _fit_map(edge):
+    """(4, 3) map of s = lambda + 1/3 to the numerators and denominators of
+    (u, v), as linear forms, using s1 + s2 + s3 = 1:
+    u = (2 s1 - 1/3 - edge) / (1/3 - edge) maps s1 in [edge, 1/3] and
+    v = (4 s2 - s1 - 1) / (1 - 3 s1) maps s2 in [s1, (1 - s1)/2] onto [-1, 1].
+    Rows: the two numerators, doubled (the table holds 2 T_k, see
+    _start_block), then the two denominators. v's denominator carries
+    2^-40 (s1 + s2 + s3), so that it stays positive at Q = 0, where v is 0/0,
+    and moves v by a relative 2^-40 / (1 - 3 s1) elsewhere."""
+    slope = 2.0 / (1.0 / 3.0 - edge)
+    shift = -(1.0 / 3.0 + edge) / (1.0 / 3.0 - edge)
+    return (np.array([[slope + shift, -2.0, 1.0, -2.0 + 2.0**-40],
+                      [shift, 3.0, 1.0, 1.0 + 2.0**-40],
+                      [shift, -1.0, 1.0, 1.0 + 2.0**-40]]) * [2.0, 2.0, 1.0, 1.0]).T.copy()
 
-    y1 and y2 are interpolated at the (FIT_DEGREE + 1)^2 tensor Chebyshev
+
+def _doubling(degree):
+    """Steps (m, lo, hi, rev) that fill U_k = 2 T_k, k <= degree, by doubling:
+    U_(m+j) = U_m U_j - U_(m-j), j = 1..k, rows hi from rows lo and rev."""
+    steps, m = [], 1
+    while m < degree:
+        k = min(m, degree - m)
+        steps.append((m, slice(1, k + 1), slice(m + 1, m + k + 1),
+                      slice(m - 1, m - k - 1 if m > k else None, -1)))
+        m += k
+    return steps
+
+
+@lru_cache(maxsize=None)
+def _start_fit(degree, edge):
+    """The fitted start of one (degree, edge) of FITS: (coefficients, worst
+    node residual, _fit_map(edge), _doubling(degree)).
+
+    y1 and y2 are interpolated at the (degree + 1)^2 tensor Chebyshev
     points of the first kind in (u, v), which avoid the isotropic corner;
     the nodes are solved cold by newton_batch to FIT_TOL in blocks of
     _START_BLOCK from the Gaussian limit b = -1/(2 s), each block on the
     rule for the spread of its smallest s1. coefficients[(c, k), j]
     multiplies U_j(u) U_k(v) in y_c, with U = 2 T (the table of
-    _start_block). Built once per process, on the first closure solve.
+    _start_block). Each fit is built once per process, on the first closure
+    solve with a point in its range.
     """
-    n = FIT_DEGREE + 1
+    n = degree + 1
     theta = np.pi * (np.arange(n) + 0.5) / n
     node = np.cos(theta)
-    s1, v = np.meshgrid(0.5 * ((1.0 / 3.0 - FIT_EDGE) * node + 1.0 / 3.0 + FIT_EDGE),
+    s1, v = np.meshgrid(0.5 * ((1.0 / 3.0 - edge) * node + 1.0 / 3.0 + edge),
                         node, indexing="ij")
     s2 = s1 + 0.5 * (v + 1.0) * (0.5 * (1.0 - s1) - s1)
     s = np.stack([s1, s2, 1.0 - s1 - s2], axis=-1).reshape(-1, 3)
@@ -181,51 +198,67 @@ def _start_fit():
     t = np.cos(np.outer(np.arange(n), theta)) * (2.0 / n)
     t[0] *= 0.5
     coef = (t @ y.transpose(2, 1, 0) @ t.T).reshape(2 * n, n) * 0.25
-    return coef, float(res.max())
+    return coef, float(res.max()), _fit_map(edge), _doubling(degree)
 
 
 def _fitted_start(w):
     """Trace-free start b0 (N, 3), a view of rows (3, N), for the ascending
-    eigenvalues w (N, 3) of Q, in blocks of _START_BLOCK points.
+    eigenvalues w (N, 3) of Q.
 
-    A point with s1 below FIT_EDGE is evaluated at u = -1 with its own v,
-    where y is within 1% of its limit 1; 1/(2 s) is capped at EXPONENT_BUDGET.
+    Each point takes one fit of FITS by its own s1: the second (degree 36)
+    from its edge s1 = 0.05 up, the first (degree 56) below. A batch whose
+    points all take one fit is evaluated in place; a mixed one gathers each
+    fit's points and scatters their starts back. A point with s1 below the
+    first fit's edge is evaluated at u = -1 with its own v, where y is
+    within 1% of its limit 1; 1/(2 s) is capped at EXPONENT_BUDGET.
     """
-    coef = _start_fit()[0]
     w = w.T
+    high = w[0] + 1.0 / 3.0 >= FITS[1][1]
+    if high.all() or not high.any():
+        return _start_rows(_start_fit(*FITS[int(high.all())]), w).T
     b0 = np.empty(w.shape)
-    for i in range(0, w.shape[1], _START_BLOCK):
-        b0[:, i:i + _START_BLOCK] = _start_block(coef, w[:, i:i + _START_BLOCK])
+    for fit, part in zip(FITS, (~high, high)):
+        b0[:, part] = _start_rows(_start_fit(*fit), w[:, part])
     return b0.T
 
 
-def _start_block(coef, w):
-    """_fitted_start of one block of rows w (3, n), as rows (3, n): a real,
-    contiguous table of U_k = 2 T_k, row k holding U_k at the block's n
-    values of u and then of v, filled by doubling (_DOUBLING); one GEMM in u, one einsum in v to y (2, n) and one
-    (3, 2) x (2, n) product to b. Each doubling step acts on both
-    coordinates at once, and the GEMM reads the u half of the rows in place.
+def _start_rows(fit, w):
+    """The start of rows w (3, N) on one fit, in blocks of _START_BLOCK."""
+    b0 = np.empty(w.shape)
+    for i in range(0, w.shape[1], _START_BLOCK):
+        b0[:, i:i + _START_BLOCK] = _start_block(fit, w[:, i:i + _START_BLOCK])
+    return b0
+
+
+def _start_block(fit, w):
+    """The start of one block of rows w (3, n) on a fit of _start_fit, as
+    rows (3, n): a real, contiguous table of U_k = 2 T_k, row k holding U_k
+    at the block's n values of u and then of v, filled by doubling; one GEMM
+    in u, one einsum in v to y (2, n) and one (3, 2) x (2, n) product to b.
+    Each doubling step acts on both coordinates at once, and the GEMM reads
+    the u half of the rows in place.
 
     The table and the GEMM's product share one allocation. As two arrays of
     half its size, glibc's malloc handed them back to the system after each
     1000-point solve (its trim threshold follows the largest block it has
     freed), and closure-validate re-faulted ~413 pages a run in the start
     and the Newton solve that follows it; as one, it faults none."""
-    n = w.shape[1]
+    coef, _, fit_map, doubling = fit
+    k, n = coef.shape[1], w.shape[1]
     s = w + 1.0 / 3.0
-    h = _FIT_MAP @ s
-    tab = np.empty((2, FIT_DEGREE + 1, 2 * n))
+    h = fit_map @ s
+    tab = np.empty((2, k, 2 * n))
     u = tab[0]
     u[0] = 2.0
-    # u and v lie in [-1, 1] up to rounding except u below FIT_EDGE, held at -1
+    # u and v lie in [-1, 1] up to rounding except u below the edge, held at -1
     x = u[1].reshape(2, n)
     np.maximum(np.divide(h[:2], h[2:], out=x), -2.0, out=x)
-    for m, lo, hi, rev in _DOUBLING:
+    for m, lo, hi, rev in doubling:
         t = u[hi]
         np.multiply(u[lo], u[m], out=t)
         t -= u[rev]
-    g = np.matmul(coef, u[:, :n], out=tab[1].reshape(2 * (FIT_DEGREE + 1), n))
-    y = np.einsum("ckn,kn->cn", g.reshape(2, FIT_DEGREE + 1, n), u[:, n:])
+    g = np.matmul(coef, u[:, :n], out=tab[1].reshape(2 * k, n))
+    y = np.einsum("ckn,kn->cn", g.reshape(2, k, n), u[:, n:])
     return _TRACE_FREE @ (y / np.maximum(s[:2], 0.5 / _kernels.EXPONENT_BUDGET))
 
 

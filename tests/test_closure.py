@@ -13,7 +13,9 @@ from qbingham.closure import (
     spread_bound,
 )
 from qbingham.sphere import bingham_moments, build_quadrature
-from qbingham.tensors import CLOSED_FORM_MIN, from_matrix, qnorm, to_matrix, uniaxial
+from qbingham.tensors import (
+    CLOSED_FORM_MIN, eig_sym3, from_matrix, qnorm, to_matrix, uniaxial,
+)
 from qbingham.equilibrium import phase_constants
 from conftest import random_physical, random_qvec
 from dense_ops import (
@@ -277,7 +279,8 @@ def test_solves_respect_spread_bound(rng):
 def _record_solves(monkeypatch):
     """Log of the closure's kernel use since the caller last reset it: the
     spreads the x-rules were sized for and the number of newton_batch runs."""
-    closure._start_fit()  # built once per process, before the calls counted here
+    for fit in closure.FITS:  # built once per process, before the calls counted here
+        closure._start_fit(*fit)
     log = {"est": [], "runs": 0}
     sized, run = _kernels.nodes_for_spread, _kernels.newton_batch
 
@@ -295,8 +298,8 @@ def _record_solves(monkeypatch):
 
 
 def test_points_past_the_fit_edge_solve_in_one_run(monkeypatch):
-    # the S = 0.99 point lies past the fitted start's edge (s1 = 0.0033 <
-    # FIT_EDGE); its start still sizes the rule, so the batch is one run
+    # the S = 0.99 point lies past the first fit's edge (s1 = 0.0033 <
+    # 0.008); its start still sizes the rule, so the batch is one run
     log = _record_solves(monkeypatch)
     q5 = np.stack([uniaxial(0.99, [0.0, 0.0, 1.0]), uniaxial(0.3, [1.0, 0.0, 0.0]),
                    from_matrix(np.diag([0.55, -0.3, -0.25]))])
@@ -343,38 +346,55 @@ def test_points_past_the_exponent_budget_raise(s1):
 # ---------------------------------------------------------------------------
 
 def test_fit_is_built_by_the_first_solve_not_at_import():
+    # Q = 0 (s1 = 1/3) builds only the degree-36 fit, S = 0.9 (s1 = 1/30)
+    # then the degree-56 one
     code = ("import qbingham.cli, numpy as np\n"
             "from qbingham import closure\n"
-            "before = closure._start_fit.cache_info().currsize\n"
+            "from qbingham.tensors import uniaxial\n"
+            "info = closure._start_fit.cache_info\n"
+            "before = info().currsize\n"
             "closure.bingham_map_batch(np.zeros(5))\n"
             "closure.bingham_map_batch(np.zeros(5))\n"
-            "info = closure._start_fit.cache_info()\n"
-            "print(before, info.currsize, info.misses)")
+            "high = info()\n"
+            "closure._start_fit(*closure.FITS[1])\n"
+            "hit = info().hits - high.hits\n"
+            "closure.bingham_map_batch(uniaxial(0.9, [0.0, 0.0, 1.0]))\n"
+            "print(before, high.currsize, high.misses, hit, info().currsize)")
     env = {**os.environ, "PYTHONPATH": str(Path(closure.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120).stdout.split()
-    assert out == ["0", "1", "1"]
+    assert out == ["0", "1", "1", "1", "2"]
 
 
-def test_fit_node_solves_reach_fit_tolerance():
-    coef, worst = closure._start_fit()
+@pytest.mark.parametrize("fit", closure.FITS)
+def test_fit_node_solves_reach_fit_tolerance(fit):
+    degree = fit[0]
+    coef, worst = closure._start_fit(*fit)[:2]
     assert worst <= 1e-13
-    assert coef.shape == (2 * (closure.FIT_DEGREE + 1), closure.FIT_DEGREE + 1)
-    assert closure._start_fit()[0] is coef  # built once
+    assert coef.shape == (2 * (degree + 1), degree + 1)
+    assert closure._start_fit(*fit)[0] is coef  # built once
 
 
-def test_fitted_start_meets_the_tolerance(rng):
-    # margin >= 0.02: the start's residual is already below the tolerance,
-    # so no point takes a Newton update
-    q5 = random_physical(rng, 400, 0.02)
-    res = bingham_map_batch(q5, delta=0.02)
+def _s1(res):
+    return res.q_eigs[:, 0] + 1.0 / 3.0
+
+
+@pytest.mark.parametrize("delta", [0.02, 0.05])
+def test_fitted_start_meets_the_tolerance(rng, delta):
+    # margin >= 0.02 (both fits) or >= 0.05 (the degree-36 fit only): the
+    # start's residual is already below the tolerance, so no point takes a
+    # Newton update
+    q5 = random_physical(rng, 400, delta)
+    res = bingham_map_batch(q5, delta=delta)
     assert np.all(res.iterations == 0)
     assert np.all(res.residual <= 1e-11)
     assert not res.used_damping.any()
+    assert (_s1(res) < 0.05).any() == (delta < 0.05)
 
 
 def test_one_moment_evaluation_per_solve_inside_the_fit(rng, monkeypatch):
-    closure._start_fit()  # built once per process, before the calls counted here
+    for fit in closure.FITS:  # built once per process, before the calls counted here
+        closure._start_fit(*fit)
     calls = []
     moments = _kernels._moments_batch_np
 
@@ -388,13 +408,57 @@ def test_one_moment_evaluation_per_solve_inside_the_fit(rng, monkeypatch):
     assert np.all(res.residual <= 1e-11)
 
 
+def _w_at(s1, s2):
+    """Ascending eigenvalues (N, 3) of the points (s1, s2, 1 - s1 - s2)."""
+    s1, s2 = np.broadcast_arrays(s1, s2)
+    return np.stack([s1, s2, 1.0 - s1 - s2], axis=1) - 1.0 / 3.0
+
+
+def _start_residual(w):
+    """Residual of the fitted start of eigenvalues w (N, 3), on the rule a
+    solve of them would size from it."""
+    b0 = closure._fitted_start(w)
+    est = max(8.0, 1.3 * float((b0.max(axis=1) - b0.min(axis=1)).max()) + 6.0)
+    return _kernels.newton_batch(w, b0, x_rule(_kernels.nodes_for_spread(est)),
+                                 tol=1e-11, maxit=0)[1]
+
+
 def test_fitted_start_residual_on_held_out_points():
-    # a seed not used to choose FIT_DEGREE: every start residual of 4000
-    # points with margin >= 0.02 is below the closure tolerance
+    # a seed not used to choose the fits' degrees: every start residual of
+    # 4000 points with margin >= 0.02 (both fits) is below the closure
+    # tolerance
     q5 = random_physical(np.random.default_rng(20), 4000, 0.02)
     res = bingham_map_batch(q5, delta=0.02)
+    assert (_s1(res) < 0.05).any() and (_s1(res) >= 0.05).any()
     assert res.iterations.max() == 0  # so residual is the start's own
     assert res.residual.max() <= 1e-11
+    # at the split: the least lambda_1 whose s1, as the start computes it,
+    # reaches 0.05 (the degree-36 fit's edge), the next lambda_1 below it
+    # (the degree-56 fit), and s1 in [0.05, 0.06]; s2 over its whole range
+    # [s1, (1 - s1) / 2] with both ends
+    at = 0.05 - 1.0 / 3.0
+    while at + 1.0 / 3.0 < 0.05:
+        at = np.nextafter(at, 0.0)
+    below = np.nextafter(at, -1.0)
+    assert at + 1.0 / 3.0 >= 0.05 > below + 1.0 / 3.0
+    rng = np.random.default_rng(21)
+    s1 = np.concatenate([[at + 1.0 / 3.0] * 200, [below + 1.0 / 3.0] * 200,
+                         rng.uniform(0.05, 0.06, 2000)])
+    t = np.concatenate([np.linspace(0.0, 1.0, 200)] * 2 + [rng.uniform(0.0, 1.0, 2000)])
+    w = _w_at(s1, s1 + t * (0.5 * (1.0 - s1) - s1))
+    w[:400, 0] = np.repeat([at, below], 200)
+    assert _start_residual(w).max() <= 1e-11
+
+
+def test_mixed_batch_gives_each_point_its_one_sided_start():
+    # bound, set before the test first ran (CHANGES.md): bit for bit; more
+    # than _START_BLOCK points on each side, interleaved
+    w = eig_sym3(to_matrix(random_physical(np.random.default_rng(22), 6000, 0.02)))[0]
+    high = w[:, 0] + 1.0 / 3.0 >= 0.05
+    assert min(high.sum(), (~high).sum()) > closure._START_BLOCK
+    b0 = closure._fitted_start(w)
+    np.testing.assert_array_equal(b0[high], closure._fitted_start(w[high]))
+    np.testing.assert_array_equal(b0[~high], closure._fitted_start(w[~high]))
 
 
 @pytest.mark.parametrize("eigs", [
