@@ -214,8 +214,9 @@ def _fitted_start(w):
     """
     w = w.T
     high = w[0] + 1.0 / 3.0 >= FITS[1][1]
-    if high.all() or not high.any():
-        return _start_rows(_start_fit(*FITS[int(high.all())]), w).T
+    k = np.count_nonzero(high)
+    if k == 0 or k == len(high):
+        return _start_rows(_start_fit(*FITS[int(k > 0)]), w).T
     b0 = np.empty(w.shape)
     for fit, part in zip(FITS, (~high, high)):
         b0[:, part] = _start_rows(_start_fit(*fit), w[:, part])
@@ -224,6 +225,8 @@ def _fitted_start(w):
 
 def _start_rows(fit, w):
     """The start of rows w (3, N) on one fit, in blocks of _START_BLOCK."""
+    if w.shape[1] <= _START_BLOCK:
+        return _start_block(fit, w)
     b0 = np.empty(w.shape)
     for i in range(0, w.shape[1], _START_BLOCK):
         b0[:, i:i + _START_BLOCK] = _start_block(fit, w[:, i:i + _START_BLOCK])
