@@ -171,12 +171,9 @@ def homogeneous_rhs(kappa, de, params, closure):
     In the eigenframe of Q and B, Q = diag(w), mu = diag(m), m = b - alpha w,
     and M_Q(mu) = diag(m/3 + w m - pair m): kappa is rotated into the frame,
     _closed_q_rate is evaluated there, on 3x3-axes-first views of the
-    (N, 3, 3) stacks, and the rate rotated back. The pair moments, rows in
-    the closure, are copied to a contiguous (N, 3, 3) stack, so that their
-    3x3 products take BLAS, as the frame's do, and not numpy's strided loop,
-    which rounds differently.
+    (N, 3, 3) stacks, and the rate rotated back.
     """
-    rot, w, pair = closure.rotation, closure.q_eigs, np.ascontiguousarray(closure.pair)
+    rot, w, pair = closure.rotation, closure.q_eigs, closure.pair
     rt = rot.swapaxes(-1, -2)
     m = closure.b - params.alpha * w
     m_mu = (w + 1.0 / 3.0) * m - (pair @ m[..., None])[..., 0]
@@ -327,11 +324,11 @@ class _Terms:
     qh and vh are the transforms of Q and v (grid.fft layout): the state's
     elastic operator and grad Q read qh, grad v reads vh, and the step's
     right-hand sides read both, as does the next step through _History. res
-    is mu_field's closure batch, its (N, ...) arrays views of rows. The per-point
-    tensors are contiguous component rows, their 3x3 axes ahead of the
-    N = n^2 points: q = Q, mu = mu_field's mu, dq = grad Q as (2, 3, 3, N)
-    (_grad_q), kap = grad v (_kappa_field), m_mu = M_Q(mu) and m4_d = M4 : D
-    with D = sym(kap). On such rows a 3x3 product is one einsum over N-long
+    is mu_field's closure batch, its (N, ...) arrays views of rows. The
+    per-point tensors are contiguous component rows, their 3x3 axes ahead
+    of the N = n^2 points: q = Q, mu = mu_field's mu, dq = grad Q as
+    (2, 3, 3, N) (_grad_q), kap = grad v (_kappa_field), m_mu = M_Q(mu) and
+    m4_d = M4 : D with D = sym(kap). On such rows a 3x3 product is one einsum over N-long
     rows and a contraction an elementwise sum, where (n, n, 3, 3) stacks take
     one small matrix product per point; each is formed once per state.
     """
@@ -434,9 +431,9 @@ class FieldSolver:
         Each field is forward-transformed once, here; the elastic operator
         and grad Q read Q's transform, grad v reads v's, and the step both.
         Both frame products read the closure's rotation and pair moments as
-        rows (3, 3, N), views of the closure's own arrays. `step` closes the state it returns
-        from the transforms its implicit solves produced, so a step
-        transforms no field forward a second time.
+        rows (3, 3, N), views of the closure's own arrays. `step` closes the
+        state it returns from the transforms its implicit solves produced,
+        so a step transforms no field forward a second time.
         """
         return self._close(state, self.grid.fft(state.q5), self.grid.fft(state.v))
 
