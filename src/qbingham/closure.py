@@ -19,9 +19,9 @@ degree-56 fit on s_1 >= 0.008 and, from s_1 = 0.05 up, a degree-36 fit,
 which costs ~55% of the other to evaluate, as a Chebyshev interpolant needs
 fewer terms on a domain farther from its function's singularities
 (Trefethen, Approximation Theory and Approximation Practice, 2013, ch. 8).
-Every field point (margin delta/2 = 0.05) takes the degree-36 fit. A
-point's start does not depend on its batch, and no solve reads a previous
-B.
+Every field point (margin delta/2 = 0.05) takes the degree-36 fit. Which
+fit a point takes does not depend on its batch, and no solve reads a
+previous B.
 
 Each solve is one Newton run on one eigenframe rule sized from the start's
 spread (``_kernels.nodes_for_spread``); a solve that ends past it raises.
@@ -124,10 +124,17 @@ def _component_major(m):
 
 # (b1 - b3, b2 - b3) -> trace-free b, times the -1/2 of b_i - b_3 = -y_i / (2 s_i)
 _TRACE_FREE = -0.5 * np.array([[2.0, -1.0], [-1.0, 2.0], [-1.0, -1.0]]) / 3.0
-# points per block of the start and of its node solves: the table U_k,
-# (57, 2 block) at degree 56, and the GEMM's product, as large, are ~1.9 MB
-# together, below the moment kernel's arrays on a 64^2 grid
-_START_BLOCK = 1024
+# points per block of a fit's node solves
+_NODE_BLOCK = 1024
+# elements of the start's table U_k, (degree + 1, 2 block) for a block's u
+# and v: a fit's start takes blocks of _START_TABLE / (2 (degree + 1))
+# points, 1024 at degree 56 and 1577 at degree 36, so that the table and the
+# GEMM's product, as large, are ~1.9 MB together at either degree, below the
+# moment kernel's arrays on a 64^2 grid. glibc's malloc trims its heap at
+# twice the largest block it has freed, and with the degree-36 table in
+# blocks of 1024 (1.2 MB together) a 64^2 field solve could re-fault ~640
+# pages a call.
+_START_TABLE = 57 * 2048
 
 
 def _fit_map(edge):
@@ -166,7 +173,7 @@ def _start_fit(degree, edge):
     y1 and y2 are interpolated at the (degree + 1)^2 tensor Chebyshev
     points of the first kind in (u, v), which avoid the isotropic corner;
     the nodes are solved cold by newton_batch to FIT_TOL in blocks of
-    _START_BLOCK from the Gaussian limit b = -1/(2 s), each block on the
+    _NODE_BLOCK from the Gaussian limit b = -1/(2 s), each block on the
     rule for the spread of its smallest s1. coefficients[(c, k), j]
     multiplies U_j(u) U_k(v) in y_c, with U = 2 T (the table of
     _start_block). Each fit is built once per process, on the first closure
@@ -183,8 +190,8 @@ def _start_fit(degree, edge):
     b = -0.5 / s
     b -= b.mean(axis=1, keepdims=True)
     res = np.empty(len(w))
-    for i in range(0, len(w), _START_BLOCK):
-        blk = slice(i, i + _START_BLOCK)
+    for i in range(0, len(w), _NODE_BLOCK):
+        blk = slice(i, i + _NODE_BLOCK)
         # a node's spread is at most 1.19 / (2 s1), inside bingham_map_batch's slack
         nodes = _kernels.x_rule(_kernels.nodes_for_spread(1.3 / (2.0 * s[blk, 0].min()) + 6.0))
         b[blk], res[blk] = _kernels.newton_batch(
@@ -224,12 +231,14 @@ def _fitted_start(w):
 
 
 def _start_rows(fit, w):
-    """The start of rows w (3, N) on one fit, in blocks of _START_BLOCK."""
-    if w.shape[1] <= _START_BLOCK:
+    """The start of rows w (3, N) on one fit, in blocks of _START_TABLE /
+    (2 (degree + 1)) points."""
+    block = _START_TABLE // (2 * fit[0].shape[1])
+    if w.shape[1] <= block:
         return _start_block(fit, w)
     b0 = np.empty(w.shape)
-    for i in range(0, w.shape[1], _START_BLOCK):
-        b0[:, i:i + _START_BLOCK] = _start_block(fit, w[:, i:i + _START_BLOCK])
+    for i in range(0, w.shape[1], block):
+        b0[:, i:i + block] = _start_block(fit, w[:, i:i + block])
     return b0
 
 

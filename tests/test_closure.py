@@ -452,10 +452,11 @@ def test_fitted_start_residual_on_held_out_points():
 
 def test_mixed_batch_gives_each_point_its_one_sided_start():
     # bound, set before the test first ran (CHANGES.md): bit for bit; more
-    # than _START_BLOCK points on each side, interleaved
+    # than a block of each fit's start on its side, interleaved
     w = eig_sym3(to_matrix(random_physical(np.random.default_rng(22), 6000, 0.02)))[0]
     high = w[:, 0] + 1.0 / 3.0 >= 0.05
-    assert min(high.sum(), (~high).sum()) > closure._START_BLOCK
+    for part, (degree, _) in zip((~high, high), closure.FITS):
+        assert part.sum() > closure._START_TABLE // (2 * (degree + 1))
     b0 = closure._fitted_start(w)
     np.testing.assert_array_equal(b0[high], closure._fitted_start(w[high]))
     np.testing.assert_array_equal(b0[~high], closure._fitted_start(w[~high]))
