@@ -16,9 +16,10 @@ process from node solves (_start_fit), meet DEFAULT_TOL on margins >= 0.02
 (worst start residual ~1e-12), so a solve there is one moment evaluation
 and no Newton update. There are two (FITS), chosen per point by s_1: a
 degree-56 fit on s_1 >= 0.008 and, from s_1 = 0.05 up, a degree-36 fit,
-which costs ~55% of the other to evaluate, as a Chebyshev interpolant needs
-fewer terms on a domain farther from its function's singularities
-(Trefethen, Approximation Theory and Approximation Practice, 2013, ch. 8).
+which takes ~2/3 of the other's time at 4096 points, as a Chebyshev
+interpolant needs fewer terms on a domain farther from its function's
+singularities (Trefethen, Approximation Theory and Approximation Practice,
+2013, ch. 8).
 Every field point (margin delta/2 = 0.05) takes the degree-36 fit. Which
 fit a point takes does not depend on its batch, and no solve reads a
 previous B.

@@ -366,30 +366,29 @@ def test_fit_is_built_by_the_first_solve_not_at_import():
     assert out == ["0", "1", "1", "1", "2"]
 
 
-@pytest.mark.parametrize("fit", closure.FITS)
-def test_fit_node_solves_reach_fit_tolerance(fit):
-    degree = fit[0]
-    coef, worst = closure._start_fit(*fit)[:2]
-    assert worst <= 1e-13
-    assert coef.shape == (2 * (degree + 1), degree + 1)
-    assert closure._start_fit(*fit)[0] is coef  # built once
+def test_fit_node_solves_reach_fit_tolerance():
+    for degree, edge in closure.FITS:
+        coef, worst = closure._start_fit(degree, edge)[:2]
+        assert worst <= 1e-13
+        assert coef.shape == (2 * (degree + 1), degree + 1)
+        assert closure._start_fit(degree, edge)[0] is coef  # built once
 
 
 def _s1(res):
     return res.q_eigs[:, 0] + 1.0 / 3.0
 
 
-@pytest.mark.parametrize("delta", [0.02, 0.05])
-def test_fitted_start_meets_the_tolerance(rng, delta):
-    # margin >= 0.02 (both fits) or >= 0.05 (the degree-36 fit only): the
+def test_fitted_start_meets_the_tolerance(rng):
+    # margin >= 0.02 (both fits) and >= 0.05 (the degree-36 fit only): the
     # start's residual is already below the tolerance, so no point takes a
     # Newton update
-    q5 = random_physical(rng, 400, delta)
-    res = bingham_map_batch(q5, delta=delta)
-    assert np.all(res.iterations == 0)
-    assert np.all(res.residual <= 1e-11)
-    assert not res.used_damping.any()
-    assert (_s1(res) < 0.05).any() == (delta < 0.05)
+    for delta in (0.02, 0.05):
+        q5 = random_physical(rng, 400, delta)
+        res = bingham_map_batch(q5, delta=delta)
+        assert np.all(res.iterations == 0)
+        assert np.all(res.residual <= 1e-11)
+        assert not res.used_damping.any()
+        assert (_s1(res) < 0.05).any() == (delta < 0.05)
 
 
 def test_one_moment_evaluation_per_solve_inside_the_fit(rng, monkeypatch):
