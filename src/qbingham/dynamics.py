@@ -328,9 +328,10 @@ class _Terms:
     per-point tensors are contiguous component rows, their 3x3 axes ahead
     of the N = n^2 points: q = Q, mu = mu_field's mu, dq = grad Q as
     (2, 3, 3, N) (_grad_q), kap = grad v (_kappa_field), m_mu = M_Q(mu) and
-    m4_d = M4 : D with D = sym(kap). On such rows a 3x3 product is one einsum over N-long
-    rows and a contraction an elementwise sum, where (n, n, 3, 3) stacks take
-    one small matrix product per point; each is formed once per state.
+    m4_d = M4 : D with D = sym(kap). On such rows a 3x3 product is one
+    einsum over N-long rows and a contraction an elementwise sum, where
+    (n, n, 3, 3) stacks take one small matrix product per point; each is
+    formed once per state.
     """
 
     res: BatchClosureResult

@@ -143,10 +143,10 @@ def eig_sym3(mats):
     views of contiguous rows (3, N) and (3, 3, N), the batch axis last in
     memory (closure._component_major reads R's rows without a copy). It has
     the same contract, tested on random, shifted, uniaxial, zero, c I and
-    near-degenerate input (gaps 0 to 1e-9): per matrix and entrywise, ||R^T A R - diag w|| and
-    |w - eigvalsh(A)| stay within 32 u max|A| and ||R^T R - I|| within 32 u
-    (u the unit roundoff), and the two paths' R diag(w) R^T agree to
-    32 u max|A|. A planar input (a13 = a23 = 0) keeps e_z as an exact
+    near-degenerate input (gaps 0 to 1e-9): per matrix and entrywise,
+    ||R^T A R - diag w|| and |w - eigvalsh(A)| stay within 32 u max|A| and
+    ||R^T R - I|| within 32 u (u the unit roundoff), and the two paths'
+    R diag(w) R^T agree to 32 u max|A|. A planar input (a13 = a23 = 0) keeps e_z as an exact
     eigenvector on both. A non-finite matrix gives NaN eigenvalues in its
     row and no warning.
     """

@@ -216,10 +216,6 @@ def test_frame_contraction_matches_dense(rng):
         assert np.abs(got_mq - ref_mq).max() < 1e-10
 
 
-# ---------------------------------------------------------------------------
-# spread bound
-# ---------------------------------------------------------------------------
-
 def test_closed_form_frame_and_pair_are_read_in_place(rng):
     # a closed-form batch's rotation, and every batch's pair moments, are
     # views of contiguous (3, 3, N) rows: _component_major makes no copy
@@ -229,6 +225,10 @@ def test_closed_form_frame_and_pair_are_read_in_place(rng):
         assert np.shares_memory(rows, m)
         np.testing.assert_array_equal(rows, np.moveaxis(m, 0, -1))
 
+
+# ---------------------------------------------------------------------------
+# spread bound
+# ---------------------------------------------------------------------------
 
 def test_spread_bound_diverges_as_margin_shrinks():
     vals = [spread_bound(d) for d in (0.3, 0.2, 0.1, 0.05, 0.01)]
